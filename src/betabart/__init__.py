@@ -5,6 +5,7 @@ from importlib.resources import files
 from .cumulants import (
     BartlettFactor,
     CumulantTensors,
+    NonFiniteCumulantError,
     ObsQuantities,
     bartlett_factor,
     cumulant_tensors,
@@ -72,6 +73,7 @@ __all__ = [
     "MomentTable",
     "NestingError",
     "NonConvergenceError",
+    "NonFiniteCumulantError",
     "ObsQuantities",
     "ParamVector",
     "Restriction",
@@ -95,6 +97,7 @@ __all__ = [
     "food_data_path",
     "gen_beta_sample",
     "log_gamma",
+    "logit_link",
     "loglik_derivative_tensors",
     "lr_statistic",
     "null_moments",

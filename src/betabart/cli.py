@@ -211,6 +211,11 @@ def _load_model(args: argparse.Namespace):
         term_spec,
     )
     X = np.column_stack([np.ones(len(y))] + arrays)
+    bad = np.nonzero(~np.all(np.isfinite(X), axis=1))[0]
+    if bad.size:
+        raise DataError(
+            f"{args.data}: line {int(bad[0]) + 2}: covariate value is not finite"
+        )
     rank = int(np.linalg.matrix_rank(X))
     if rank < X.shape[1]:
         raise DataError(
@@ -355,7 +360,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if "boot" in methods:
         boot_opts = BootstrapOptions(B=args.boot_B, seed=args.seed)
     report = run_test(data, link, restriction, methods=methods, boot_opts=boot_opts)
-    full = fit_mle(data, link)
+    full = report.full_fit
     document = {
         "command": "test",
         "model": model,

@@ -14,16 +14,25 @@ phi, k = p + 1.  Index subsets are 0-based positions into that vector.
 Notation used in comments and docstrings below: t = dmu/deta = 1/g'(mu),
 t', t'', t''' its mu-derivatives, psi^(m) the polygamma functions, and
 resid = ystar - mustar the logit-scale residual.
+
+Cost.  Every tensor block is a moment sum sum_i f_i x_i^(tensor j) with
+j <= 4 (Cordeiro 1993, "General matrix formulae for computing Bartlett
+corrections"), computed as one matrix product against the row-wise outer
+products x_i x_i': O(n p^4) flops, all in BLAS, with an (n, p^2)
+intermediate.  epsilon_matrix is a short chain of matrix products, O(k^4).
+bartlett_factor builds the dense tensors once and slices both the full and
+the nuisance sets from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .fit import Restriction, SingularInformationError
+from .fit import FitError, Restriction, SingularInformationError
 from .model import Dataset, LinkFunction, ParamVector, obs_state
 from .specfun import polygamma
 
@@ -31,6 +40,7 @@ __all__ = [
     "ObsQuantities",
     "CumulantTensors",
     "BartlettFactor",
+    "NonFiniteCumulantError",
     "obs_quantities",
     "loglik_derivative_tensors",
     "cumulant_tensors",
@@ -121,6 +131,10 @@ class CumulantTensors:
     P: np.ndarray
     Q: np.ndarray
     A: np.ndarray
+
+
+class NonFiniteCumulantError(FitError):
+    """A cumulant tensor evaluated to inf or NaN at the given parameters."""
 
 
 @dataclass(frozen=True)
@@ -242,61 +256,62 @@ def obs_quantities(
     )
 
 
-def _sym2(X, f_bb, f_bp, f_pp):
-    """Symmetric (k, k) matrix from per-observation pair factors."""
-    p = X.shape[1]
-    M = np.empty((p + 1, p + 1))
-    M[:p, :p] = (X.T * f_bb) @ X
-    v = X.T @ f_bp
-    M[:p, p] = v
-    M[p, :p] = v
-    M[p, p] = float(np.sum(f_pp))
-    return M
+def _outer_rows(X):
+    """Row-wise outer products x_i x_i' flattened to an (n, p^2) array."""
+    n, p = X.shape
+    return (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
 
 
-def _sym3(X, f_bbb, f_bbp, f_bpp, f_ppp):
-    """Fully symmetric (k, k, k) tensor from per-observation factors."""
+def _moment(f, X, XX, order):
+    """Moment sum sum_i f_i x_i^(tensor order) as one matrix product.
+
+    XX is _outer_rows(X); orders 3 and 4 contract it against X or itself,
+    so every sum runs in BLAS at O(n p^order).
+    """
     p = X.shape[1]
-    k = p + 1
-    T = np.zeros((k, k, k))
-    T[:p, :p, :p] = np.einsum("i,ir,is,it->rst", f_bbb, X, X, X)
-    M = np.einsum("i,ir,is->rs", f_bbp, X, X)
-    T[:p, :p, p] = M
-    T[:p, p, :p] = M
-    T[p, :p, :p] = M
-    v = X.T @ f_bpp
-    T[:p, p, p] = v
-    T[p, :p, p] = v
-    T[p, p, :p] = v
-    T[p, p, p] = float(np.sum(f_ppp))
+    if order == 0:
+        return float(np.sum(f))
+    if order == 1:
+        return X.T @ f
+    if order == 2:
+        return (X.T * f) @ X
+    if order == 3:
+        return ((XX * f[:, None]).T @ X).reshape(p, p, p)
+    return ((XX * f[:, None]).T @ XX).reshape(p, p, p, p)
+
+
+def _tensor(X, XX, blocks):
+    """Dense tensor over the k = p + 1 parameter positions, block by block.
+
+    blocks maps space-separated patterns to a per-observation factor f.  A
+    pattern has one letter per axis: "b" spans the coefficient positions
+    0..p-1 and "p" is the precision position p.  Each listed block is set to
+    the moment sum of f over as many x_i factors as the pattern has "b"s;
+    that sum is symmetric in its axes, so one block serves every pattern.
+    """
+    p = X.shape[1]
+    order = len(next(iter(blocks)).split()[0])
+    T = np.zeros((p + 1,) * order)
+    for patterns, f in blocks.items():
+        patterns = patterns.split()
+        block = _moment(f, X, XX, patterns[0].count("b"))
+        for pattern in patterns:
+            T[tuple(slice(0, p) if axis == "b" else p for axis in pattern)] = block
     return T
 
 
-def _sym4(X, f4, f3, f2, f1, f0):
-    """Fully symmetric (k, k, k, k) tensor from per-observation factors."""
-    p = X.shape[1]
-    k = p + 1
-    T = np.zeros((k, k, k, k))
-    T[:p, :p, :p, :p] = np.einsum("i,ir,is,it,iu->rstu", f4, X, X, X, X)
-    M3 = np.einsum("i,ir,is,it->rst", f3, X, X, X)
-    T[:p, :p, :p, p] = M3
-    T[:p, :p, p, :p] = M3
-    T[:p, p, :p, :p] = M3
-    T[p, :p, :p, :p] = M3
-    M2 = np.einsum("i,ir,is->rs", f2, X, X)
-    T[:p, :p, p, p] = M2
-    T[:p, p, :p, p] = M2
-    T[:p, p, p, :p] = M2
-    T[p, :p, :p, p] = M2
-    T[p, :p, p, :p] = M2
-    T[p, p, :p, :p] = M2
-    v = X.T @ f1
-    T[:p, p, p, p] = v
-    T[p, :p, p, p] = v
-    T[p, p, :p, p] = v
-    T[p, p, p, :p] = v
-    T[p, p, p, p] = float(np.sum(f0))
-    return T
+def _sym(X, XX, *factors):
+    """Fully symmetric tensor of order len(factors) - 1, in which factors[m]
+    feeds every block with m precision axes."""
+    patterns = ["".join(axes) for axes in product("bp", repeat=len(factors) - 1)]
+    return _tensor(
+        X,
+        XX,
+        {
+            " ".join(pat for pat in patterns if pat.count("p") == m): f
+            for m, f in enumerate(factors)
+        },
+    )
 
 
 def loglik_derivative_tensors(
@@ -318,17 +333,20 @@ def loglik_derivative_tensors(
     phi = theta.phi
     t, t1 = q.t, q.t1
     resid = state.ystar - state.mustar
+    XX = _outer_rows(X)
 
-    U2 = _sym2(
+    U2 = _sym(
         X,
+        XX,
         -(phi**2) * q.omega * t**2 + phi * resid * t1 * t,
         (resid - q.c) * t,
         -q.d,
     )
     if order == 2:
         return U2, None, None
-    U3 = _sym3(
+    U3 = _sym(
         X,
+        XX,
         -phi * (phi**2 * q.m * t**3 + phi * q.omega * q.a - resid * q.b),
         q.u * t**2 + (resid - q.c) * t1 * t,
         -q.r,
@@ -339,8 +357,9 @@ def loglik_derivative_tensors(
     if q.t3 is None:
         raise ValueError("fourth-order tensors need a link with a fourth derivative")
     dt3_dmu = 3.0 * t**2 * t1  # d(t^3)/dmu
-    U4 = _sym4(
+    U4 = _sym(
         X,
+        XX,
         -phi
         * (
             phi**2 * (q.m * dt3_dmu + q.m_mu * t**3)
@@ -370,23 +389,25 @@ def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi: float):
     kappa_rs^{(t)}, kappa_rst^{(u)}, kappa_rs^{(tu)}.  K2 is the second
     cumulant matrix, so the information matrix is -K2.
     """
-    p = X.shape[1]
-    k = p + 1
     t, t1, t2 = q.t, q.t1, q.t2
     dt3_dmu = 3.0 * t**2 * t1
 
-    K2 = _sym2(X, -(phi**2) * q.omega * t**2, -q.c * t, -q.d)
+    XX = _outer_rows(X)
 
-    T3 = _sym3(
+    K2 = _sym(X, XX, -(phi**2) * q.omega * t**2, -q.c * t, -q.d)
+
+    T3 = _sym(
         X,
+        XX,
         -(phi**2) * (phi * q.m * t**3 + q.omega * q.a),
         q.u * t**2 - q.c * t1 * t,
         -q.r,
         -q.s,
     )
 
-    T4 = _sym4(
+    T4 = _sym(
         X,
+        XX,
         -(phi**2)
         * (phi * (q.m * dt3_dmu + q.m_mu * t**3 + q.m * q.a) + q.omega * (q.a_mu + q.b))
         * t,
@@ -403,120 +424,74 @@ def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi: float):
 
     # First derivatives of the second cumulants, kappa_rs^{(t)}; symmetric
     # in the cumulant pair only.
-    D1 = np.zeros((k, k, k))
-    D1[:p, :p, :p] = np.einsum(
-        "i,ir,is,it->rst",
-        -(phi**2) * (phi * q.m * t**3 + (2.0 / 3.0) * q.omega * q.a),
+    D1 = _tensor(
         X,
-        X,
-        X,
+        XX,
+        {
+            "bbb": -(phi**2) * (phi * q.m * t**3 + (2.0 / 3.0) * q.omega * q.a),
+            "bbp": q.u * t**2,
+            "bpb pbb": -(q.c_mu * t + q.c * t1) * t,
+            "bpp pbp": -q.z * t,
+            "ppb": -q.r,
+            "ppp": -q.s,
+        },
     )
-    D1[:p, :p, p] = np.einsum("i,ir,is->rs", q.u * t**2, X, X)
-    M = np.einsum("i,ir,is->rs", -(q.c_mu * t + q.c * t1) * t, X, X)
-    D1[:p, p, :p] = M
-    D1[p, :p, :p] = M
-    v = X.T @ (-q.z * t)
-    D1[:p, p, p] = v
-    D1[p, :p, p] = v
-    D1[p, p, :p] = X.T @ (-q.r)
-    D1[p, p, p] = float(np.sum(-q.s))
 
     # Derivatives of the third cumulants, kappa_rst^{(u)}; symmetric in the
-    # cumulant triple.
-    D31 = np.zeros((k, k, k, k))
-    D31[:p, :p, :p, :p] = np.einsum(
-        "i,ir,is,it,iu->rstu",
-        -(phi**2)
-        * (phi * (q.m * (dt3_dmu + q.a) + q.m_mu * t**3) + q.omega * q.a_mu)
-        * t,
+    # cumulant triple.  The "bbpb" factor multiplies the whole bracket by
+    # t = dmu/deta: it is the beta-derivative of the (beta, beta, phi)
+    # cumulant, so the chain rule contributes one extra t.
+    D31 = _tensor(
         X,
-        X,
-        X,
-        X,
+        XX,
+        {
+            "bbbb": -(phi**2)
+            * (phi * (q.m * (dt3_dmu + q.a) + q.m_mu * t**3) + q.omega * q.a_mu)
+            * t,
+            "bbbp": -phi
+            * (
+                phi * (3.0 * q.m + phi * q.m_phi) * t**3
+                + q.a * (2.0 * q.omega + phi * q.omega_phi)
+            ),
+            "bbpb bpbb pbbb": (
+                q.u_mu * t**2
+                + 2.0 * q.u * t * t1
+                - q.c_mu * t1 * t
+                - q.c * (t2 * t + t1**2)
+            )
+            * t,
+            "bbpp bpbp pbbp": (q.u_phi * t - q.z * t1) * t,
+            "bppb pbpb ppbb": -q.r_mu * t,
+            "bppp pbpp ppbp": -q.r_phi,
+            "pppb": -q.s_mu * t,
+            "pppp": -q.s_phi,
+        },
     )
-    D31[:p, :p, :p, p] = np.einsum(
-        "i,ir,is,it->rst",
-        -phi
-        * (
-            phi * (3.0 * q.m + phi * q.m_phi) * t**3
-            + q.a * (2.0 * q.omega + phi * q.omega_phi)
-        ),
-        X,
-        X,
-        X,
-    )
-    # The mixed factor below multiplies the whole bracket by t = dmu/deta:
-    # it is the beta-derivative of the (beta, beta, phi) cumulant, so the
-    # chain rule contributes one extra t.
-    M3 = np.einsum(
-        "i,ir,is,iu->rsu",
-        (q.u_mu * t**2 + 2.0 * q.u * t * t1 - q.c_mu * t1 * t - q.c * (t2 * t + t1**2))
-        * t,
-        X,
-        X,
-        X,
-    )
-    D31[:p, :p, p, :p] = M3
-    D31[:p, p, :p, :p] = M3
-    D31[p, :p, :p, :p] = M3
-    M2 = np.einsum("i,ir,is->rs", (q.u_phi * t - q.z * t1) * t, X, X)
-    D31[:p, :p, p, p] = M2
-    D31[:p, p, :p, p] = M2
-    D31[p, :p, :p, p] = M2
-    M2 = np.einsum("i,ir,iu->ru", -q.r_mu * t, X, X)
-    D31[:p, p, p, :p] = M2
-    D31[p, :p, p, :p] = M2
-    D31[p, p, :p, :p] = M2
-    v = X.T @ (-q.r_phi)
-    D31[:p, p, p, p] = v
-    D31[p, :p, p, p] = v
-    D31[p, p, :p, p] = v
-    D31[p, p, p, :p] = X.T @ (-q.s_mu * t)
-    D31[p, p, p, p] = float(np.sum(-q.s_phi))
 
     # Second derivatives of the second cumulants, kappa_rs^{(tu)};
     # symmetric within each pair.
-    D22 = np.zeros((k, k, k, k))
-    D22[:p, :p, :p, :p] = np.einsum(
-        "i,ir,is,it,iu->rstu",
-        -(phi**2)
-        * (
-            phi * (q.m * (dt3_dmu + (2.0 / 3.0) * q.a) + q.m_mu * t**3)
-            + (2.0 / 3.0) * q.omega * q.a_mu
-        )
-        * t,
-        X,
-        X,
-        X,
-        X,
-    )
-    M3 = np.einsum("i,ir,is,it->rst", (q.u_mu * t + 2.0 * q.u * t1) * t**2, X, X, X)
-    D22[:p, :p, :p, p] = M3
-    D22[:p, :p, p, :p] = M3
-    D22[:p, :p, p, p] = np.einsum("i,ir,is->rs", q.u_phi * t**2, X, X)
     c_mumu = phi**2 * (2.0 * q.m + phi * q.m_phi)
-    M3 = np.einsum(
-        "i,ir,it,iu->rtu",
-        -(c_mumu * t**2 + 3.0 * q.c_mu * t * t1 + q.c * (t2 * t + t1**2)) * t,
+    D22 = _tensor(
         X,
-        X,
-        X,
+        XX,
+        {
+            "bbbb": -(phi**2)
+            * (
+                phi * (q.m * (dt3_dmu + (2.0 / 3.0) * q.a) + q.m_mu * t**3)
+                + (2.0 / 3.0) * q.omega * q.a_mu
+            )
+            * t,
+            "bbbp bbpb": (q.u_mu * t + 2.0 * q.u * t1) * t**2,
+            "bbpp": q.u_phi * t**2,
+            "bpbb pbbb": -(c_mumu * t**2 + 3.0 * q.c_mu * t * t1 + q.c * (t2 * t + t1**2))
+            * t,
+            "bpbp pbbp bppb pbpb": -(q.z_mu * t + q.z * t1) * t,
+            "bppp pbpp": -q.z_phi * t,
+            "ppbb": -q.r_mu * t,
+            "ppbp pppb": -q.s_mu * t,
+            "pppp": -q.s_phi,
+        },
     )
-    D22[:p, p, :p, :p] = M3
-    D22[p, :p, :p, :p] = M3
-    M2 = np.einsum("i,ir,it->rt", -(q.z_mu * t + q.z * t1) * t, X, X)
-    D22[:p, p, :p, p] = M2
-    D22[p, :p, :p, p] = M2
-    D22[:p, p, p, :p] = M2
-    D22[p, :p, p, :p] = M2
-    v = X.T @ (-q.z_phi * t)
-    D22[:p, p, p, p] = v
-    D22[p, :p, p, p] = v
-    D22[p, p, :p, :p] = np.einsum("i,it,iu->tu", -q.r_mu * t, X, X)
-    v = X.T @ (-q.s_mu * t)
-    D22[p, p, :p, p] = v
-    D22[p, p, p, :p] = v
-    D22[p, p, p, p] = float(np.sum(-q.s_phi))
 
     return K2, T3, T4, D1, D31, D22
 
@@ -542,7 +517,13 @@ def cumulant_tensors(
         if positions[0] < 0 or positions[-1] > p:
             raise ValueError(f"subset positions must lie in 0..{p}")
     q = obs_quantities(theta, data, link)
-    K2, T3, T4, D1, D31, D22 = _cumulant_factor_tensors(q, data.X, theta.phi)
+    dense = _cumulant_factor_tensors(q, data.X, theta.phi)
+    return _subset_tensors(dense, positions)
+
+
+def _subset_tensors(dense, positions) -> CumulantTensors:
+    """Slice the dense full-set tensors down to sorted, distinct positions."""
+    K2, T3, T4, D1, D31, D22 = dense
     idx = np.array(positions, dtype=int)
     K_S = -K2[np.ix_(idx, idx)]
     try:
@@ -568,7 +549,7 @@ def cumulant_tensors(
     )
     for name, arr in (("K", K_S), ("P", P), ("Q", Q), ("A", A)):
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"cumulant tensor {name} is not finite")
+            raise NonFiniteCumulantError(f"cumulant tensor {name} is not finite")
     return CumulantTensors(subset=positions, K=K_S, K_inv=K_inv, P=P, Q=Q, A=A)
 
 
@@ -577,15 +558,24 @@ def epsilon_matrix(tensors: CumulantTensors) -> float:
 
     Builds L[r,s] = tr(K^-1 A^(rs)), the three M matrices, the three N
     matrices, and returns tr[K^-1 (L - M - N)] with M = -M1/6 + M2 - M3
-    and N = -N1/4 + N2 - N3.
+    and N = -N1/4 + N2 - N3.  With G_P[r] = K^-1 P^(r) and G_Q likewise,
+    M1[r,s] = tr(G_P[r] G_P[s]), M3 the same in G_Q, and
+    M2[r,s] = tr(G_P[r] K^-1 Q^(s)'), so every term is a matrix product.
     """
     B = tensors.K_inv
     P = tensors.P
     Q = tensors.Q
-    L = np.einsum("ab,tuba->tu", B, tensors.A)
-    M1 = np.einsum("ab,rbc,cd,sda->rs", B, P, B, P)
-    M2 = np.einsum("ab,rbc,cd,sad->rs", B, P, B, Q)
-    M3 = np.einsum("ab,rbc,cd,sda->rs", B, Q, B, Q)
+    k = B.shape[0]
+    L = (tensors.A.reshape(k * k, k * k) @ B.T.ravel()).reshape(k, k)
+    G_P = B @ P
+    G_Q = B @ Q
+
+    def trace_products(G):
+        return G.reshape(k, -1) @ G.transpose(0, 2, 1).reshape(k, -1).T
+
+    M1 = trace_products(G_P)
+    M2 = (G_P @ B).reshape(k, -1) @ Q.reshape(k, -1).T
+    M3 = trace_products(G_Q)
     trPB = np.einsum("rab,ba->r", P, B)
     trQB = np.einsum("rab,ba->r", Q, B)
     M = -M1 / 6.0 + M2 - M3
@@ -594,7 +584,7 @@ def epsilon_matrix(tensors: CumulantTensors) -> float:
         + np.outer(trPB, trQB)
         - np.outer(trQB, trQB)
     )
-    return float(np.einsum("ab,ba->", B, L - M - N))
+    return float(np.sum(B * (L - M - N).T))
 
 
 def epsilon_lawley_direct(tensors: CumulantTensors) -> float:
@@ -659,11 +649,14 @@ def bartlett_factor(
             f"restriction index {restriction.indices[-1]} exceeds the {p} design columns"
         )
     q = restriction.q
-    full = cumulant_tensors(theta_tilde, data, link)
-    nuisance_positions = [
+    dense = _cumulant_factor_tensors(
+        obs_quantities(theta_tilde, data, link), data.X, theta_tilde.phi
+    )
+    full = _subset_tensors(dense, tuple(range(p + 1)))
+    nuisance_positions = tuple(
         j for j in range(p) if (j + 1) not in restriction.indices
-    ] + [p]
-    nuis = cumulant_tensors(theta_tilde, data, link, subset=nuisance_positions)
+    ) + (p,)
+    nuis = _subset_tensors(dense, nuisance_positions)
     eps_full = epsilon_matrix(full)
     eps_nuis = epsilon_matrix(nuis)
     return BartlettFactor(

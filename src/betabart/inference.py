@@ -11,7 +11,7 @@ resamples drawn under the null at the restricted estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,7 +75,8 @@ class TestReport:
     """Everything one restriction test produced.
 
     Statistics not requested are None; p_values maps each computed,
-    finite statistic's name to chisq_sf(max(stat, 0), q).
+    finite statistic's name to chisq_sf(max(stat, 0), q).  full_fit is the
+    unrestricted fit behind lr, kept so callers need not refit it.
     """
 
     lr: float
@@ -88,6 +89,7 @@ class TestReport:
     boot_mean: Optional[float]
     boot_failures: int
     p_values: dict
+    full_fit: Optional[FitResult] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lr < 0.0:
@@ -303,4 +305,5 @@ def run_test(
         boot_mean=boot_mean,
         boot_failures=boot_failures,
         p_values=p_values,
+        full_fit=full,
     )

@@ -43,9 +43,9 @@ MU_CLAMP = 1e-12
 class Dataset:
     """Response vector and design matrix, immutable after construction.
 
-    y : (n,) responses, each strictly inside (0, 1)
-    X : (n, p) design matrix; include an explicit intercept column if the
-        model needs one.  Full column rank is verified at fit time.
+    y : (n,) responses, each strictly inside (0, 1); NaN is rejected
+    X : (n, p) finite design matrix; include an explicit intercept column if
+        the model needs one.  Full column rank is verified at fit time.
     """
 
     y: np.ndarray
@@ -61,8 +61,10 @@ class Dataset:
         n, p = X.shape
         if p < 1 or n <= p:
             raise ValueError(f"need n > p >= 1, got n={n}, p={p}")
-        if np.any(y <= 0.0) or np.any(y >= 1.0):
+        if not np.all((y > 0.0) & (y < 1.0)):
             raise ValueError("responses must lie strictly inside (0, 1)")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X must be finite")
         y.setflags(write=False)
         X.setflags(write=False)
         object.__setattr__(self, "y", y)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fit import FitError, Restriction
-from .inference import _METHODS, BootstrapFailureError, BootstrapOptions, run_test
+from .inference import (
+    _METHODS,
+    BootstrapFailureError,
+    BootstrapOptions,
+    NestingError,
+    run_test,
+)
 from .model import MU_CLAMP, Dataset, LinkFunction, logit_link
 from .specfun import chisq_sf
 
@@ -201,7 +207,11 @@ def design_matrix(n: int, p: int, covariate_seed: int) -> np.ndarray:
 def _replication(
     config: SimConfig, X: np.ndarray, link: LinkFunction, j: int
 ) -> dict[str, float] | None:
-    """Run replication j; return its statistics, or None on failure."""
+    """Run replication j; return its statistics, or None on failure.
+
+    A rejected draw and the typed numerical failures of the test count as
+    a failed replication; any other exception is a defect and propagates.
+    """
     data_rng = np.random.default_rng(
         np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
     )
@@ -218,15 +228,15 @@ def _replication(
         )
         boot_opts = BootstrapOptions(B=config.boot_B, seed=boot_seed)
     try:
-        y = gen_beta_sample(mu, config.phi_true, data_rng)
+        data = Dataset(gen_beta_sample(mu, config.phi_true, data_rng), X)
+    except ValueError:
+        # the generator rejects means outside (0, 1); that draw is void
+        return None
+    try:
         report = run_test(
-            Dataset(y, X),
-            link,
-            config.restriction,
-            methods=config.methods,
-            boot_opts=boot_opts,
+            data, link, config.restriction, methods=config.methods, boot_opts=boot_opts
         )
-    except (FitError, BootstrapFailureError, ValueError):
+    except (FitError, BootstrapFailureError, NestingError):
         return None
     values = {m: float(getattr(report, _STAT_ATTR[m])) for m in config.methods}
     if not all(math.isfinite(v) for v in values.values()):

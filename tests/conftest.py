@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from betabart import food_data_path
 from betabart.model import Dataset, ParamVector, logit_link
+
+# Property tests replay the same examples on every run, and the time an
+# example takes is not a failure: run times on a shared host drift widely.
+settings.register_profile("betabart", derandomize=True, deadline=None, database=None)
+settings.load_profile("betabart")
 
 
 def load_food_columns():

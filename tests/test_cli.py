@@ -8,6 +8,8 @@ import pytest
 import betabart.cli as cli
 from betabart import __version__, food_data_path
 from betabart.cli import main
+import betabart.inference as inference
+from betabart.cumulants import NonFiniteCumulantError
 from betabart.fit import NonConvergenceError, Restriction, fit_mle
 from betabart.inference import BootstrapOptions, NestingError, run_test
 from betabart.model import Dataset, logit_link
@@ -182,6 +184,25 @@ class TestTestCommand:
         assert "H0: persons" in out and "[df = 1]" in out
         assert "lr" in out and "b3" in out
 
+    def test_full_model_is_fitted_once(self, capsys, monkeypatch, food_reduced, link):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_mle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_mle", counted)
+        monkeypatch.setattr(inference, "fit_mle", counted)
+        code, out, _ = run_cli(
+            capsys, "test", "--null", "persons", "--methods", "lr", "--format", "json"
+        )
+        assert code == 0 and len(calls) == 1
+        document = json.loads(out)
+        result = fit_mle(food_reduced, link)
+        assert document["estimates"]["income"]["value"] == result.theta_hat.beta[1]
+        assert document["estimates"]["phi"]["std_error"] == result.std_errors[3]
+        assert document["meta"]["iterations"] == result.iterations
+
     def test_no_boot_meta_is_null(self, capsys):
         code, out, _ = run_cli(
             capsys, "test", "--null", "persons", "--methods", "lr", "--format", "json"
@@ -259,6 +280,15 @@ class TestDataErrors:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_with_line_number(self, capsys, tmp_path, cell):
+        path = self.write(
+            tmp_path, f"y,income\n0.5,1.0\n0.4,{cell}\n0.3,2.0\n0.6,1.5\n0.45,0.7\n"
+        )
+        code, _, err = run_cli(capsys, "fit", "--data", path)
+        assert code == 3
+        assert "line 3" in err and "not finite" in err
+
     def test_rank_deficient_design(self, capsys, tmp_path):
         rows = ["y,a,b"]
         rng = np.random.default_rng(1)
@@ -312,6 +342,14 @@ class TestNumericalErrors:
         monkeypatch.setattr(cli, "fit_mle", explode)
         code, _, err = run_cli(capsys, "fit")
         assert code == 4 and "synthetic failure" in err
+
+    def test_non_finite_cumulant_exit_code(self, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NonFiniteCumulantError("cumulant tensor A is not finite")
+
+        monkeypatch.setattr(cli, "run_test", explode)
+        code, _, err = run_cli(capsys, "test", "--null", "persons", "--methods", "b3")
+        assert code == 4 and "not finite" in err
 
     def test_nesting_error_exit_code(self, capsys, monkeypatch):
         def explode(*args, **kwargs):

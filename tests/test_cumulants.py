@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from betabart.cumulants import (
+    NonFiniteCumulantError,
     _cumulant_factor_tensors,
     bartlett_factor,
     cumulant_tensors,
@@ -20,7 +21,7 @@ from betabart.cumulants import (
     loglik_derivative_tensors,
     obs_quantities,
 )
-from betabart.fit import Restriction, SingularInformationError, fit_restricted
+from betabart.fit import FitError, Restriction, SingularInformationError, fit_restricted
 from betabart.model import (
     Dataset,
     ParamVector,
@@ -324,6 +325,18 @@ class TestEpsilon:
             tensors = cumulant_tensors(theta, Dataset(y, X), link)
             epsilon_matrix(tensors)
 
+    def test_non_finite_tensor_is_a_fit_error(self, link):
+        # x^4 overflows while the information matrix stays finite
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(12), rng.uniform(-1.0, 1.0, 12) * 1e90])
+        data = Dataset(rng.uniform(0.2, 0.8, 12), X)
+        theta = ParamVector([0.2, 1e-90], 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteCumulantError, match="not finite") as info:
+                cumulant_tensors(theta, data, link)
+        assert isinstance(info.value, FitError)
+        assert not isinstance(info.value, ValueError)
+
 
 class TestBartlettFactor:
     def test_factor_identity_and_terms(self, food_five, link):
@@ -346,3 +359,251 @@ class TestBartlettFactor:
         theta = ParamVector([0.0, 0.0, 0.0], 10.0)
         with pytest.raises(ValueError, match="exceeds"):
             bartlett_factor(food_reduced, link, Restriction((4,), (0.0,)), theta)
+
+
+# The moment sums as one plain einsum each, block by block: the reference
+# for the matrix-product kernel in _cumulant_factor_tensors.
+
+
+def _ref_sym2(X, f_bb, f_bp, f_pp):
+    """Symmetric (k, k) matrix from per-observation pair factors."""
+    p = X.shape[1]
+    M = np.empty((p + 1, p + 1))
+    M[:p, :p] = (X.T * f_bb) @ X
+    v = X.T @ f_bp
+    M[:p, p] = v
+    M[p, :p] = v
+    M[p, p] = float(np.sum(f_pp))
+    return M
+
+
+def _ref_sym3(X, f_bbb, f_bbp, f_bpp, f_ppp):
+    """Fully symmetric (k, k, k) tensor from per-observation factors."""
+    p = X.shape[1]
+    k = p + 1
+    T = np.zeros((k, k, k))
+    T[:p, :p, :p] = np.einsum("i,ir,is,it->rst", f_bbb, X, X, X)
+    M = np.einsum("i,ir,is->rs", f_bbp, X, X)
+    T[:p, :p, p] = M
+    T[:p, p, :p] = M
+    T[p, :p, :p] = M
+    v = X.T @ f_bpp
+    T[:p, p, p] = v
+    T[p, :p, p] = v
+    T[p, p, :p] = v
+    T[p, p, p] = float(np.sum(f_ppp))
+    return T
+
+
+def _ref_sym4(X, f4, f3, f2, f1, f0):
+    """Fully symmetric (k, k, k, k) tensor from per-observation factors."""
+    p = X.shape[1]
+    k = p + 1
+    T = np.zeros((k, k, k, k))
+    T[:p, :p, :p, :p] = np.einsum("i,ir,is,it,iu->rstu", f4, X, X, X, X)
+    M3 = np.einsum("i,ir,is,it->rst", f3, X, X, X)
+    T[:p, :p, :p, p] = M3
+    T[:p, :p, p, :p] = M3
+    T[:p, p, :p, :p] = M3
+    T[p, :p, :p, :p] = M3
+    M2 = np.einsum("i,ir,is->rs", f2, X, X)
+    T[:p, :p, p, p] = M2
+    T[:p, p, :p, p] = M2
+    T[:p, p, p, :p] = M2
+    T[p, :p, :p, p] = M2
+    T[p, :p, p, :p] = M2
+    T[p, p, :p, :p] = M2
+    v = X.T @ f1
+    T[:p, p, p, p] = v
+    T[p, :p, p, p] = v
+    T[p, p, :p, p] = v
+    T[p, p, p, :p] = v
+    T[p, p, p, p] = float(np.sum(f0))
+    return T
+
+
+def reference_factor_tensors(q, X, phi):
+    """_cumulant_factor_tensors written with one plain einsum per moment
+    sum, block by block; the reference for the matrix-product kernel."""
+    p = X.shape[1]
+    k = p + 1
+    t, t1, t2 = q.t, q.t1, q.t2
+    dt3_dmu = 3.0 * t**2 * t1
+
+    K2 = _ref_sym2(X, -(phi**2) * q.omega * t**2, -q.c * t, -q.d)
+
+    T3 = _ref_sym3(
+        X,
+        -(phi**2) * (phi * q.m * t**3 + q.omega * q.a),
+        q.u * t**2 - q.c * t1 * t,
+        -q.r,
+        -q.s,
+    )
+
+    T4 = _ref_sym4(
+        X,
+        -(phi**2)
+        * (phi * (q.m * dt3_dmu + q.m_mu * t**3 + q.m * q.a) + q.omega * (q.a_mu + q.b))
+        * t,
+        -phi
+        * (
+            phi * (3.0 * q.m + phi * q.m_phi) * t**3
+            + q.a * (2.0 * q.omega + phi * q.omega_phi)
+            + q.b * q.mustar_phi
+        ),
+        -q.r_mu * t,
+        -q.s_mu * t,
+        -q.s_phi,
+    )
+
+    # First derivatives of the second cumulants, kappa_rs^{(t)}; symmetric
+    # in the cumulant pair only.
+    D1 = np.zeros((k, k, k))
+    D1[:p, :p, :p] = np.einsum(
+        "i,ir,is,it->rst",
+        -(phi**2) * (phi * q.m * t**3 + (2.0 / 3.0) * q.omega * q.a),
+        X,
+        X,
+        X,
+    )
+    D1[:p, :p, p] = np.einsum("i,ir,is->rs", q.u * t**2, X, X)
+    M = np.einsum("i,ir,is->rs", -(q.c_mu * t + q.c * t1) * t, X, X)
+    D1[:p, p, :p] = M
+    D1[p, :p, :p] = M
+    v = X.T @ (-q.z * t)
+    D1[:p, p, p] = v
+    D1[p, :p, p] = v
+    D1[p, p, :p] = X.T @ (-q.r)
+    D1[p, p, p] = float(np.sum(-q.s))
+
+    # Derivatives of the third cumulants, kappa_rst^{(u)}; symmetric in the
+    # cumulant triple.
+    D31 = np.zeros((k, k, k, k))
+    D31[:p, :p, :p, :p] = np.einsum(
+        "i,ir,is,it,iu->rstu",
+        -(phi**2)
+        * (phi * (q.m * (dt3_dmu + q.a) + q.m_mu * t**3) + q.omega * q.a_mu)
+        * t,
+        X,
+        X,
+        X,
+        X,
+    )
+    D31[:p, :p, :p, p] = np.einsum(
+        "i,ir,is,it->rst",
+        -phi
+        * (
+            phi * (3.0 * q.m + phi * q.m_phi) * t**3
+            + q.a * (2.0 * q.omega + phi * q.omega_phi)
+        ),
+        X,
+        X,
+        X,
+    )
+    # The mixed factor below multiplies the whole bracket by t = dmu/deta:
+    # it is the beta-derivative of the (beta, beta, phi) cumulant, so the
+    # chain rule contributes one extra t.
+    M3 = np.einsum(
+        "i,ir,is,iu->rsu",
+        (q.u_mu * t**2 + 2.0 * q.u * t * t1 - q.c_mu * t1 * t - q.c * (t2 * t + t1**2))
+        * t,
+        X,
+        X,
+        X,
+    )
+    D31[:p, :p, p, :p] = M3
+    D31[:p, p, :p, :p] = M3
+    D31[p, :p, :p, :p] = M3
+    M2 = np.einsum("i,ir,is->rs", (q.u_phi * t - q.z * t1) * t, X, X)
+    D31[:p, :p, p, p] = M2
+    D31[:p, p, :p, p] = M2
+    D31[p, :p, :p, p] = M2
+    M2 = np.einsum("i,ir,iu->ru", -q.r_mu * t, X, X)
+    D31[:p, p, p, :p] = M2
+    D31[p, :p, p, :p] = M2
+    D31[p, p, :p, :p] = M2
+    v = X.T @ (-q.r_phi)
+    D31[:p, p, p, p] = v
+    D31[p, :p, p, p] = v
+    D31[p, p, :p, p] = v
+    D31[p, p, p, :p] = X.T @ (-q.s_mu * t)
+    D31[p, p, p, p] = float(np.sum(-q.s_phi))
+
+    # Second derivatives of the second cumulants, kappa_rs^{(tu)};
+    # symmetric within each pair.
+    D22 = np.zeros((k, k, k, k))
+    D22[:p, :p, :p, :p] = np.einsum(
+        "i,ir,is,it,iu->rstu",
+        -(phi**2)
+        * (
+            phi * (q.m * (dt3_dmu + (2.0 / 3.0) * q.a) + q.m_mu * t**3)
+            + (2.0 / 3.0) * q.omega * q.a_mu
+        )
+        * t,
+        X,
+        X,
+        X,
+        X,
+    )
+    M3 = np.einsum("i,ir,is,it->rst", (q.u_mu * t + 2.0 * q.u * t1) * t**2, X, X, X)
+    D22[:p, :p, :p, p] = M3
+    D22[:p, :p, p, :p] = M3
+    D22[:p, :p, p, p] = np.einsum("i,ir,is->rs", q.u_phi * t**2, X, X)
+    c_mumu = phi**2 * (2.0 * q.m + phi * q.m_phi)
+    M3 = np.einsum(
+        "i,ir,it,iu->rtu",
+        -(c_mumu * t**2 + 3.0 * q.c_mu * t * t1 + q.c * (t2 * t + t1**2)) * t,
+        X,
+        X,
+        X,
+    )
+    D22[:p, p, :p, :p] = M3
+    D22[p, :p, :p, :p] = M3
+    M2 = np.einsum("i,ir,it->rt", -(q.z_mu * t + q.z * t1) * t, X, X)
+    D22[:p, p, :p, p] = M2
+    D22[p, :p, :p, p] = M2
+    D22[:p, p, p, :p] = M2
+    D22[p, :p, p, :p] = M2
+    v = X.T @ (-q.z_phi * t)
+    D22[:p, p, p, p] = v
+    D22[p, :p, p, p] = v
+    D22[p, p, :p, :p] = np.einsum("i,it,iu->tu", -q.r_mu * t, X, X)
+    v = X.T @ (-q.s_mu * t)
+    D22[p, p, :p, p] = v
+    D22[p, p, p, :p] = v
+    D22[p, p, p, p] = float(np.sum(-q.s_phi))
+
+    return K2, T3, T4, D1, D31, D22
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(1234)  # the criterion 3 instances
+    cases = [random_instance(rng) for _ in range(50)]
+    # the criterion 4 instance, a single-column design, and a wide design
+    cases.append(random_instance(np.random.default_rng(91), n=12, p=2, phi=9.0))
+    cases.append(random_instance(np.random.default_rng(5), n=10, p=1))
+    cases.append(random_instance(np.random.default_rng(6), n=200, p=12, phi=50.0))
+    return cases
+
+
+class TestMatrixKernel:
+    def test_factor_tensors_match_einsum_reference(self):
+        for data, theta, link in _kernel_cases():
+            q = obs_quantities(theta, data, link)
+            got = _cumulant_factor_tensors(q, data.X, theta.phi)
+            want = reference_factor_tensors(q, data.X, theta.phi)
+            for name, g, w in zip(("K2", "T3", "T4", "D1", "D31", "D22"), got, want):
+                assert g.shape == w.shape, name
+                assert rel_err(g, w) < 1e-12, (name, data.n, data.p)
+
+    def test_bartlett_factor_equals_two_call_route(self):
+        for data, theta, link in _kernel_cases()[::5]:
+            p = data.p
+            if p < 2:
+                continue
+            restriction = Restriction((p,), (0.0,))
+            factor = bartlett_factor(data, link, restriction, theta)
+            full = cumulant_tensors(theta, data, link)
+            nuis = cumulant_tensors(theta, data, link, subset=list(range(p - 1)) + [p])
+            assert factor.eps_full == pytest.approx(epsilon_matrix(full), rel=1e-14)
+            assert factor.eps_nuis == pytest.approx(epsilon_matrix(nuis), rel=1e-14)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betabart.fit import (
     FitOptions,
@@ -25,8 +27,9 @@ from betabart.inference import (
     run_test,
 )
 from betabart.inference import TestReport as Report  # alias: not a test class
-from betabart.model import ParamVector
+from betabart.model import Dataset, ParamVector
 from betabart.specfun import chisq_sf
+from conftest import random_instance
 
 
 def _stub_fit(loglik, fixed_positions=(), k=4, converged=True):
@@ -325,3 +328,49 @@ class TestRunTest:
         report = run_test(food_five, link, Restriction((4,), (0.0,)), methods=("lr",))
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.lr = 0.0
+
+
+@st.composite
+def _tested_designs(draw):
+    """A random instance whose last q coefficients are tested at zero."""
+    p = draw(st.integers(2, 5))
+    q = draw(st.integers(1, p - 1))
+    n = draw(st.integers(p + 15, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    data, _, link = random_instance(rng, n=n, p=p)
+    restriction = Restriction(tuple(range(p - q + 1, p + 1)), (0.0,) * q)
+    return data, link, restriction, rng
+
+
+def _lr_and_c(data, link, restriction):
+    report = run_test(data, link, restriction, methods=("lr", "b1"))
+    return report.lr, 1.0 + report.eps_diff_over_q
+
+
+class TestInvariance:
+    """LR and the factor c do not depend on how observations are ordered
+    or on a linear reparameterisation of the free columns (Lawley 1956)."""
+
+    @settings(max_examples=25)
+    @given(_tested_designs())
+    def test_row_permutation(self, design):
+        data, link, restriction, rng = design
+        lr, c = _lr_and_c(data, link, restriction)
+        order = rng.permutation(data.n)
+        lr_p, c_p = _lr_and_c(Dataset(data.y[order], data.X[order]), link, restriction)
+        assert lr_p == pytest.approx(lr, rel=1e-8, abs=1e-10)
+        assert c_p == pytest.approx(c, rel=1e-10)
+
+    @settings(max_examples=25)
+    @given(_tested_designs())
+    def test_free_column_reparameterisation(self, design):
+        data, link, restriction, rng = design
+        lr, c = _lr_and_c(data, link, restriction)
+        free = data.p - restriction.q
+        # ||A - I||_2 <= 1/2, so A is nonsingular with condition number <= 3
+        A = np.eye(free) + rng.uniform(-0.5, 0.5, (free, free)) / free
+        X = np.column_stack([data.X[:, :free] @ A, data.X[:, free:]])
+        lr_a, c_a = _lr_and_c(Dataset(data.y, X), link, restriction)
+        assert lr_a == pytest.approx(lr, rel=1e-8, abs=1e-10)
+        assert c_a == pytest.approx(c, rel=1e-10)

@@ -40,6 +40,9 @@ class TestDataset:
             ([0.0, 0.5, 0.7], [[1.0], [1.0], [1.0]]),  # boundary response
             ([0.2, 1.0, 0.7], [[1.0], [1.0], [1.0]]),  # boundary response
             ([0.2, 0.5], [[1.0, 0.0], [1.0, 1.0]]),  # n <= p
+            ([0.2, np.nan, 0.7], [[1.0], [1.0], [1.0]]),  # NaN response
+            ([0.2, 0.5, 0.7], [[1.0], [np.nan], [1.0]]),  # NaN covariate
+            ([0.2, 0.5, 0.7], [[1.0], [np.inf], [1.0]]),  # infinite covariate
         ],
     )
     def test_validation(self, y, X):

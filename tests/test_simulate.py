@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import betabart.inference as inference
 import betabart.simulate as simulate
 from betabart.fit import Restriction
 from betabart.simulate import (
@@ -266,6 +267,17 @@ class TestStudies:
         assert result.failures == 1
         assert 0 not in result.archive_reps
         assert len(result.archive_reps) == 99
+
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_defects_propagate_instead_of_counting_as_failures(
+        self, monkeypatch, error
+    ):
+        def broken(*args, **kwargs):
+            raise error("synthetic defect")
+
+        monkeypatch.setattr(inference, "bartlett_factor", broken)
+        with pytest.raises(error, match="synthetic defect"):
+            power_study(small_config(reps=5))
 
     def test_worker_count_env_validation(self, monkeypatch):
         monkeypatch.setenv("BETABART_THREADS", "abc")
