@@ -130,7 +130,10 @@ def _build_terms(
                 if part not in columns:
                     raise CLIConfigError(f"unknown column {part!r}")
             name = f"{parts[0]}*{parts[1]}"
-            array = columns[parts[0]] * columns[parts[1]]
+            # An overflow becomes inf, which the caller reports as a
+            # non-finite covariate on its line.
+            with np.errstate(over="ignore", invalid="ignore"):
+                array = columns[parts[0]] * columns[parts[1]]
         elif "^" in token:
             base, _, power = token.partition("^")
             base = base.strip()
@@ -139,7 +142,8 @@ def _build_terms(
             if base not in columns:
                 raise CLIConfigError(f"unknown column {base!r}")
             name = f"{base}^2"
-            array = columns[base] ** 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                array = columns[base] ** 2
         else:
             if token not in columns:
                 raise CLIConfigError(f"unknown column {token!r}")

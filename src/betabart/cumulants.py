@@ -158,15 +158,13 @@ def obs_quantities(
     arg_a = mu * phi
     arg_b = one_m * phi
 
-    p1a = polygamma(1, arg_a)
-    p1b = polygamma(1, arg_b)
-    p2a = polygamma(2, arg_a)
-    p2b = polygamma(2, arg_b)
-    p3a = polygamma(3, arg_a)
-    p3b = polygamma(3, arg_b)
-    p1_phi = polygamma(1, phi)
-    p2_phi = polygamma(2, phi)
-    p3_phi = polygamma(3, phi)
+    # One call per order on the stacked (a, b, phi) arguments.
+    n = mu.size
+    args = np.concatenate((arg_a, arg_b, [phi]))
+    p1, p2, p3 = (polygamma(m, args) for m in (1, 2, 3))
+    p1a, p1b, p1_phi = p1[:n], p1[n : 2 * n], p1[2 * n]
+    p2a, p2b, p2_phi = p2[:n], p2[n : 2 * n], p2[2 * n]
+    p3a, p3b, p3_phi = p3[:n], p3[n : 2 * n], p3[2 * n]
 
     g1 = np.asarray(link.deriv1(mu), dtype=float)
     g2 = np.asarray(link.deriv2(mu), dtype=float)

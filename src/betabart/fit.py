@@ -10,7 +10,6 @@ with an embedding map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,13 +22,7 @@ from .model import (
     ParamVector,
     _assemble_information,
 )
-from .specfun import (
-    _digamma_core,
-    _digamma_scalar,
-    _log_gamma_core,
-    _trigamma_core,
-    _trigamma_scalar,
-)
+from .specfun import _gamma_trio
 
 __all__ = [
     "FitError",
@@ -203,10 +196,10 @@ def _fisher_scoring(y, X, offset, link, beta0, phi0, opts):
     sum_log1my = float(np.sum(log1my))
     K = np.empty((p + 1, p + 1))
 
-    # The beta-function arguments a = mu phi and b = (1 - mu) phi are kept
-    # stacked in one array so each special-function pass is a single call;
-    # the _core routines skip argument validation (inputs here are positive
-    # by construction) and consume the array passed to them.
+    # One special-function pass per trial point covers a = mu phi,
+    # b = (1 - mu) phi and phi itself, stacked as (a, b, phi); the digamma
+    # and trigamma values of the accepted point carry into the next
+    # iteration.
 
     def evaluate(beta, phi):
         eta = X @ beta + offset
@@ -214,50 +207,45 @@ def _fisher_scoring(y, X, offset, link, beta0, phi0, opts):
         mu = np.clip(mu_raw, MU_CLAMP, 1.0 - MU_CLAMP)
         clamped = bool(np.any(mu != mu_raw))
         t = 1.0 / np.asarray(link.deriv1(mu), dtype=float)
-        ab = np.concatenate((mu, 1.0 - mu))
-        ab *= phi
-        a = ab[:n]
-        b = ab[n:]
+        abp = np.concatenate((mu, 1.0 - mu, [1.0]))
+        abp *= phi
+        lg, psi, tri = _gamma_trio(abp)
         ll = (
-            n * math.lgamma(phi)
-            - float(np.sum(_log_gamma_core(ab.copy())))
-            + float((a - 1.0) @ logy)
-            + float((b - 1.0) @ log1my)
+            n * lg[2 * n]
+            - float(np.sum(lg[: 2 * n]))
+            + float((abp[:n] - 1.0) @ logy)
+            + float((abp[n : 2 * n] - 1.0) @ log1my)
         )
-        return mu, t, ab, ll, clamped
+        return mu, t, psi, tri, ll, clamped
 
     beta = np.array(beta0, dtype=float)
     phi = float(phi0)
-    mu, t, ab, ll, clamped = evaluate(beta, phi)
+    mu, t, psi, tri, ll, clamped = evaluate(beta, phi)
     trace = [ll]
     change = np.inf
     u = np.empty(p + 1)
     for iteration in range(1, opts.max_iterations + 1):
-        psi_ab = _digamma_core(ab.copy())
-        psi_b = psi_ab[n:]
-        resid = ystar - psi_ab[:n] + psi_b
+        psi_b = psi[n : 2 * n]
+        resid = ystar - psi[:n] + psi_b
         Xt_weighted = X.T * t
         u[:p] = phi * (Xt_weighted @ resid)
         u[p] = (
             float(mu @ resid)
             + sum_log1my
             - float(np.sum(psi_b))
-            + n * _digamma_scalar(phi)
+            + n * psi[2 * n]
         )
         if np.max(np.abs(u)) <= opts.gradient_tolerance and change <= _REL_LOGLIK_TOL:
             return beta, phi, mu, t, ll, iteration, clamped
-        tri_ab = _trigamma_core(ab.copy())
-        tri_a = tri_ab[:n]
-        tri_b = tri_ab[n:]
+        tri_a = tri[:n]
+        tri_b = tri[n : 2 * n]
         one_m = 1.0 - mu
         # Same blocks as _assemble_information, on the shared trigamma pass.
         K[:p, :p] = (Xt_weighted * (phi * phi * (tri_a + tri_b) * t)) @ X
         kbp = Xt_weighted @ (phi * (tri_a * mu - tri_b * one_m))
         K[:p, p] = kbp
         K[p, :p] = kbp
-        K[p, p] = float(
-            np.sum(tri_a * mu**2 + tri_b * one_m**2)
-        ) - n * _trigamma_scalar(phi)
+        K[p, p] = float(np.sum(tri_a * mu**2 + tri_b * one_m**2)) - n * tri[2 * n]
         try:
             step = np.linalg.solve(K, u)
         except np.linalg.LinAlgError as exc:
@@ -273,14 +261,16 @@ def _fisher_scoring(y, X, offset, link, beta0, phi0, opts):
             phi_new = phi + scale * step[p]
             if phi_new > 0.0:
                 beta_new = beta + scale * step[:p]
-                mu2, t2, ab2, ll2, cl2 = evaluate(beta_new, phi_new)
+                mu2, t2, psi2, tri2, ll2, cl2 = evaluate(beta_new, phi_new)
                 if ll2 >= ll - slack:
                     accepted = True
                     break
             scale *= 0.5
         if accepted:
             change = abs(ll2 - ll) / max(1.0, abs(ll2))
-            beta, phi, mu, t, ab, ll = beta_new, phi_new, mu2, t2, ab2, ll2
+            beta, phi, mu, t, psi, tri, ll = (
+                beta_new, phi_new, mu2, t2, psi2, tri2, ll2
+            )
             clamped = clamped or cl2
         else:
             # No uphill step exists at floating-point resolution; leave the
@@ -302,8 +292,14 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
     Each row follows exactly the serial scoring logic: expected-information
     steps, halving until phi stays positive and the log-likelihood does not
     drop below the noise slack, convergence on gradient max-norm plus
-    relative log-likelihood change.  All arithmetic is row-local, so a
-    row's result does not depend on which other rows share the batch.
+    relative log-likelihood change.
+
+    All arithmetic is row-local, so a row's result (estimates,
+    log-likelihood and ok flag) is bit for bit the same whichever rows
+    share its batch and in whatever order: the special functions are
+    evaluated per element, and the products with X are 2-operand einsums,
+    whose per-row reduction order does not depend on the number of rows
+    (BLAS matrix products do not keep that promise).
     """
     B, n = Y.shape
     p = X.shape[1]
@@ -312,29 +308,87 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
     log1my = np.log1p(-Y)
     ystar = logy - log1my
     sum_log1my = log1my.sum(axis=1)
+    XT = np.ascontiguousarray(X.T)
+    # Row-wise outer products x_i x_i', one column per (i, j) pair, so the
+    # beta block of the information is one 2-operand product per iteration.
+    XXT = np.ascontiguousarray((X[:, :, None] * X[:, None, :]).reshape(n, p * p).T)
 
     Beta = np.broadcast_to(np.asarray(Beta0, dtype=float), (B, p)).copy()
     Phi = np.broadcast_to(np.asarray(Phi0, dtype=float), (B,)).copy()
 
     def evaluate(rows, Beta_r, Phi_r):
-        Eta = Beta_r @ X.T + offset
+        # One special-function pass per trial point covers a = mu phi,
+        # b = (1 - mu) phi and phi itself, stacked as (a, b, phi) columns.
+        Eta = np.einsum("bj,jn->bn", Beta_r, XT) + offset
         Mu = np.clip(
             np.asarray(link.g_inv(Eta), dtype=float), MU_CLAMP, 1.0 - MU_CLAMP
         )
-        T = 1.0 / np.asarray(link.deriv1(Mu), dtype=float)
-        AB = np.concatenate((Mu, 1.0 - Mu), axis=1)
-        AB *= Phi_r[:, None]
-        lg = _log_gamma_core(AB.copy())
+        ABP = np.empty((len(rows), 2 * n + 1))
+        ABP[:, :n] = Mu
+        np.subtract(1.0, Mu, out=ABP[:, n : 2 * n])
+        ABP[:, 2 * n] = 1.0
+        ABP *= Phi_r[:, None]
+        Lg, Psi, Tri = _gamma_trio(ABP)
         LL = (
-            n * _log_gamma_core(Phi_r.copy())
-            - lg.sum(axis=1)
-            + ((AB[:, :n] - 1.0) * logy[rows]).sum(axis=1)
-            + ((AB[:, n:] - 1.0) * log1my[rows]).sum(axis=1)
+            n * Lg[:, 2 * n]
+            - Lg[:, : 2 * n].sum(axis=1)
+            + ((ABP[:, :n] - 1.0) * logy[rows]).sum(axis=1)
+            + ((ABP[:, n : 2 * n] - 1.0) * log1my[rows]).sum(axis=1)
         )
-        return Mu, T, AB, LL
+        return Mu, Psi, Tri, LL
+
+    # The score and the information live in their own functions, so their
+    # (rows, n) temporaries are freed before the trial evaluations.
+
+    def score(rows):
+        """Score vectors of the given rows at their current iterates."""
+        Mu_r = Mu[rows]
+        T_r = 1.0 / np.asarray(link.deriv1(Mu_r), dtype=float)
+        psi_b = Psi[rows, n : 2 * n]
+        resid = ystar[rows] - Psi[rows, :n] + psi_b
+        U = np.empty((len(rows), k))
+        U[:, :p] = Phi[rows, None] * np.einsum("bn,jn->bj", T_r * resid, XT)
+        U[:, p] = (
+            (Mu_r * resid).sum(axis=1)
+            + sum_log1my[rows]
+            - psi_b.sum(axis=1)
+            + n * Psi[rows, 2 * n]
+        )
+        return U
+
+    def scoring_step(rows, U):
+        """Solve K step = U per row; also returns a mask of singular rows."""
+        Mu_r = Mu[rows]
+        T_r = 1.0 / np.asarray(link.deriv1(Mu_r), dtype=float)
+        Phi_r = Phi[rows]
+        tri_a = Tri[rows, :n]
+        tri_b = Tri[rows, n : 2 * n]
+        one_m = 1.0 - Mu_r
+        K = np.empty((len(rows), k, k))
+        W = (Phi_r * Phi_r)[:, None] * (tri_a + tri_b) * T_r * T_r
+        K[:, :p, :p] = np.einsum("bn,jn->bj", W, XXT).reshape(len(rows), p, p)
+        kbp = np.einsum(
+            "bn,jn->bj", Phi_r[:, None] * (tri_a * Mu_r - tri_b * one_m) * T_r, XT
+        )
+        K[:, :p, p] = kbp
+        K[:, p, :p] = kbp
+        tri_phi = Tri[rows, 2 * n]
+        K[:, p, p] = (tri_a * Mu_r**2 + tri_b * one_m**2).sum(axis=1) - n * tri_phi
+        bad = np.zeros(len(rows), dtype=bool)
+        try:
+            return np.linalg.solve(K, U[:, :, None])[:, :, 0], bad
+        except np.linalg.LinAlgError:
+            # At least one row is singular; solve row by row and flag those.
+            Step = np.zeros((len(rows), k))
+            for i in range(len(rows)):
+                try:
+                    Step[i] = np.linalg.solve(K[i], U[i])
+                except np.linalg.LinAlgError:
+                    bad[i] = True
+            return Step, bad
 
     rows = np.arange(B)
-    Mu, T, AB, LL = evaluate(rows, Beta, Phi)
+    Mu, Psi, Tri, LL = evaluate(rows, Beta, Phi)
     change = np.full(B, np.inf)
     ok = np.zeros(B, dtype=bool)
     fail = ~np.isfinite(LL)
@@ -348,21 +402,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
         if not active.any():
             break
         rows = np.nonzero(active)[0]
-        Mu_a = Mu[rows]
-        T_a = T[rows]
-        Phi_a = Phi[rows]
-        Psi = _digamma_core(AB[rows].copy())
-        psi_b = Psi[:, n:]
-        resid = ystar[rows] - Psi[:, :n] + psi_b
-        TR = T_a * resid
-        U = np.empty((len(rows), k))
-        U[:, :p] = Phi_a[:, None] * (TR @ X)
-        U[:, p] = (
-            (Mu_a * resid).sum(axis=1)
-            + sum_log1my[rows]
-            - psi_b.sum(axis=1)
-            + n * _digamma_core(Phi_a.copy())
-        )
+        U = score(rows)
         conv = (np.abs(U).max(axis=1) <= opts.gradient_tolerance) & (
             change[rows] <= _REL_LOGLIK_TOL
         )
@@ -377,41 +417,16 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
             if not keep.any():
                 break
             rows = rows[keep]
-            Mu_a, T_a, Phi_a = Mu_a[keep], T_a[keep], Phi_a[keep]
             U = U[keep]
-        Tri = _trigamma_core(AB[rows].copy())
-        tri_a = Tri[:, :n]
-        tri_b = Tri[:, n:]
-        one_m = 1.0 - Mu_a
-        K = np.empty((len(rows), k, k))
-        W = (Phi_a * Phi_a)[:, None] * (tri_a + tri_b) * T_a * T_a
-        K[:, :p, :p] = np.einsum("bn,ni,nj->bij", W, X, X)
-        kbp = (Phi_a[:, None] * (tri_a * Mu_a - tri_b * one_m) * T_a) @ X
-        K[:, :p, p] = kbp
-        K[:, p, :p] = kbp
-        K[:, p, p] = (tri_a * Mu_a**2 + tri_b * one_m**2).sum(axis=1) - n * (
-            _trigamma_core(Phi_a.copy())
-        )
-        try:
-            Step = np.linalg.solve(K, U[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # At least one row is singular; solve row by row and fail those.
-            Step = np.zeros((len(rows), k))
-            bad = np.zeros(len(rows), dtype=bool)
-            for i in range(len(rows)):
-                try:
-                    Step[i] = np.linalg.solve(K[i], U[i])
-                except np.linalg.LinAlgError:
-                    bad[i] = True
-            if bad.any():
-                dead = rows[bad]
-                fail[dead] = True
-                active[dead] = False
-                keep = ~bad
-                rows = rows[keep]
-                if not len(rows):
-                    continue
-                Step = Step[keep]
+        Step, bad = scoring_step(rows, U)
+        if bad.any():
+            dead = rows[bad]
+            fail[dead] = True
+            active[dead] = False
+            rows = rows[~bad]
+            if not len(rows):
+                continue
+            Step = Step[~bad]
         # Vectorized step halving: every pending row keeps halving its own
         # scale until phi stays positive and the loglik gate passes.
         slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(LL[rows]))
@@ -424,7 +439,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
             if pos.any():
                 sub = idx[pos]
                 Beta_t = Beta[rows[sub]] + scale[sub, None] * Step[sub, :p]
-                Mu_t, T_t, AB_t, LL_t = evaluate(rows[sub], Beta_t, Phi_t[pos])
+                Mu_t, Psi_t, Tri_t, LL_t = evaluate(rows[sub], Beta_t, Phi_t[pos])
                 good = LL_t >= LL[rows[sub]] - slack[sub]
                 if good.any():
                     hit = rows[sub[good]]
@@ -434,8 +449,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
                     Beta[hit] = Beta_t[good]
                     Phi[hit] = Phi_t[pos][good]
                     Mu[hit] = Mu_t[good]
-                    T[hit] = T_t[good]
-                    AB[hit] = AB_t[good]
+                    Psi[hit] = Psi_t[good]
+                    Tri[hit] = Tri_t[good]
                     LL[hit] = LL_t[good]
                     pending[sub[good]] = False
             if not pending.any():

@@ -165,8 +165,9 @@ def _bootstrap_mean(
     successful resamples is in fixed b-order.  The two fits per resample
     run through the row-batched scoring core, warm-started at the
     generating parameters (restricted) and at each row's restricted
-    solution (full); per-row arithmetic is batch-independent, so results
-    do not depend on how resamples are grouped.
+    solution (full).  That core's per-row arithmetic is batch-independent
+    bit for bit, so each resample's fits, and hence the mean, do not
+    depend on how resamples are grouped or ordered in a batch.
     """
     X = data.X
     n, p = X.shape

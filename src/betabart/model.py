@@ -213,7 +213,8 @@ def obs_state(theta: ParamVector, data: Dataset, link: LinkFunction) -> ObsState
     clamped = bool(np.any(mu != mu_raw))
     dmu_deta = 1.0 / np.asarray(link.deriv1(mu), dtype=float)
     ystar = np.log(data.y / (1.0 - data.y))
-    mustar = polygamma(0, mu * theta.phi) - polygamma(0, (1.0 - mu) * theta.phi)
+    psi = polygamma(0, np.concatenate((mu, 1.0 - mu)) * theta.phi)
+    mustar = psi[: mu.size] - psi[mu.size :]
     return ObsState(
         eta=eta, mu=mu, dmu_deta=dmu_deta, ystar=ystar, mustar=mustar, clamped=clamped
     )
@@ -276,11 +277,12 @@ def _info_weights(mu, phi, t):
     c_i = phi [psi'(mu phi) mu - psi'((1-mu) phi) (1-mu)]
     d_i = psi'(mu phi) mu^2 + psi'((1-mu) phi) (1-mu)^2 - psi'(phi)
     """
-    tri_a = polygamma(1, mu * phi)
-    tri_b = polygamma(1, (1.0 - mu) * phi)
+    n = mu.size
+    tri = polygamma(1, np.concatenate((mu * phi, (1.0 - mu) * phi, [phi])))
+    tri_a, tri_b = tri[:n], tri[n : 2 * n]
     w = phi * (tri_a + tri_b) * t * t
     c = phi * (tri_a * mu - tri_b * (1.0 - mu))
-    d = tri_a * mu**2 + tri_b * (1.0 - mu) ** 2 - polygamma(1, phi)
+    d = tri_a * mu**2 + tri_b * (1.0 - mu) ** 2 - tri[2 * n]
     return w, c, d
 
 

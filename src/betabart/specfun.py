@@ -7,6 +7,13 @@ shift the argument upward with the exact recurrence until the asymptotic
 survival function uses the standard series / continued-fraction split of
 the regularized incomplete gamma function.
 
+Log-gamma, digamma and trigamma come from one fused pass, _gamma_trio,
+which the Fisher-scoring loops call once per trial point: each element is
+shifted by its own count, the three series share one log z and 1/z, and
+the input is walked in fixed-size chunks.  Each output element therefore
+depends on its own input element alone, bit for bit, which is what makes
+the row-batched scoring independent of how rows are grouped.
+
 All functions accept scalars or numpy arrays and preserve the input shape;
 scalars come back as plain floats.  Supported polygamma orders are 0..3
 (digamma through the third derivative), which is all the model needs.
@@ -53,6 +60,14 @@ _PSI_TAIL = (
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0)
 
+# Horner coefficients of the log-gamma, digamma and trigamma tails, one
+# (3, 1) column per power of 1/z^2, highest power first.
+_TRIO_HORNER = np.array([_STIRLING, _PSI_TAIL[0], _PSI_TAIL[1]]).T[::-1, :, None]
+
+# _gamma_trio walks its input in blocks of this many elements, so the
+# temporaries of one pass stay small whatever the input size.
+_CHUNK = 4096
+
 
 def _prepare(x, name):
     """Validate a positive argument and return (working copy, scalar flag)."""
@@ -64,86 +79,65 @@ def _prepare(x, name):
     return np.array(arr, dtype=float, ndmin=1), arr.ndim == 0, arr.shape
 
 
-def _log_gamma_core(z):
-    """log-gamma on a positive float array; mutates and consumes z.
+def _trio_chunk(x, lg, psi, tri):
+    """Write log-gamma, digamma and trigamma of the 1-D chunk x to lg, psi, tri."""
+    small = np.nonzero(x < _ASYMPTOTIC_MIN)[0]
+    if small.size:
+        # Each entry is shifted by its own count: the masked updates leave
+        # entries already past the threshold unchanged, so the shifts
+        # applied to an entry never depend on the other entries.
+        w = x[small]
+        s_lg = np.zeros(w.shape)
+        s_psi = np.zeros(w.shape)
+        s_tri = np.zeros(w.shape)
+        below = w < _ASYMPTOTIC_MIN
+        while below.any():
+            inv = 1.0 / w
+            # Gamma(z) = Gamma(z + 1) / z, so log Gamma picks up -log z,
+            # digamma -1/z and trigamma +1/z^2.
+            np.subtract(s_lg, np.log(w), out=s_lg, where=below)
+            np.subtract(s_psi, inv, out=s_psi, where=below)
+            inv *= inv
+            np.add(s_tri, inv, out=s_tri, where=below)
+            np.add(w, 1.0, out=w, where=below)
+            np.less(w, _ASYMPTOTIC_MIN, out=below)
+        x = x.copy()
+        x[small] = w
+    log_x = np.log(x)
+    inv = 1.0 / x
+    inv_sq = inv * inv
+    tails = np.empty((3,) + x.shape)
+    tails[:] = _TRIO_HORNER[0]
+    for coef in _TRIO_HORNER[1:]:
+        tails *= inv_sq
+        tails += coef
+    tail_lg, tail_psi, tail_tri = tails
+    lg[:] = (x - 0.5) * log_x - x + _HALF_LOG_TWO_PI + tail_lg * inv
+    psi[:] = log_x - 0.5 * inv - tail_psi * inv_sq
+    tri[:] = inv * (1.0 + 0.5 * inv + tail_tri * inv_sq)
+    if small.size:
+        lg[small] += s_lg
+        psi[small] += s_psi
+        tri[small] += s_tri
 
-    Validation-free inner routine shared with the fitting hot loop, which
-    calls it thousands of times per bootstrap on arrays it owns.
+
+def _gamma_trio(z):
+    """log-gamma, digamma and trigamma of a positive float array in one pass.
+
+    Validation-free kernel shared with the fitting hot loop, which feeds it
+    arguments that are positive by construction.  Returns three arrays of
+    z's shape.  Every output element is a function of its own input element
+    alone, bit for bit, whatever the array's size or other entries.
     """
-    shift = np.zeros(z.shape)
-    small = z < _ASYMPTOTIC_MIN
-    while small.any():
-        # Gamma(z) = Gamma(z + 1) / z, so log Gamma picks up -log z.
-        shift[small] -= np.log(z[small])
-        z[small] += 1.0
-        small = z < _ASYMPTOTIC_MIN
-    inv_sq = 1.0 / (z * z)
-    tail = np.zeros(z.shape)
-    for coef in reversed(_STIRLING):
-        tail = tail * inv_sq + coef
-    return (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + tail / z + shift
-
-
-def _digamma_core(z):
-    """Digamma on a positive float array; mutates and consumes z."""
-    acc = np.zeros(z.shape)
-    small = z < _ASYMPTOTIC_MIN
-    while small.any():
-        acc[small] -= 1.0 / z[small]
-        z[small] += 1.0
-        small = z < _ASYMPTOTIC_MIN
-    inv = 1.0 / z
-    inv_sq = inv * inv
-    tail = np.zeros(z.shape)
-    for coef in reversed(_PSI_TAIL[0]):
-        tail = tail * inv_sq + coef
-    acc += np.log(z) - 0.5 * inv - tail * inv_sq
-    return acc
-
-
-def _trigamma_core(z):
-    """Trigamma on a positive float array; mutates and consumes z."""
-    acc = np.zeros(z.shape)
-    small = z < _ASYMPTOTIC_MIN
-    while small.any():
-        acc[small] += 1.0 / (z[small] * z[small])
-        z[small] += 1.0
-        small = z < _ASYMPTOTIC_MIN
-    inv = 1.0 / z
-    inv_sq = inv * inv
-    tail = np.zeros(z.shape)
-    for coef in reversed(_PSI_TAIL[1]):
-        tail = tail * inv_sq + coef
-    acc += inv * (1.0 + 0.5 * inv + tail * inv_sq)
-    return acc
-
-
-def _digamma_scalar(x):
-    """Digamma for a positive float, pure scalar arithmetic."""
-    acc = 0.0
-    while x < _ASYMPTOTIC_MIN:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv_sq = inv * inv
-    tail = 0.0
-    for coef in reversed(_PSI_TAIL[0]):
-        tail = tail * inv_sq + coef
-    return acc + math.log(x) - 0.5 * inv - tail * inv_sq
-
-
-def _trigamma_scalar(x):
-    """Trigamma for a positive float, pure scalar arithmetic."""
-    acc = 0.0
-    while x < _ASYMPTOTIC_MIN:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv_sq = inv * inv
-    tail = 0.0
-    for coef in reversed(_PSI_TAIL[1]):
-        tail = tail * inv_sq + coef
-    return acc + inv * (1.0 + 0.5 * inv + tail * inv_sq)
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    lg = np.empty(flat.shape)
+    psi = np.empty(flat.shape)
+    tri = np.empty(flat.shape)
+    for start in range(0, flat.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        _trio_chunk(flat[part], lg[part], psi[part], tri[part])
+    return lg.reshape(z.shape), psi.reshape(z.shape), tri.reshape(z.shape)
 
 
 def log_gamma(x):
@@ -154,7 +148,7 @@ def log_gamma(x):
     of the shifted evaluation.
     """
     z, scalar, shape = _prepare(x, "x")
-    out = _log_gamma_core(z).reshape(shape)
+    out = _gamma_trio(z)[0].reshape(shape)
     return float(out) if scalar else out
 
 
@@ -165,8 +159,6 @@ def _polygamma_asymptotic(m, z):
     tail = np.zeros_like(z)
     for coef in reversed(_PSI_TAIL[m]):
         tail = tail * inv_sq + coef
-    if m == 0:
-        return np.log(z) - 0.5 * inv - tail * inv_sq
     # psi^(m)(z) = (-1)^(m-1) z^-m [(m-1)! + m!/(2z) + sum_j c_j z^-2j]
     lead = inv**m if m % 2 else -(inv**m)
     return lead * (_FACTORIAL[m - 1] + 0.5 * _FACTORIAL[m] * inv + tail * inv_sq)
@@ -181,10 +173,8 @@ def polygamma(m, x):
     if isinstance(m, bool) or m not in (0, 1, 2, 3):
         raise ValueError("polygamma order must be one of 0, 1, 2, 3")
     z, scalar, shape = _prepare(x, "x")
-    if m == 0:
-        acc = _digamma_core(z)
-    elif m == 1:
-        acc = _trigamma_core(z)
+    if m < 2:
+        acc = _gamma_trio(z)[m + 1]
     else:
         acc = np.zeros_like(z)
         sign = -_FACTORIAL[m] if m % 2 else _FACTORIAL[m]

@@ -1,6 +1,9 @@
 """Command line interface: outputs, formats, error codes."""
 
 import json
+import shlex
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_test_example():
+    """The README `betabart test` command (as argv) and the block it prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```sh\nbetabart test") + len("```sh\n")
+    end = readme.index("```", start)
+    argv = shlex.split(readme[start:end].replace("\\\n", " "))[1:]
+    block_start = readme.index("```\n", end + 3) + len("```\n")
+    return argv, readme[block_start : readme.index("```", block_start)]
+
+
+def test_readme_test_block(capsys):
+    argv, block = readme_test_example()
+    assert "boot" in argv[argv.index("--methods") + 1]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == block
 
 
 class TestFitCommand:
@@ -288,6 +309,25 @@ class TestDataErrors:
         code, _, err = run_cli(capsys, "fit", "--data", path)
         assert code == 3
         assert "line 3" in err and "not finite" in err
+
+    @pytest.mark.parametrize(
+        "covariates", ["income,income^2", "income,persons,income*persons"]
+    )
+    def test_overflowing_derived_term(self, capsys, tmp_path, covariates):
+        path = self.write(
+            tmp_path,
+            "y,income,persons\n0.5,1.0,2\n0.4,1e200,1e150\n0.3,2.0,3\n"
+            "0.6,1.5,4\n0.45,0.7,2\n0.55,1.2,5\n",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                capsys, "fit", "--data", path, "--covariates", covariates
+            )
+        assert code == 3
+        assert "line 3" in err and "not finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_rank_deficient_design(self, capsys, tmp_path):
         rows = ["y,a,b"]

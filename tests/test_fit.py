@@ -15,6 +15,7 @@ from betabart.fit import (
     fit_restricted,
 )
 from betabart.model import Dataset, ParamVector, log_likelihood, score
+from betabart.simulate import design_matrix, gen_beta_sample
 from conftest import rel_err
 
 
@@ -192,6 +193,38 @@ def test_batch_matches_scalar_path(food_reduced, link):
         assert rel_err(Beta[b], single.theta_hat.beta) < 1e-10
         assert Phi[b] == pytest.approx(single.theta_hat.phi, rel=1e-10)
         assert LL[b] == pytest.approx(single.loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_batch_rows_are_independent(restricted, link):
+    # The bootstrap may group resamples in any way; each row's result must
+    # be bit for bit the one it gets alone or in any other batch.
+    X = design_matrix(38, 6, 5)
+    beta = np.array([0.5, 1.0, -1.0, 0.8, 0.0, 0.0])
+    phi = 30.0
+    mu = link.g_inv(X @ beta)
+    Y = np.vstack(
+        [gen_beta_sample(mu, phi, np.random.default_rng(b)) for b in range(40)]
+    )
+    if restricted:
+        offset = X[:, 4:] @ beta[4:]
+        X = X[:, :4]
+        beta = beta[:4]
+    else:
+        offset = np.zeros(38)
+    opts = FitOptions()
+
+    def fit(rows):
+        return _fisher_scoring_batch(Y[rows], X, offset, link, beta, phi, opts)
+
+    everything = np.arange(len(Y))
+    batch = fit(everything)
+    perm = np.random.default_rng(7).permutation(len(Y))
+    groups = [everything[b : b + 1] for b in everything]
+    groups += [everything[5:17], everything[::3], perm]
+    for rows in groups:
+        for got, want in zip(fit(rows), batch):
+            assert np.array_equal(got, want[rows])
 
 
 def test_fit_result_frozen(food_reduced, link):
