@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fit import FitError, Restriction, SingularInformationError
-from .model import Dataset, LinkFunction, ParamVector, obs_state
+from .fit import FitError, Restriction, _invert_information
+from .model import Dataset, LinkFunction, ParamVector, _theta_rows, obs_state
 from .specfun import polygamma
 
 __all__ = [
@@ -151,17 +151,14 @@ def obs_quantities(
     theta: ParamVector, data: Dataset, link: LinkFunction
 ) -> ObsQuantities:
     """Evaluate every per-observation quantity at theta."""
-    state = obs_state(theta, data, link)
-    mu = state.mu
+    # The model pass gives (mu, 1 - mu, 1) and the trigamma of the stacked
+    # (a, b, phi) = (mu, 1 - mu, 1) phi; orders 2 and 3 take a call each.
+    _, _, _, (M, _, _, Tri, _, _) = _theta_rows(theta, data, link)
+    n = data.n
     phi = theta.phi
-    one_m = 1.0 - mu
-    arg_a = mu * phi
-    arg_b = one_m * phi
-
-    # One call per order on the stacked (a, b, phi) arguments.
-    n = mu.size
-    args = np.concatenate((arg_a, arg_b, [phi]))
-    p1, p2, p3 = (polygamma(m, args) for m in (1, 2, 3))
+    mu, one_m = M[0, :n], M[0, n : 2 * n]
+    p1 = Tri[0]
+    p2, p3 = (polygamma(m, M[0] * phi) for m in (2, 3))
     p1a, p1b, p1_phi = p1[:n], p1[n : 2 * n], p1[2 * n]
     p2a, p2b, p2_phi = p2[:n], p2[n : 2 * n], p2[2 * n]
     p3a, p3b, p3_phi = p3[:n], p3[n : 2 * n], p3[2 * n]
@@ -524,14 +521,7 @@ def _subset_tensors(dense, positions) -> CumulantTensors:
     K2, T3, T4, D1, D31, D22 = dense
     idx = np.array(positions, dtype=int)
     K_S = -K2[np.ix_(idx, idx)]
-    try:
-        K_inv = np.linalg.inv(K_S)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(K_S))
-        raise SingularInformationError(
-            f"information submatrix is singular (condition estimate {cond:.2e})",
-            condition=cond,
-        ) from exc
+    K_inv = _invert_information(K_S)
     T3_S = T3[np.ix_(idx, idx, idx)]
     D1_S = D1[np.ix_(idx, idx, idx)]
     T4_S = T4[np.ix_(idx, idx, idx, idx)]
@@ -642,19 +632,13 @@ def bartlett_factor(
     plus the precision, with the inverse of the nuisance sub-information.
     """
     p = data.p
-    if restriction.indices[-1] > p:
-        raise ValueError(
-            f"restriction index {restriction.indices[-1]} exceeds the {p} design columns"
-        )
+    free, _, _ = restriction.split(data.X)
     q = restriction.q
     dense = _cumulant_factor_tensors(
         obs_quantities(theta_tilde, data, link), data.X, theta_tilde.phi
     )
     full = _subset_tensors(dense, tuple(range(p + 1)))
-    nuisance_positions = tuple(
-        j for j in range(p) if (j + 1) not in restriction.indices
-    ) + (p,)
-    nuis = _subset_tensors(dense, nuisance_positions)
+    nuis = _subset_tensors(dense, (*free.tolist(), p))
     eps_full = epsilon_matrix(full)
     eps_nuis = epsilon_matrix(nuis)
     return BartlettFactor(

@@ -1,17 +1,21 @@
 """Maximum likelihood estimation by Fisher scoring.
 
-Unrestricted and restricted fits share one scoring loop.  Restrictions fix
-selected coefficients at given values; the restricted problem is solved on
-the free columns with the fixed part absorbed into an offset, so the same
-code path handles both cases.  Restricted results embed the fixed values at
-their positions and report the information matrix on the free space along
-with an embedding map.
+One scoring loop, _fisher_scoring_batch, fits a stack of response vectors
+that share a design: the bootstrap calls it with B rows, fit_mle and
+fit_restricted with one.  It reports a ScoringStatus per row, from which
+the one-row fits raise NonConvergenceError or SingularInformationError.  A
+row's result is bit for bit the same in any batch.  Restrictions fix
+selected coefficients at given values; the restricted problem is solved
+on the free columns with the fixed part absorbed into an offset.
+Restricted results embed the fixed values at their positions and report
+the information matrix on the free space along with an embedding map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from enum import IntEnum
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,9 +24,10 @@ from .model import (
     Dataset,
     LinkFunction,
     ParamVector,
-    _assemble_information,
+    _rows_information,
+    _rows_score,
+    _rows_state,
 )
-from .specfun import _gamma_trio
 
 __all__ = [
     "FitError",
@@ -70,8 +75,7 @@ class Restriction:
 
     indices are 1-based coefficient positions (the usual beta_1..beta_p
     numbering), sorted ascending and distinct; values are the fixed reals.
-    At least one coefficient must remain free, which is checked against the
-    design matrix at fit time.
+    At least one coefficient must remain free for fit_restricted.
     """
 
     indices: tuple
@@ -96,6 +100,21 @@ class Restriction:
     @property
     def q(self) -> int:
         return len(self.indices)
+
+    def split(self, X):
+        """(free columns, fixed columns, offset X_fixed values) of a design X.
+
+        Column numbers are 0-based.  Raises ValueError when an index
+        exceeds the columns of X.
+        """
+        p = X.shape[1]
+        if self.indices[-1] > p:
+            raise ValueError(
+                f"restriction index {self.indices[-1]} exceeds the {p} design columns"
+            )
+        fixed = np.array(self.indices, dtype=int) - 1
+        free = np.delete(np.arange(p), fixed)
+        return free, fixed, X[:, fixed] @ np.array(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -150,11 +169,8 @@ def _check_full_rank(X):
 def _starting_point(y, X, offset, link):
     """Least-squares start on the link scale plus a moment start for phi."""
     z = np.asarray(link.g(y), dtype=float) - offset
-    beta0, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
-    if rank < X.shape[1]:
-        raise SingularInformationError(
-            f"auxiliary regression is rank deficient (rank {rank} of {X.shape[1]} columns)"
-        )
+    # Full column rank: callers check the design, and X holds some of its columns.
+    beta0 = np.linalg.lstsq(X, z, rcond=None)[0]
     resid = z - X @ beta0
     # Guard against an exact fit: zero residual variance would send the
     # moment estimate of phi to infinity.
@@ -177,301 +193,276 @@ def starting_values(data: Dataset, link: LinkFunction) -> ParamVector:
     return ParamVector(beta0, phi0)
 
 
-def _fisher_scoring(y, X, offset, link, beta0, phi0, opts):
-    """Core scoring loop on a free design X with a fixed offset.
+class ScoringStatus(IntEnum):
+    """How the scoring core left a row.
 
-    Returns (beta, phi, mu, t, loglik, iterations, clamped).  Raises
-    NonConvergenceError or SingularInformationError on failure.  The
-    accepted iterates have non-decreasing log-likelihood up to evaluation
-    noise; a step is halved until it both keeps phi positive and does not
-    decrease the likelihood by more than the loglik resolution.  The slack
-    matters: near the optimum the true gain of a full step is far below
-    the rounding noise of the computed log-likelihood, and a strict gate
-    would freeze the iterate with the gradient still above tolerance.
+    CONVERGED: at the start of an iteration the score max-norm was within
+    gradient_tolerance and the last accepted step moved l by at most the
+    noise slack.  MAX_ITERATIONS: still moving after max_iterations steps.
+    SINGULAR: the information matrix could not be factorised.  NON_FINITE:
+    the log-likelihood at the start is not finite.
     """
-    n, p = X.shape
-    logy = np.log(y)
-    log1my = np.log1p(-y)
-    ystar = logy - log1my
-    sum_log1my = float(np.sum(log1my))
-    K = np.empty((p + 1, p + 1))
 
-    # One special-function pass per trial point covers a = mu phi,
-    # b = (1 - mu) phi and phi itself, stacked as (a, b, phi); the digamma
-    # and trigamma values of the accepted point carry into the next
-    # iteration.
+    CONVERGED = 0
+    MAX_ITERATIONS = 1
+    SINGULAR = 2
+    NON_FINITE = 3
 
-    def evaluate(beta, phi):
-        eta = X @ beta + offset
-        mu_raw = np.asarray(link.g_inv(eta), dtype=float)
-        mu = np.clip(mu_raw, MU_CLAMP, 1.0 - MU_CLAMP)
-        clamped = bool(np.any(mu != mu_raw))
-        t = 1.0 / np.asarray(link.deriv1(mu), dtype=float)
-        abp = np.concatenate((mu, 1.0 - mu, [1.0]))
-        abp *= phi
-        lg, psi, tri = _gamma_trio(abp)
-        ll = (
-            n * lg[2 * n]
-            - float(np.sum(lg[: 2 * n]))
-            + float((abp[:n] - 1.0) @ logy)
-            + float((abp[n : 2 * n] - 1.0) @ log1my)
-        )
-        return mu, t, psi, tri, ll, clamped
 
-    beta = np.array(beta0, dtype=float)
-    phi = float(phi0)
-    mu, t, psi, tri, ll, clamped = evaluate(beta, phi)
-    trace = [ll]
-    change = np.inf
-    u = np.empty(p + 1)
-    for iteration in range(1, opts.max_iterations + 1):
-        psi_b = psi[n : 2 * n]
-        resid = ystar - psi[:n] + psi_b
-        Xt_weighted = X.T * t
-        u[:p] = phi * (Xt_weighted @ resid)
-        u[p] = (
-            float(mu @ resid)
-            + sum_log1my
-            - float(np.sum(psi_b))
-            + n * psi[2 * n]
-        )
-        if np.max(np.abs(u)) <= opts.gradient_tolerance and change <= _REL_LOGLIK_TOL:
-            return beta, phi, mu, t, ll, iteration, clamped
-        tri_a = tri[:n]
-        tri_b = tri[n : 2 * n]
-        one_m = 1.0 - mu
-        # Same blocks as _assemble_information, on the shared trigamma pass.
-        K[:p, :p] = (Xt_weighted * (phi * phi * (tri_a + tri_b) * t)) @ X
-        kbp = Xt_weighted @ (phi * (tri_a * mu - tri_b * one_m))
-        K[:p, p] = kbp
-        K[p, :p] = kbp
-        K[p, p] = float(np.sum(tri_a * mu**2 + tri_b * one_m**2)) - n * tri[2 * n]
-        try:
-            step = np.linalg.solve(K, u)
-        except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(K))
-            raise SingularInformationError(
-                f"information matrix is singular (condition estimate {cond:.2e})",
-                condition=cond,
-            ) from exc
-        accepted = False
-        scale = 1.0
-        slack = _REL_LOGLIK_TOL * max(1.0, abs(ll))
-        for _ in range(opts.step_halving_max + 1):
-            phi_new = phi + scale * step[p]
-            if phi_new > 0.0:
-                beta_new = beta + scale * step[:p]
-                mu2, t2, psi2, tri2, ll2, cl2 = evaluate(beta_new, phi_new)
-                if ll2 >= ll - slack:
-                    accepted = True
-                    break
-            scale *= 0.5
-        if accepted:
-            change = abs(ll2 - ll) / max(1.0, abs(ll2))
-            beta, phi, mu, t, psi, tri, ll = (
-                beta_new, phi_new, mu2, t2, psi2, tri2, ll2
-            )
-            clamped = clamped or cl2
-        else:
-            # No uphill step exists at floating-point resolution; leave the
-            # iterate alone and let the gradient criterion decide next pass.
-            change = 0.0
-        trace.append(ll)
-    raise NonConvergenceError(trace)
+class _BatchFit(NamedTuple):
+    """Per-row output of _fisher_scoring_batch, B rows in every field.
+
+    Beta, Phi and LL are the last accepted iterate; K is the information
+    there for CONVERGED and SINGULAR rows, zero elsewhere.  clamped flags a
+    mean clamped at the start or at an accepted iterate.
+    """
+
+    Beta: np.ndarray
+    Phi: np.ndarray
+    LL: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    clamped: np.ndarray
+    K: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.status == ScoringStatus.CONVERGED
+
+
+class _Active:
+    """Scoring state of the rows still iterating, packed to those rows."""
+
+    def put(self, at, **fields):
+        """Write fields to the rows at (an index array); a slice replaces them whole."""
+        for name, value in fields.items():
+            if isinstance(at, slice):
+                setattr(self, name, value)
+            else:
+                getattr(self, name)[at] = value
+
+
+def _solve(K, U):
+    """Solve K step = U per row; also returns the singular rows' mask, or None."""
+    try:
+        return np.linalg.solve(K, U[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        Step = np.zeros_like(U)
+        singular = np.zeros(len(U), dtype=bool)
+        for i in range(len(U)):
+            try:
+                Step[i] = np.linalg.solve(K[i], U[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return Step, singular
 
 
 def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
-    """Row-wise Fisher scoring over a stack of response vectors.
+    """Fisher scoring on a stack of response vectors; the only scoring loop.
 
     Y has one response vector per row; X and offset are shared.  Beta0 is
     a single vector broadcast to every row or one row per response; Phi0
-    likewise a scalar or per-row vector.  Returns (Beta, Phi, LL, ok):
-    per-row estimates, log-likelihoods, and a mask that is False where a
-    row failed (non-convergence, singular information, or a NaN iterate).
+    likewise a scalar or per-row vector.  Returns a _BatchFit.
 
-    Each row follows exactly the serial scoring logic: expected-information
-    steps, halving until phi stays positive and the log-likelihood does not
-    drop below the noise slack, convergence on gradient max-norm plus
-    relative log-likelihood change.
+    Each row takes expected-information steps, halved until phi stays
+    positive and the log-likelihood does not drop by more than the slack
+    _REL_LOGLIK_TOL * max(1, |l|): near the optimum the true gain of a full
+    step is far below the rounding noise of l, and a strict gate would
+    freeze the iterate with the gradient still above tolerance.  A row
+    with no acceptable step stays put.  Iteration i (1-based) starts with
+    the convergence test.  A row stops CONVERGED, MAX_ITERATIONS, SINGULAR
+    or NON_FINITE (see ScoringStatus) after i iterations (0 for NON_FINITE).
 
-    All arithmetic is row-local, so a row's result (estimates,
-    log-likelihood and ok flag) is bit for bit the same whichever rows
-    share its batch and in whatever order: the special functions are
-    evaluated per element, and the products with X are 2-operand einsums,
-    whose per-row reduction order does not depend on the number of rows
-    (BLAS matrix products do not keep that promise).
+    Every field of a row is bit for bit the same whichever rows share its
+    batch and in whatever order, a batch of one included, because all
+    arithmetic is row-local (see model._rows_state).
     """
     B, n = Y.shape
     p = X.shape[1]
     k = p + 1
-    logy = np.log(Y)
-    log1my = np.log1p(-Y)
-    ystar = logy - log1my
-    sum_log1my = log1my.sum(axis=1)
     XT = np.ascontiguousarray(X.T)
-    # Row-wise outer products x_i x_i', one column per (i, j) pair, so the
-    # beta block of the information is one 2-operand product per iteration.
-    XXT = np.ascontiguousarray((X[:, :, None] * X[:, None, :]).reshape(n, p * p).T)
+    out = _BatchFit(
+        Beta=np.empty((B, p)),
+        Phi=np.empty(B),
+        LL=np.empty(B),
+        status=np.empty(B, dtype=np.int8),
+        iterations=np.empty(B, dtype=int),
+        clamped=np.empty(B, dtype=bool),
+        K=np.zeros((B, k, k)),
+    )
 
-    Beta = np.broadcast_to(np.asarray(Beta0, dtype=float), (B, p)).copy()
-    Phi = np.broadcast_to(np.asarray(Phi0, dtype=float), (B,)).copy()
+    s = _Active()
+    s.rows = np.arange(B)
+    s.L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
+    s.Beta = np.zeros((B, p)) + Beta0
+    s.Phi = np.zeros(B) + Phi0
+    s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = _rows_state(
+        s.Beta, s.Phi, XT, offset, link, s.L
+    )
+    # slack is the noise allowance _REL_LOGLIK_TOL * max(1, |l|); settled
+    # marks rows whose last accepted step changed l by at most that much.
+    s.slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(s.LL))
+    s.settled = np.zeros(B, dtype=bool)
 
-    def evaluate(rows, Beta_r, Phi_r):
-        # One special-function pass per trial point covers a = mu phi,
-        # b = (1 - mu) phi and phi itself, stacked as (a, b, phi) columns.
-        Eta = np.einsum("bj,jn->bn", Beta_r, XT) + offset
-        Mu = np.clip(
-            np.asarray(link.g_inv(Eta), dtype=float), MU_CLAMP, 1.0 - MU_CLAMP
+    def retire(mask, status, iterations, K=None):
+        """Write the masked rows to out and drop them from the state."""
+        at = s.rows[mask]
+        for name in ("Beta", "Phi", "LL", "clamped"):
+            getattr(out, name)[at] = getattr(s, name)[mask]
+        out.status[at] = status
+        out.iterations[at] = iterations
+        if K is not None:
+            out.K[at] = K[mask]
+        s.put(slice(None), **{name: value[~mask] for name, value in vars(s).items()})
+
+    def accept(at, good, Beta_t, Phi_t, trial):
+        """Move the rows at[good] to their trial point; at=None moves every row."""
+        rows = slice(None)
+        if at is not None:
+            rows = at[good]
+            Beta_t, Phi_t = Beta_t[good], Phi_t[good]
+            trial = [v[good] for v in trial]
+        M, T, Psi, Tri, LL, clamped = trial
+        slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(LL))
+        s.put(
+            rows,
+            settled=np.abs(LL - s.LL[rows]) <= slack,
+            clamped=s.clamped[rows] | clamped,
+            Beta=Beta_t, Phi=Phi_t, M=M, T=T, Psi=Psi, Tri=Tri, LL=LL, slack=slack,
         )
-        ABP = np.empty((len(rows), 2 * n + 1))
-        ABP[:, :n] = Mu
-        np.subtract(1.0, Mu, out=ABP[:, n : 2 * n])
-        ABP[:, 2 * n] = 1.0
-        ABP *= Phi_r[:, None]
-        Lg, Psi, Tri = _gamma_trio(ABP)
-        LL = (
-            n * Lg[:, 2 * n]
-            - Lg[:, : 2 * n].sum(axis=1)
-            + ((ABP[:, :n] - 1.0) * logy[rows]).sum(axis=1)
-            + ((ABP[:, n : 2 * n] - 1.0) * log1my[rows]).sum(axis=1)
-        )
-        return Mu, Psi, Tri, LL
 
-    # The score and the information live in their own functions, so their
-    # (rows, n) temporaries are freed before the trial evaluations.
-
-    def score(rows):
-        """Score vectors of the given rows at their current iterates."""
-        Mu_r = Mu[rows]
-        T_r = 1.0 / np.asarray(link.deriv1(Mu_r), dtype=float)
-        psi_b = Psi[rows, n : 2 * n]
-        resid = ystar[rows] - Psi[rows, :n] + psi_b
-        U = np.empty((len(rows), k))
-        U[:, :p] = Phi[rows, None] * np.einsum("bn,jn->bj", T_r * resid, XT)
-        U[:, p] = (
-            (Mu_r * resid).sum(axis=1)
-            + sum_log1my[rows]
-            - psi_b.sum(axis=1)
-            + n * Psi[rows, 2 * n]
-        )
-        return U
-
-    def scoring_step(rows, U):
-        """Solve K step = U per row; also returns a mask of singular rows."""
-        Mu_r = Mu[rows]
-        T_r = 1.0 / np.asarray(link.deriv1(Mu_r), dtype=float)
-        Phi_r = Phi[rows]
-        tri_a = Tri[rows, :n]
-        tri_b = Tri[rows, n : 2 * n]
-        one_m = 1.0 - Mu_r
-        K = np.empty((len(rows), k, k))
-        W = (Phi_r * Phi_r)[:, None] * (tri_a + tri_b) * T_r * T_r
-        K[:, :p, :p] = np.einsum("bn,jn->bj", W, XXT).reshape(len(rows), p, p)
-        kbp = np.einsum(
-            "bn,jn->bj", Phi_r[:, None] * (tri_a * Mu_r - tri_b * one_m) * T_r, XT
-        )
-        K[:, :p, p] = kbp
-        K[:, p, :p] = kbp
-        tri_phi = Tri[rows, 2 * n]
-        K[:, p, p] = (tri_a * Mu_r**2 + tri_b * one_m**2).sum(axis=1) - n * tri_phi
-        bad = np.zeros(len(rows), dtype=bool)
-        try:
-            return np.linalg.solve(K, U[:, :, None])[:, :, 0], bad
-        except np.linalg.LinAlgError:
-            # At least one row is singular; solve row by row and flag those.
-            Step = np.zeros((len(rows), k))
-            for i in range(len(rows)):
-                try:
-                    Step[i] = np.linalg.solve(K[i], U[i])
-                except np.linalg.LinAlgError:
-                    bad[i] = True
-            return Step, bad
-
-    rows = np.arange(B)
-    Mu, Psi, Tri, LL = evaluate(rows, Beta, Phi)
-    change = np.full(B, np.inf)
-    ok = np.zeros(B, dtype=bool)
-    fail = ~np.isfinite(LL)
-
-    out_Beta = Beta.copy()
-    out_Phi = Phi.copy()
-    out_LL = LL.copy()
-
-    active = ~fail
-    for _ in range(opts.max_iterations):
-        if not active.any():
+    if not np.isfinite(s.LL).all():
+        retire(~np.isfinite(s.LL), ScoringStatus.NON_FINITE, 0)
+    min_scale = 0.5**opts.step_halving_max
+    for iteration in range(1, opts.max_iterations + 1):
+        if not len(s.rows):
             break
-        rows = np.nonzero(active)[0]
-        U = score(rows)
-        conv = (np.abs(U).max(axis=1) <= opts.gradient_tolerance) & (
-            change[rows] <= _REL_LOGLIK_TOL
-        )
+        U = _rows_score(XT, s.Phi, s.M, s.T, s.Psi, s.L)
+        K = _rows_information(XT, s.Phi, s.M, s.T, s.Tri)
+        conv = s.settled
         if conv.any():
-            done = rows[conv]
-            ok[done] = True
-            out_Beta[done] = Beta[done]
-            out_Phi[done] = Phi[done]
-            out_LL[done] = LL[done]
-            active[done] = False
-            keep = ~conv
-            if not keep.any():
+            conv = conv & (np.abs(U).max(axis=1) <= opts.gradient_tolerance)
+        if conv.any():
+            retire(conv, ScoringStatus.CONVERGED, iteration, K)
+            if not len(s.rows):
                 break
-            rows = rows[keep]
-            U = U[keep]
-        Step, bad = scoring_step(rows, U)
-        if bad.any():
-            dead = rows[bad]
-            fail[dead] = True
-            active[dead] = False
-            rows = rows[~bad]
-            if not len(rows):
+            U, K = U[~conv], K[~conv]
+        Step, singular = _solve(K, U)
+        if singular is not None:
+            retire(singular, ScoringStatus.SINGULAR, iteration, K)
+            if not len(s.rows):
+                break
+            Step = Step[~singular]
+        del U, K  # freed before the trial evaluations
+        # The full step is tried on every row at once, with no index
+        # bookkeeping; only the rows it fails go on to be halved.
+        Phi_t = s.Phi + Step[:, p]
+        scale = 1.0
+        if Phi_t.min() > 0.0:
+            Beta_t = s.Beta + Step[:, :p]
+            trial = _rows_state(Beta_t, Phi_t, XT, offset, link, s.L)
+            good = trial[4] >= s.LL - s.slack
+            if good.all():
+                accept(None, good, Beta_t, Phi_t, trial)
                 continue
-            Step = Step[~bad]
-        # Vectorized step halving: every pending row keeps halving its own
-        # scale until phi stays positive and the loglik gate passes.
-        slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(LL[rows]))
-        scale = np.ones(len(rows))
-        pending = np.ones(len(rows), dtype=bool)
-        for _ in range(opts.step_halving_max + 1):
+            accept(np.arange(len(good)), good, Beta_t, Phi_t, trial)
+            pending = ~good
+            scale = 0.5
+        else:
+            pending = np.ones(len(Phi_t), dtype=bool)
+        while scale >= min_scale and pending.any():
             idx = np.nonzero(pending)[0]
-            Phi_t = Phi[rows[idx]] + scale[idx] * Step[idx, p]
+            Phi_t = s.Phi[idx] + scale * Step[idx, p]
             pos = Phi_t > 0.0
             if pos.any():
-                sub = idx[pos]
-                Beta_t = Beta[rows[sub]] + scale[sub, None] * Step[sub, :p]
-                Mu_t, Psi_t, Tri_t, LL_t = evaluate(rows[sub], Beta_t, Phi_t[pos])
-                good = LL_t >= LL[rows[sub]] - slack[sub]
-                if good.any():
-                    hit = rows[sub[good]]
-                    change[hit] = np.abs(LL_t[good] - LL[hit]) / np.maximum(
-                        1.0, np.abs(LL_t[good])
-                    )
-                    Beta[hit] = Beta_t[good]
-                    Phi[hit] = Phi_t[pos][good]
-                    Mu[hit] = Mu_t[good]
-                    Psi[hit] = Psi_t[good]
-                    Tri[hit] = Tri_t[good]
-                    LL[hit] = LL_t[good]
-                    pending[sub[good]] = False
-            if not pending.any():
-                break
-            scale[pending] *= 0.5
+                at = idx[pos]
+                Beta_t = s.Beta[at] + scale * Step[at, :p]
+                trial = _rows_state(Beta_t, Phi_t[pos], XT, offset, link, s.L[at])
+                good = trial[4] >= s.LL[at] - s.slack[at]
+                accept(at, good, Beta_t, Phi_t[pos], trial)
+                pending[at[good]] = False
+            scale *= 0.5
         # Rows with no acceptable step stay put; the gradient criterion or
         # the iteration budget decides their fate on a later pass.
-        change[rows[pending]] = 0.0
-    fail |= active  # rows that ran out of iterations
-    return out_Beta, out_Phi, out_LL, ok
+        s.settled[pending] = True
+    if len(s.rows):
+        retire(
+            np.ones(len(s.rows), dtype=bool),
+            ScoringStatus.MAX_ITERATIONS,
+            opts.max_iterations,
+        )
+    return out
+
+
+def _singular_error(K):
+    cond = float(np.linalg.cond(K))
+    return SingularInformationError(
+        f"information matrix is singular (condition estimate {cond:.2e})",
+        condition=cond,
+    )
 
 
 def _invert_information(K):
     try:
         return np.linalg.inv(K)
     except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(K))
-        raise SingularInformationError(
-            f"information matrix is singular (condition estimate {cond:.2e})",
-            condition=cond,
-        ) from exc
+        raise _singular_error(K) from exc
+
+
+def _fit(data, link, restriction, opts, start):
+    """One-row call into the scoring core, embedded in the full space."""
+    opts = opts or FitOptions()
+    p = data.p
+    X = data.X
+    if restriction is None:
+        free, fixed, offset, values = np.arange(p), np.arange(0), np.zeros(data.n), ()
+    else:
+        free, fixed, offset = restriction.split(X)
+        if not free.size:
+            raise ValueError("restriction must leave at least one free coefficient")
+        X = X[:, free]
+        values = restriction.values
+    _check_full_rank(data.X)
+    if start is None:
+        beta0, phi0 = _starting_point(data.y, X, offset, link)
+    else:
+        if start.beta.size != p:
+            raise ValueError("starting point dimension does not match design")
+        beta0, phi0 = start.beta[free], start.phi
+    fit = _fisher_scoring_batch(data.y[None, :], X, offset, link, beta0, phi0, opts)
+    status = fit.status[0]
+    if status == ScoringStatus.SINGULAR:
+        raise _singular_error(fit.K[0])
+    if status != ScoringStatus.CONVERGED:
+        raise NonConvergenceError(
+            [float(fit.LL[0])],
+            "log-likelihood is not finite at the starting point"
+            if status == ScoringStatus.NON_FINITE
+            else f"Fisher scoring did not converge within {opts.max_iterations} iterations",
+        )
+    K = fit.K[0]
+    K_inv = _invert_information(K)
+    k = p + 1
+    beta = np.empty(p)
+    beta[free] = fit.Beta[0]
+    beta[fixed] = values
+    free_indices = np.append(free, p)
+    std_errors = np.zeros(k)
+    std_errors[free_indices] = np.sqrt(np.diag(K_inv))
+    fixed_mask = np.zeros(k, dtype=bool)
+    fixed_mask[fixed] = True
+    return FitResult(
+        theta_hat=ParamVector(beta, float(fit.Phi[0])),
+        loglik=float(fit.LL[0]),
+        K=K,
+        K_inv=K_inv,
+        std_errors=std_errors,
+        iterations=int(fit.iterations[0]),
+        converged=True,
+        clamp_activated=bool(fit.clamped[0]),
+        fixed_mask=fixed_mask,
+        free_indices=free_indices,
+    )
 
 
 def fit_mle(
@@ -485,33 +476,7 @@ def fit_mle(
     start overrides the default starting point; useful for warm starts in
     resampling loops.
     """
-    opts = opts or FitOptions()
-    _check_full_rank(data.X)
-    offset = np.zeros(data.n)
-    if start is None:
-        beta0, phi0 = _starting_point(data.y, data.X, offset, link)
-    else:
-        if start.beta.size != data.p:
-            raise ValueError("starting point dimension does not match design")
-        beta0, phi0 = np.array(start.beta), start.phi
-    beta, phi, mu, t, ll, iterations, clamped = _fisher_scoring(
-        data.y, data.X, offset, link, beta0, phi0, opts
-    )
-    K = _assemble_information(data.X, mu, phi, t)
-    K_inv = _invert_information(K)
-    k = data.p + 1
-    return FitResult(
-        theta_hat=ParamVector(beta, phi),
-        loglik=ll,
-        K=K,
-        K_inv=K_inv,
-        std_errors=np.sqrt(np.diag(K_inv)),
-        iterations=iterations,
-        converged=True,
-        clamp_activated=clamped,
-        fixed_mask=np.zeros(k, dtype=bool),
-        free_indices=np.arange(k),
-    )
+    return _fit(data, link, None, opts, start)
 
 
 def fit_restricted(
@@ -527,51 +492,4 @@ def fit_restricted(
     scoring loop runs on the remaining columns plus phi.  start, if given,
     is a full-space parameter vector whose free components seed the loop.
     """
-    opts = opts or FitOptions()
-    p = data.p
-    if restriction.indices[-1] > p:
-        raise ValueError(
-            f"restriction index {restriction.indices[-1]} exceeds the {p} design columns"
-        )
-    if restriction.q >= p:
-        raise ValueError("restriction must leave at least one free coefficient")
-    _check_full_rank(data.X)
-    fixed_cols = np.array(restriction.indices, dtype=int) - 1
-    free_cols = np.array(
-        [j for j in range(p) if j + 1 not in restriction.indices], dtype=int
-    )
-    values = np.array(restriction.values, dtype=float)
-    X_free = data.X[:, free_cols]
-    offset = data.X[:, fixed_cols] @ values
-    if start is None:
-        beta0, phi0 = _starting_point(data.y, X_free, offset, link)
-    else:
-        if start.beta.size != p:
-            raise ValueError("starting point dimension does not match design")
-        beta0, phi0 = np.array(start.beta[free_cols]), start.phi
-    beta_free, phi, mu, t, ll, iterations, clamped = _fisher_scoring(
-        data.y, X_free, offset, link, beta0, phi0, opts
-    )
-    K = _assemble_information(X_free, mu, phi, t)
-    K_inv = _invert_information(K)
-    k = p + 1
-    beta_full = np.empty(p)
-    beta_full[free_cols] = beta_free
-    beta_full[fixed_cols] = values
-    free_indices = np.append(free_cols, p)
-    std_errors = np.zeros(k)
-    std_errors[free_indices] = np.sqrt(np.diag(K_inv))
-    fixed_mask = np.zeros(k, dtype=bool)
-    fixed_mask[fixed_cols] = True
-    return FitResult(
-        theta_hat=ParamVector(beta_full, phi),
-        loglik=ll,
-        K=K,
-        K_inv=K_inv,
-        std_errors=std_errors,
-        iterations=iterations,
-        converged=True,
-        clamp_activated=clamped,
-        fixed_mask=fixed_mask,
-        free_indices=free_indices,
-    )
+    return _fit(data, link, restriction, opts, start)

@@ -26,7 +26,7 @@ from .fit import (
     fit_mle,
     fit_restricted,
 )
-from .model import MU_CLAMP, Dataset, LinkFunction
+from .model import Dataset, LinkFunction, gen_beta_sample, obs_state
 from .specfun import chisq_sf
 
 __all__ = [
@@ -142,13 +142,6 @@ def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
     return lr_b1, lr_b2, lr_b3
 
 
-def _default_resample(mu, phi, rng):
-    """Parametric beta resample via a pair of gamma variates."""
-    g1 = rng.standard_gamma(mu * phi)
-    g2 = rng.standard_gamma((1.0 - mu) * phi)
-    return np.clip(g1 / (g1 + g2), MU_CLAMP, 1.0 - MU_CLAMP)
-
-
 def _bootstrap_mean(
     data: Dataset,
     link: LinkFunction,
@@ -160,50 +153,39 @@ def _bootstrap_mean(
 ):
     """Mean resample LR under the null at theta_tilde, with failure count.
 
-    Each resample b draws from an RNG stream derived from (seed, b), so
-    the aggregate is independent of evaluation order; summation over the
-    successful resamples is in fixed b-order.  The two fits per resample
-    run through the row-batched scoring core, warm-started at the
-    generating parameters (restricted) and at each row's restricted
-    solution (full).  That core's per-row arithmetic is batch-independent
-    bit for bit, so each resample's fits, and hence the mean, do not
-    depend on how resamples are grouped or ordered in a batch.
+    Resample b comes from resample_fn (gen_beta_sample unless a test
+    installs another) on an RNG stream derived from (seed, b), so the
+    aggregate is independent of evaluation order; summation over the
+    successful resamples is in fixed b-order.  The restricted fits of all
+    resamples are one call to the scoring core, warm-started at the
+    generating parameters, and the full fits of the rows that converged
+    are another, warm-started at each row's restricted solution; a
+    resample fails unless both of its rows end CONVERGED.  The core's
+    rows are bit for bit batch-independent, so each resample's fits, and
+    hence the mean, do not depend on how resamples are grouped or ordered.
     """
     X = data.X
     n, p = X.shape
-    fixed_cols = np.array([i - 1 for i in restriction.indices], dtype=int)
-    free_cols = np.array(
-        [j for j in range(p) if (j + 1) not in restriction.indices], dtype=int
-    )
-    values = np.array(restriction.values, dtype=float)
-    offset = X[:, fixed_cols] @ values
-    X_free = X[:, free_cols]
-    zero_offset = np.zeros(n)
-
-    eta = X @ theta_tilde.beta
-    mu_raw = np.asarray(link.g_inv(eta), dtype=float)
-    mu_t = np.clip(mu_raw, MU_CLAMP, 1.0 - MU_CLAMP)
+    free_cols, fixed_cols, offset = restriction.split(X)
+    mu_t = obs_state(theta_tilde, data, link).mu
     phi_t = theta_tilde.phi
-    beta0_free = theta_tilde.beta[free_cols]
 
     Y = np.empty((opts.B, n))
     for b in range(opts.B):
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(b,)))
         Y[b] = resample_fn(mu_t, phi_t, rng)
 
-    beta_r, phi_r, ll_r, ok_r = _fisher_scoring_batch(
-        Y, X_free, offset, link, beta0_free, phi_t, fit_opts
+    rest = _fisher_scoring_batch(
+        Y, X[:, free_cols], offset, link, theta_tilde.beta[free_cols], phi_t, fit_opts
     )
-    rows = np.nonzero(ok_r)[0]
-    lr_ok = np.zeros(0)
-    if len(rows):
-        beta_full0 = np.empty((len(rows), p))
-        beta_full0[:, fixed_cols] = values
-        beta_full0[:, free_cols] = beta_r[rows]
-        _, _, ll_f, ok_f = _fisher_scoring_batch(
-            Y[rows], X, zero_offset, link, beta_full0, phi_r[rows], fit_opts
-        )
-        lr_ok = np.maximum(2.0 * (ll_f[ok_f] - ll_r[rows][ok_f]), 0.0)
+    rows = np.nonzero(rest.ok)[0]
+    beta_full0 = np.empty((len(rows), p))
+    beta_full0[:, fixed_cols] = restriction.values
+    beta_full0[:, free_cols] = rest.Beta[rows]
+    full = _fisher_scoring_batch(
+        Y[rows], X, np.zeros(n), link, beta_full0, rest.Phi[rows], fit_opts
+    )
+    lr_ok = np.maximum(2.0 * (full.LL[full.ok] - rest.LL[rows][full.ok]), 0.0)
     failures = opts.B - len(lr_ok)
     if failures > opts.max_failure_fraction * opts.B:
         raise BootstrapFailureError(
@@ -244,7 +226,7 @@ def bootstrap_bartlett(
         rest.theta_hat,
         opts,
         fit_opts,
-        resample_fn or _default_resample,
+        resample_fn or gen_beta_sample,
     )
     return lr * restriction.q / mean, mean, failures
 
@@ -285,7 +267,7 @@ def run_test(
     if "boot" in chosen:
         opts = boot_opts or BootstrapOptions()
         boot_mean, boot_failures = _bootstrap_mean(
-            data, link, restriction, rest.theta_hat, opts, fit_opts, _default_resample
+            data, link, restriction, rest.theta_hat, opts, fit_opts, gen_beta_sample
         )
         lr_boot = lr * q / boot_mean
 

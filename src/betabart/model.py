@@ -13,12 +13,13 @@ object refers to phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import log_gamma, polygamma
+from .specfun import _gamma_trio
 
 __all__ = [
     "MU_CLAMP",
@@ -27,8 +28,8 @@ __all__ = [
     "ParamVector",
     "ObsState",
     "logit_link",
+    "gen_beta_sample",
     "obs_state",
-    "log_density",
     "log_likelihood",
     "score",
     "fisher_information",
@@ -37,6 +38,26 @@ __all__ = [
 # Fitted means are clamped to [MU_CLAMP, 1 - MU_CLAMP] after the inverse
 # link; this only matters for extreme linear predictors during line search.
 MU_CLAMP = 1e-12
+
+
+def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw independent beta responses with means mu and dispersion phi.
+
+    Each y_i follows a beta law with shape parameters (mu_i phi,
+    (1 - mu_i) phi), realised as a ratio of gamma variates and clamped
+    away from the interval endpoints.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.size == 0:
+        raise ValueError("mu must be a nonempty vector")
+    if not np.all((mu > 0.0) & (mu < 1.0)):
+        raise ValueError("mu must lie strictly inside (0, 1)")
+    phi = float(phi)
+    if not math.isfinite(phi) or phi <= 0.0:
+        raise ValueError("phi must be positive and finite")
+    g1 = rng.standard_gamma(mu * phi)
+    g2 = rng.standard_gamma((1.0 - mu) * phi)
+    return np.clip(g1 / (g1 + g2), MU_CLAMP, 1.0 - MU_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -150,20 +171,21 @@ class ObsState:
 
 def _check_open_unit(mu):
     arr = np.asarray(mu, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if (arr <= 0.0).any() or (arr >= 1.0).any():
         raise ValueError("argument must lie strictly inside (0, 1)")
     return arr
 
 
 def _expit(eta):
-    """Numerically stable inverse logit, scalar or array."""
-    arr = np.array(np.asarray(eta, dtype=float), ndmin=1)
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    out = out.reshape(np.shape(eta))
+    """Numerically stable inverse logit, scalar or array.
+
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from
+    e = e^-|x|, so no exponential overflows.
+    """
+    arr = np.asarray(eta, dtype=float)
+    e = np.exp(-np.abs(arr))
+    d = 1.0 + e
+    out = np.where(arr >= 0.0, 1.0 / d, e / d)
     return float(out) if out.ndim == 0 else out
 
 
@@ -203,99 +225,114 @@ def logit_link() -> LinkFunction:
     )
 
 
-def obs_state(theta: ParamVector, data: Dataset, link: LinkFunction) -> ObsState:
-    """Evaluate the per-observation state at theta."""
+def _rows_state(Beta, Phi, XT, offset, link, L):
+    """The model at one parameter point per row.
+
+    Row b evaluates (Beta[b], Phi[b]) on responses L[b] = (log y, log(1 - y))
+    with transposed design XT and a fixed offset on the linear predictor.
+    Returns (M, T, Psi, Tri, LL, clamped): M holds (mu, 1 - mu, 1) with mu
+    clamped to [MU_CLAMP, 1 - MU_CLAMP], T = 1/g'(mu), Psi and Tri are
+    digamma and trigamma of (a, b, phi) = M phi from one special-function
+    pass, LL is the log-likelihood and clamped flags clamped means.
+
+    Here and in _rows_score and _rows_information each row is computed on
+    its own: special functions act per element, and every sum over
+    observations is a 2-operand einsum or a per-row matmul, whose
+    reduction order does not depend on the number of rows (a BLAS product
+    of whole batches does not keep that promise).
+    """
+    n = XT.shape[1]
+    Eta = np.einsum("bj,jn->bn", Beta, XT)
+    Eta += offset
+    Mu_raw = np.asarray(link.g_inv(Eta), dtype=float)
+    M = np.empty((len(Phi), 2 * n + 1))
+    Mu = M[:, :n]
+    np.minimum(np.maximum(Mu_raw, MU_CLAMP), 1.0 - MU_CLAMP, out=Mu)
+    clamped = (Mu != Mu_raw).any(axis=1)
+    del Eta, Mu_raw  # not needed past here; frees their (rows, n) blocks
+    np.subtract(1.0, Mu, out=M[:, n : 2 * n])
+    M[:, 2 * n] = 1.0
+    ABP = M * Phi[:, None]
+    Lg, Psi, Tri = _gamma_trio(ABP)
+    LL = n * Lg[:, 2 * n] - Lg[:, : 2 * n].sum(axis=1)
+    LL += np.einsum("bn,bn->b", ABP[:, : 2 * n] - 1.0, L)
+    T = 1.0 / np.asarray(link.deriv1(Mu), dtype=float)
+    return M, T, Psi, Tri, LL, clamped
+
+
+def _rows_score(XT, Phi, M, T, Psi, L):
+    """Score vectors (rows, k) at _rows_state output.
+
+    With D = (log y - psi(a), log(1 - y) - psi(b)), the beta block is
+    phi X' T (y* - mu*), y* - mu* being the difference of D's halves, and
+    the phi component is sum (mu, 1 - mu) D + n psi(phi).
+    """
+    n = T.shape[1]
+    D = L - Psi[:, : 2 * n]
+    Ub = np.einsum("bn,jn->bj", T * (D[:, :n] - D[:, n:]), XT)
+    Ub *= Phi[:, None]
+    Uphi = np.einsum("bn,bn->b", M[:, : 2 * n], D) + n * Psi[:, 2 * n]
+    return np.concatenate((Ub, Uphi[:, None]), axis=1)
+
+
+def _rows_information(XT, Phi, M, T, Tri):
+    """Expected information matrices (rows, k, k) at _rows_state output.
+
+    K_bb = X' diag(w) X with w = phi^2 [psi'(a) + psi'(b)] T^2, K_bphi =
+    phi X' T [psi'(a) mu - psi'(b) (1 - mu)], and K_phiphi sums
+    psi'(a) mu^2 + psi'(b) (1 - mu)^2 - psi'(phi) over observations.
+    """
+    m, n = T.shape
+    p = XT.shape[0]
+    TM = Tri[:, : 2 * n] * M[:, : 2 * n]  # (psi'(a) mu, psi'(b) (1 - mu))
+    K = np.empty((m, p + 1, p + 1))
+    W = (Tri[:, :n] + Tri[:, n : 2 * n]) * (T * T)
+    W *= (Phi * Phi)[:, None]
+    K[:, :p, :p] = np.matmul(XT * W[:, None, :], XT.T)
+    kbp = np.einsum("bn,jn->bj", (TM[:, :n] - TM[:, n:]) * T, XT)
+    kbp *= Phi[:, None]
+    K[:, :p, p] = kbp
+    K[:, p, :p] = kbp
+    K[:, p, p] = np.einsum("bn,bn->b", TM, M[:, : 2 * n]) - n * Tri[:, 2 * n]
+    return K
+
+
+def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):
+    """(XT, Phi, L, _rows_state output) for the single point theta."""
     if theta.beta.size != data.p:
         raise ValueError("parameter dimension does not match design matrix")
-    eta = data.X @ theta.beta
-    mu_raw = np.asarray(link.g_inv(eta), dtype=float)
-    mu = np.clip(mu_raw, MU_CLAMP, 1.0 - MU_CLAMP)
-    clamped = bool(np.any(mu != mu_raw))
-    dmu_deta = 1.0 / np.asarray(link.deriv1(mu), dtype=float)
-    ystar = np.log(data.y / (1.0 - data.y))
-    psi = polygamma(0, np.concatenate((mu, 1.0 - mu)) * theta.phi)
-    mustar = psi[: mu.size] - psi[mu.size :]
+    XT = data.X.T
+    Phi = np.array([theta.phi])
+    L = np.concatenate((np.log(data.y), np.log1p(-data.y)))[None]
+    return XT, Phi, L, _rows_state(theta.beta[None], Phi, XT, 0.0, link, L)
+
+
+def obs_state(theta: ParamVector, data: Dataset, link: LinkFunction) -> ObsState:
+    """Evaluate the per-observation state at theta."""
+    _, _, L, (M, T, Psi, _, _, clamped) = _theta_rows(theta, data, link)
+    n = data.n
     return ObsState(
-        eta=eta, mu=mu, dmu_deta=dmu_deta, ystar=ystar, mustar=mustar, clamped=clamped
-    )
-
-
-def log_density(y, mu, phi):
-    """Log of the beta density with mean mu and precision phi, elementwise.
-
-    Evaluated entirely through log_gamma so that large precision values
-    never overflow.
-    """
-    y = _check_open_unit(y)
-    mu = _check_open_unit(mu)
-    phi = float(phi)
-    if not np.isfinite(phi) or phi <= 0.0:
-        raise ValueError("phi must be a positive real")
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    return (
-        log_gamma(phi)
-        - log_gamma(a)
-        - log_gamma(b)
-        + (a - 1.0) * np.log(y)
-        + (b - 1.0) * np.log1p(-y)
+        eta=data.X @ theta.beta,
+        mu=M[0, :n],
+        dmu_deta=T[0],
+        ystar=L[0, :n] - L[0, n:],
+        mustar=Psi[0, :n] - Psi[0, n : 2 * n],
+        clamped=bool(clamped[0]),
     )
 
 
 def log_likelihood(theta: ParamVector, data: Dataset, link: LinkFunction) -> float:
-    """Sum of per-observation log densities at theta."""
-    state = obs_state(theta, data, link)
-    return float(np.sum(log_density(data.y, state.mu, theta.phi)))
+    """Log-likelihood at theta."""
+    return float(_theta_rows(theta, data, link)[3][4][0])
 
 
 def score(theta: ParamVector, data: Dataset, link: LinkFunction) -> np.ndarray:
     """Score vector (gradient of the log-likelihood), length k = p + 1.
 
-    The beta block is phi X' T (ystar - mustar) with T = diag(dmu/deta);
-    the phi component sums mu_i (ystar_i - mustar_i) + log(1 - y_i)
-    - psi((1 - mu_i) phi) + psi(phi).
+    The blocks are written out on _rows_score.
     """
-    state = obs_state(theta, data, link)
-    phi = theta.phi
-    resid = state.ystar - state.mustar
-    u_beta = phi * (data.X.T @ (state.dmu_deta * resid))
-    u_phi = float(
-        np.sum(
-            state.mu * resid
-            + np.log1p(-data.y)
-            - polygamma(0, (1.0 - state.mu) * phi)
-            + polygamma(0, phi)
-        )
-    )
-    return np.append(u_beta, u_phi)
-
-
-def _info_weights(mu, phi, t):
-    """Per-observation information ingredients (w, c, d).
-
-    w_i = phi [psi'(mu phi) + psi'((1-mu) phi)] t_i^2
-    c_i = phi [psi'(mu phi) mu - psi'((1-mu) phi) (1-mu)]
-    d_i = psi'(mu phi) mu^2 + psi'((1-mu) phi) (1-mu)^2 - psi'(phi)
-    """
-    n = mu.size
-    tri = polygamma(1, np.concatenate((mu * phi, (1.0 - mu) * phi, [phi])))
-    tri_a, tri_b = tri[:n], tri[n : 2 * n]
-    w = phi * (tri_a + tri_b) * t * t
-    c = phi * (tri_a * mu - tri_b * (1.0 - mu))
-    d = tri_a * mu**2 + tri_b * (1.0 - mu) ** 2 - tri[2 * n]
-    return w, c, d
-
-
-def _assemble_information(X, mu, phi, t):
-    """Expected information K for the design X at the given state."""
-    w, c, d = _info_weights(mu, phi, t)
-    p = X.shape[1]
-    K = np.empty((p + 1, p + 1))
-    K[:p, :p] = phi * (X.T * w) @ X
-    K[:p, p] = X.T @ (t * c)
-    K[p, :p] = K[:p, p]
-    K[p, p] = float(np.sum(d))
-    return K
+    XT, Phi, L, (M, T, Psi, _, _, _) = _theta_rows(theta, data, link)
+    return _rows_score(XT, Phi, M, T, Psi, L)[0]
 
 
 def fisher_information(
@@ -303,8 +340,7 @@ def fisher_information(
 ) -> np.ndarray:
     """Expected (Fisher) information matrix K, shape (k, k), symmetric.
 
-    Blocks: K_bb = phi X' W X, K_bphi = X' T c, K_phiphi = tr(D), with the
-    per-observation weights documented on _info_weights.
+    The blocks are written out on _rows_information.
     """
-    state = obs_state(theta, data, link)
-    return _assemble_information(data.X, state.mu, theta.phi, state.dmu_deta)
+    XT, Phi, _, (M, T, _, Tri, _, _) = _theta_rows(theta, data, link)
+    return _rows_information(XT, Phi, M, T, Tri)[0]

@@ -25,7 +25,7 @@ from .inference import (
     NestingError,
     run_test,
 )
-from .model import MU_CLAMP, Dataset, LinkFunction, logit_link
+from .model import Dataset, LinkFunction, gen_beta_sample, logit_link
 from .specfun import chisq_sf
 
 _FAILURE_BUDGET = 0.01
@@ -165,26 +165,6 @@ class MomentTable:
     quantiles: dict[str, StatQuantiles]
 
 
-def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw independent beta responses with means mu and dispersion phi.
-
-    Each y_i follows a beta law with shape parameters (mu_i phi,
-    (1 - mu_i) phi), realised as a ratio of gamma variates and clamped
-    away from the interval endpoints.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size == 0:
-        raise ValueError("mu must be a nonempty vector")
-    if not np.all((mu > 0.0) & (mu < 1.0)):
-        raise ValueError("mu must lie strictly inside (0, 1)")
-    phi = float(phi)
-    if not math.isfinite(phi) or phi <= 0.0:
-        raise ValueError("phi must be positive and finite")
-    g1 = rng.standard_gamma(mu * phi)
-    g2 = rng.standard_gamma((1.0 - mu) * phi)
-    return np.clip(g1 / (g1 + g2), MU_CLAMP, 1.0 - MU_CLAMP)
-
-
 def design_matrix(n: int, p: int, covariate_seed: int) -> np.ndarray:
     """Intercept column plus p - 1 covariates drawn from Uniform(-0.5, 0.5).
 
@@ -216,8 +196,7 @@ def _replication(
         np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
     )
     beta_gen = np.array(config.beta_true)
-    for idx in config.restriction.indices:
-        beta_gen[idx - 1] += config.delta
+    beta_gen[config.restriction.split(X)[1]] += config.delta
     mu = link.g_inv(X @ beta_gen)
     boot_opts = None
     if "boot" in config.methods:

@@ -25,10 +25,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def readme_test_example():
-    """The README `betabart test` command (as argv) and the block it prints."""
+def readme_example(command):
+    """The README `betabart <command>` example (as argv) and the block it prints."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    start = readme.index("```sh\nbetabart test") + len("```sh\n")
+    start = readme.index(f"```sh\nbetabart {command}") + len("```sh\n")
     end = readme.index("```", start)
     argv = shlex.split(readme[start:end].replace("\\\n", " "))[1:]
     block_start = readme.index("```\n", end + 3) + len("```\n")
@@ -36,8 +36,17 @@ def readme_test_example():
 
 
 def test_readme_test_block(capsys):
-    argv, block = readme_test_example()
+    argv, block = readme_example("test")
     assert "boot" in argv[argv.index("--methods") + 1]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == block
+
+
+def test_readme_fit_block(capsys):
+    # Pins the iteration count and the six-digit estimates of fit_mle.
+    argv, block = readme_example("fit")
+    assert argv == ["fit"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == block

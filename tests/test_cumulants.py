@@ -360,6 +360,15 @@ class TestBartlettFactor:
         with pytest.raises(ValueError, match="exceeds"):
             bartlett_factor(food_reduced, link, Restriction((4,), (0.0,)), theta)
 
+    def test_restriction_of_every_coefficient(self, food_reduced, link):
+        # fixing all of beta leaves phi as the only nuisance parameter
+        theta = ParamVector([0.0, 0.0, 0.0], 10.0)
+        restriction = Restriction((1, 2, 3), (0.0, 0.0, 0.0))
+        factor = bartlett_factor(food_reduced, link, restriction, theta)
+        nuis = cumulant_tensors(theta, food_reduced, link, subset=[3])
+        assert factor.q == 3
+        assert factor.eps_nuis == pytest.approx(epsilon_matrix(nuis), rel=1e-14)
+
 
 # The moment sums as one plain einsum each, block by block: the reference
 # for the matrix-product kernel in _cumulant_factor_tensors.

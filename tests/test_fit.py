@@ -9,10 +9,12 @@ from betabart.fit import (
     FitOptions,
     NonConvergenceError,
     Restriction,
+    ScoringStatus,
     SingularInformationError,
     _fisher_scoring_batch,
     fit_mle,
     fit_restricted,
+    starting_values,
 )
 from betabart.model import Dataset, ParamVector, log_likelihood, score
 from betabart.simulate import design_matrix, gen_beta_sample
@@ -110,6 +112,8 @@ class TestFitMle:
         with pytest.raises(NonConvergenceError) as info:
             fit_mle(food_reduced, link, FitOptions(max_iterations=1))
         assert len(info.value.trace) >= 1
+        assert "within 1 iterations" in str(info.value)
+        assert np.isfinite(info.value.trace[-1])
 
 
 class TestFitRestricted:
@@ -171,6 +175,9 @@ class TestFitRestricted:
 
 
 def test_batch_matches_scalar_path(food_reduced, link):
+    # fit_mle is a one-row call into the batch core: from the same start,
+    # each batched row gives its one-row fit bit for bit, including the
+    # status, the iteration count and the clamp flag.
     rng = np.random.default_rng(17)
     n = food_reduced.n
     variants = np.vstack(
@@ -184,15 +191,48 @@ def test_batch_matches_scalar_path(food_reduced, link):
     opts = FitOptions()
     Beta0 = np.tile(start.theta_hat.beta, (3, 1))
     Phi0 = np.full(3, start.theta_hat.phi)
-    Beta, Phi, LL, ok = _fisher_scoring_batch(
+    batch = _fisher_scoring_batch(
         variants, food_reduced.X, np.zeros(n), link, Beta0, Phi0, opts
     )
-    assert ok.all()
+    assert batch.ok.all()
+    assert (batch.status == ScoringStatus.CONVERGED).all()
     for b in range(3):
-        single = fit_mle(Dataset(variants[b], food_reduced.X), link)
-        assert rel_err(Beta[b], single.theta_hat.beta) < 1e-10
-        assert Phi[b] == pytest.approx(single.theta_hat.phi, rel=1e-10)
-        assert LL[b] == pytest.approx(single.loglik, rel=1e-12)
+        single = fit_mle(
+            Dataset(variants[b], food_reduced.X),
+            link,
+            start=ParamVector(Beta0[b], Phi0[b]),
+        )
+        assert np.array_equal(batch.Beta[b], single.theta_hat.beta)
+        assert batch.Phi[b] == single.theta_hat.phi
+        assert batch.LL[b] == single.loglik
+        assert np.array_equal(batch.K[b], single.K)
+        assert batch.iterations[b] == single.iterations
+        assert batch.clamped[b] == single.clamp_activated
+        # and the default start reaches the same optimum
+        fresh = fit_mle(Dataset(variants[b], food_reduced.X), link)
+        assert rel_err(batch.Beta[b], fresh.theta_hat.beta) < 1e-10
+        assert batch.Phi[b] == pytest.approx(fresh.theta_hat.phi, rel=1e-10)
+        assert batch.LL[b] == pytest.approx(fresh.loglik, rel=1e-12)
+
+
+def test_batch_iteration_cap_is_a_row_status(food_reduced, link):
+    # The batch core reports running out of iterations per row instead of
+    # raising; fit_mle turns the same status into NonConvergenceError.
+    Y = np.vstack([food_reduced.y, food_reduced.y[::-1]])
+    start = starting_values(food_reduced, link)
+    batch = _fisher_scoring_batch(
+        Y,
+        food_reduced.X,
+        np.zeros(food_reduced.n),
+        link,
+        start.beta,
+        start.phi,
+        FitOptions(max_iterations=1),
+    )
+    assert (batch.status == ScoringStatus.MAX_ITERATIONS).all()
+    assert not batch.ok.any()
+    assert (batch.iterations == 1).all()
+    assert np.isfinite(batch.LL).all()
 
 
 @pytest.mark.parametrize("restricted", [False, True])

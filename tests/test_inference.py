@@ -20,14 +20,13 @@ from betabart.inference import (
     BootstrapFailureError,
     BootstrapOptions,
     NestingError,
-    _default_resample,
     bartlett_corrected,
     bootstrap_bartlett,
     lr_statistic,
     run_test,
 )
 from betabart.inference import TestReport as Report  # alias: not a test class
-from betabart.model import Dataset, ParamVector
+from betabart.model import Dataset, ParamVector, gen_beta_sample
 from betabart.specfun import chisq_sf
 from conftest import random_instance
 
@@ -203,7 +202,7 @@ class TestBootstrapBartlett:
             state["calls"] += 1
             if state["calls"] == 1:
                 return np.full(mu.shape, np.nan)
-            return _default_resample(mu, phi, rng)
+            return gen_beta_sample(mu, phi, rng)
 
         with pytest.raises(BootstrapFailureError, match="over the budget"):
             bootstrap_bartlett(
@@ -222,7 +221,7 @@ class TestBootstrapBartlett:
             state["calls"] += 1
             if state["calls"] == 1:
                 return np.full(mu.shape, np.nan)
-            return _default_resample(mu, phi, rng)
+            return gen_beta_sample(mu, phi, rng)
 
         lr_boot, boot_mean, failures = bootstrap_bartlett(
             food_five,

@@ -10,7 +10,6 @@ from betabart.model import (
     Dataset,
     ParamVector,
     fisher_information,
-    log_density,
     log_likelihood,
     logit_link,
     obs_state,
@@ -117,14 +116,6 @@ def test_obs_state_fields(link):
     assert np.allclose(state.ystar, np.log(data.y / (1.0 - data.y)), rtol=1e-14)
     assert np.allclose(state.dmu_deta, 1.0 / link.deriv1(state.mu), rtol=1e-13)
     assert not state.clamped
-
-
-def test_log_density_matches_scipy():
-    y = np.array([0.1, 0.35, 0.8])
-    mu = np.array([0.2, 0.4, 0.7])
-    phi = 9.0
-    want = scipy.stats.beta.logpdf(y, mu * phi, (1.0 - mu) * phi)
-    assert np.allclose(log_density(y, mu, phi), want, rtol=1e-12)
 
 
 def test_log_likelihood_matches_scipy(link):
