@@ -220,7 +220,10 @@ def _load_model(args: argparse.Namespace):
         raise DataError(
             f"{args.data}: line {int(bad[0]) + 2}: covariate value is not finite"
         )
-    rank = int(np.linalg.matrix_rank(X))
+    # The fits reuse data's rank.  With n <= p there is no Dataset, but a
+    # deficient rank is still reported here; Dataset raises only after.
+    data = Dataset(y, X) if X.shape[0] > X.shape[1] else None
+    rank = int(np.linalg.matrix_rank(X)) if data is None else data.rank
     if rank < X.shape[1]:
         raise DataError(
             f"design matrix rank {rank} < {X.shape[1]}; "
@@ -234,7 +237,7 @@ def _load_model(args: argparse.Namespace):
         "terms": coef_names,
         "n": int(len(y)),
     }
-    return Dataset(y, X), link, coef_names, model
+    return data or Dataset(y, X), link, coef_names, model
 
 
 def _estimates(coef_names: list[str], result) -> dict[str, dict[str, float]]:

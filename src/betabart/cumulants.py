@@ -34,7 +34,7 @@ import numpy as np
 
 from .fit import FitError, Restriction, _invert_information
 from .model import Dataset, LinkFunction, ParamVector, _theta_rows, obs_state
-from .specfun import polygamma
+from .specfun import _gamma_series
 
 __all__ = [
     "ObsQuantities",
@@ -151,14 +151,14 @@ def obs_quantities(
     theta: ParamVector, data: Dataset, link: LinkFunction
 ) -> ObsQuantities:
     """Evaluate every per-observation quantity at theta."""
-    # The model pass gives (mu, 1 - mu, 1) and the trigamma of the stacked
-    # (a, b, phi) = (mu, 1 - mu, 1) phi; orders 2 and 3 take a call each.
-    _, _, _, (M, _, _, Tri, _, _) = _theta_rows(theta, data, link)
+    # The model pass gives (mu, 1 - mu, 1); one kernel pass on the stacked
+    # (a, b, phi) = (mu, 1 - mu, 1) phi gives the polygammas of orders 1-3,
+    # order 1 bit for bit the model pass's trigamma.
+    _, _, _, (M, _, _, _, _, _) = _theta_rows(theta, data, link)
     n = data.n
     phi = theta.phi
     mu, one_m = M[0, :n], M[0, n : 2 * n]
-    p1 = Tri[0]
-    p2, p3 = (polygamma(m, M[0] * phi) for m in (2, 3))
+    p1, p2, p3 = _gamma_series(M[0] * phi, 3)[2:]
     p1a, p1b, p1_phi = p1[:n], p1[n : 2 * n], p1[2 * n]
     p2a, p2b, p2_phi = p2[:n], p2[n : 2 * n], p2[2 * n]
     p3a, p3b, p3_phi = p3[:n], p3[n : 2 * n], p3[2 * n]

@@ -130,8 +130,8 @@ class FitOptions:
                 raise TypeError(f"{name} must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not 0.0 < self.gradient_tolerance < np.inf:
+            raise ValueError("gradient_tolerance must be positive and finite")
         if self.step_halving_max < 1:
             raise ValueError("step_halving_max must be positive")
 
@@ -158,11 +158,10 @@ class FitResult:
     free_indices: np.ndarray
 
 
-def _check_full_rank(X):
-    rank = int(np.linalg.matrix_rank(X))
-    if rank < X.shape[1]:
+def _check_full_rank(data: Dataset):
+    if data.rank < data.p:
         raise SingularInformationError(
-            f"design matrix is rank deficient (rank {rank} of {X.shape[1]} columns)"
+            f"design matrix is rank deficient (rank {data.rank} of {data.p} columns)"
         )
 
 
@@ -188,7 +187,7 @@ def _starting_point(y, X, offset, link):
 
 def starting_values(data: Dataset, link: LinkFunction) -> ParamVector:
     """Starting point for Fisher scoring on the unrestricted model."""
-    _check_full_rank(data.X)
+    _check_full_rank(data)
     beta0, phi0 = _starting_point(data.y, data.X, np.zeros(data.n), link)
     return ParamVector(beta0, phi0)
 
@@ -422,7 +421,7 @@ def _fit(data, link, restriction, opts, start):
             raise ValueError("restriction must leave at least one free coefficient")
         X = X[:, free]
         values = restriction.values
-    _check_full_rank(data.X)
+    _check_full_rank(data)
     if start is None:
         beta0, phi0 = _starting_point(data.y, X, offset, link)
     else:

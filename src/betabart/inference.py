@@ -55,6 +55,13 @@ class BootstrapFailureError(RuntimeError):
     """Too many resample fits failed, or the resample mean degenerated."""
 
 
+def _check_seed(value: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class BootstrapOptions:
     """Bootstrap settings: resample count, seed, and failure budget."""
@@ -64,8 +71,10 @@ class BootstrapOptions:
     max_failure_fraction: float = 0.02
 
     def __post_init__(self):
-        if not isinstance(self.B, (int, np.integer)) or self.B < 1:
+        B = self.B
+        if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
             raise ValueError("B must be a positive integer")
+        _check_seed(self.seed, "seed")
         if not 0.0 <= self.max_failure_fraction < 1.0:
             raise ValueError("max_failure_fraction must lie in [0, 1)")
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import _gamma_trio
+from .specfun import _gamma_series
 
 __all__ = [
     "MU_CLAMP",
@@ -98,6 +99,11 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def rank(self) -> int:
+        """Numerical rank of X, computed on first use and then kept."""
+        return int(np.linalg.matrix_rank(self.X))
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,7 @@ def _rows_state(Beta, Phi, XT, offset, link, L):
     np.subtract(1.0, Mu, out=M[:, n : 2 * n])
     M[:, 2 * n] = 1.0
     ABP = M * Phi[:, None]
-    Lg, Psi, Tri = _gamma_trio(ABP)
+    Lg, Psi, Tri = _gamma_series(ABP, 1)
     LL = n * Lg[:, 2 * n] - Lg[:, : 2 * n].sum(axis=1)
     LL += np.einsum("bn,bn->b", ABP[:, : 2 * n] - 1.0, L)
     T = 1.0 / np.asarray(link.deriv1(Mu), dtype=float)

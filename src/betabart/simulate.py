@@ -23,6 +23,7 @@ from .inference import (
     BootstrapFailureError,
     BootstrapOptions,
     NestingError,
+    _check_seed,
     run_test,
 )
 from .model import Dataset, LinkFunction, gen_beta_sample, logit_link
@@ -41,13 +42,6 @@ _STAT_ATTR = {
 
 class SimulationError(RuntimeError):
     """Raised when a study exceeds its replication failure budget."""
-
-
-def _check_seed(value: int, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -300,7 +294,7 @@ def _run_study(config: SimConfig) -> SimResult:
     quantiles: dict[str, StatQuantiles] = {}
     for m in config.methods:
         values = archive[m]
-        p_values = np.array([chisq_sf(max(v, 0.0), q) for v in values])
+        p_values = chisq_sf(np.maximum(values, 0.0), q)
         for alpha in config.alpha_levels:
             rates[(m, alpha)] = float(np.mean(p_values <= alpha))
         moments[m], quantiles[m] = _summarize(values)

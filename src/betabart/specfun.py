@@ -1,18 +1,17 @@
 """Self-contained special functions: log-gamma, polygamma, chi-square tail.
 
 Everything downstream (likelihood, information, corrections, p-values) is
-built on these three functions.  They are implemented the classical way:
-shift the argument upward with the exact recurrence until the asymptotic
-(Bernoulli) series is accurate, then evaluate the series.  The chi-square
-survival function uses the standard series / continued-fraction split of
-the regularized incomplete gamma function.
-
-Log-gamma, digamma and trigamma come from one fused pass, _gamma_trio,
-which the Fisher-scoring loops call once per trial point: each element is
-shifted by its own count, the three series share one log z and 1/z, and
-the input is walked in fixed-size chunks.  Each output element therefore
-depends on its own input element alone, bit for bit, which is what makes
-the row-batched scoring independent of how rows are grouped.
+built on these three functions.  Log-gamma and psi^(0)..psi^(top), top <= 3,
+come from one pass of one kernel, _gamma_series: shift each small argument
+upward with the exact recurrence until the asymptotic (Bernoulli) series is
+accurate, then evaluate the series.  The shifts are a (steps, entries)
+block with x + k in row k, so each recurrence term is one ufunc call and
+the terms are summed row by row in step order; all the tails share one
+Horner pass, one log z and one 1/z.  Each output element depends on its
+own input element alone, bit for bit, which is what makes the row-batched
+scoring independent of how rows are grouped, and an order's values do not
+depend on top.  The chi-square survival function uses the standard series
+/ continued-fraction split of the regularized incomplete gamma function.
 
 All functions accept scalars or numpy arrays and preserve the input shape;
 scalars come back as plain floats.  Supported polygamma orders are 0..3
@@ -50,7 +49,7 @@ _STIRLING = tuple(
     b / ((2 * j) * (2 * j - 1)) for j, b in enumerate(_BERNOULLI, start=1)
 )
 
-# Tail coefficients per polygamma order; see _polygamma_asymptotic.
+# Tail coefficients c_j of psi^(m), m = 0..3; see the series in _gamma_series.
 _PSI_TAIL = (
     tuple(b / (2 * j) for j, b in enumerate(_BERNOULLI, start=1)),
     _BERNOULLI,
@@ -60,84 +59,93 @@ _PSI_TAIL = (
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0)
 
-# Horner coefficients of the log-gamma, digamma and trigamma tails, one
-# (3, 1) column per power of 1/z^2, highest power first.
-_TRIO_HORNER = np.array([_STIRLING, _PSI_TAIL[0], _PSI_TAIL[1]]).T[::-1, :, None]
+# Horner coefficients of the log-gamma tail and the four polygamma tails,
+# one (5, 1) column per power of 1/z^2, highest power first.
+_HORNER = np.array((_STIRLING,) + _PSI_TAIL).T[::-1, :, None]
 
-# _gamma_trio walks its input in blocks of this many elements, so the
+# One recurrence step takes log Gamma(z) to log Gamma(z + 1) - log z and
+# psi^(m)(z) to psi^(m)(z + 1) + (-1)^(m+1) m! / z^(m+1); these are the
+# factors of log z and z^-(m+1).
+_STEP_SCALE = np.array([-1.0, -1.0, 1.0, -2.0, 6.0])[:, None]
+
+# _gamma_series walks its input in blocks of this many elements, so the
 # temporaries of one pass stay small whatever the input size.
 _CHUNK = 4096
 
 
 def _prepare(x, name):
-    """Validate a positive argument and return (working copy, scalar flag)."""
+    """Validate a finite, positive argument; return it as a float array.
+
+    No copy is made: the kernel only reads its argument.
+    """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     if np.any(arr <= 0.0):
         raise ValueError(f"{name} must be positive")
-    return np.array(arr, dtype=float, ndmin=1), arr.ndim == 0, arr.shape
+    return arr
 
 
-def _trio_chunk(x, lg, psi, tri):
-    """Write log-gamma, digamma and trigamma of the 1-D chunk x to lg, psi, tri."""
-    small = np.nonzero(x < _ASYMPTOTIC_MIN)[0]
-    if small.size:
-        # Each entry is shifted by its own count: the masked updates leave
-        # entries already past the threshold unchanged, so the shifts
-        # applied to an entry never depend on the other entries.
-        w = x[small]
-        s_lg = np.zeros(w.shape)
-        s_psi = np.zeros(w.shape)
-        s_tri = np.zeros(w.shape)
-        below = w < _ASYMPTOTIC_MIN
-        while below.any():
-            inv = 1.0 / w
-            # Gamma(z) = Gamma(z + 1) / z, so log Gamma picks up -log z,
-            # digamma -1/z and trigamma +1/z^2.
-            np.subtract(s_lg, np.log(w), out=s_lg, where=below)
-            np.subtract(s_psi, inv, out=s_psi, where=below)
-            inv *= inv
-            np.add(s_tri, inv, out=s_tri, where=below)
-            np.add(w, 1.0, out=w, where=below)
-            np.less(w, _ASYMPTOTIC_MIN, out=below)
-        x = x.copy()
-        x[small] = w
-    log_x = np.log(x)
-    inv = 1.0 / x
-    inv_sq = inv * inv
-    tails = np.empty((3,) + x.shape)
-    tails[:] = _TRIO_HORNER[0]
-    for coef in _TRIO_HORNER[1:]:
-        tails *= inv_sq
-        tails += coef
-    tail_lg, tail_psi, tail_tri = tails
-    lg[:] = (x - 0.5) * log_x - x + _HALF_LOG_TWO_PI + tail_lg * inv
-    psi[:] = log_x - 0.5 * inv - tail_psi * inv_sq
-    tri[:] = inv * (1.0 + 0.5 * inv + tail_tri * inv_sq)
-    if small.size:
-        lg[small] += s_lg
-        psi[small] += s_psi
-        tri[small] += s_tri
-
-
-def _gamma_trio(z):
-    """log-gamma, digamma and trigamma of a positive float array in one pass.
+def _gamma_series(z, top):
+    """log Gamma and psi^(0)..psi^(top) of a positive float array in one pass.
 
     Validation-free kernel shared with the fitting hot loop, which feeds it
-    arguments that are positive by construction.  Returns three arrays of
-    z's shape.  Every output element is a function of its own input element
-    alone, bit for bit, whatever the array's size or other entries.
+    arguments that are positive by construction; top is 0..3.  Returns a
+    (top + 2,) + z.shape array, log Gamma first.  Every output element is a
+    function of its own input element alone, bit for bit, whatever the
+    array's size or other entries, and a row's values do not depend on top.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    lg = np.empty(flat.shape)
-    psi = np.empty(flat.shape)
-    tri = np.empty(flat.shape)
+    rows = top + 2
+    out = np.empty((rows, flat.size))
     for start in range(0, flat.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        _trio_chunk(flat[part], lg[part], psi[part], tri[part])
-    return lg.reshape(z.shape), psi.reshape(z.shape), tri.reshape(z.shape)
+        x = flat[start : start + _CHUNK]
+        res = out[:, start : start + _CHUNK]
+        small = np.nonzero(x < _ASYMPTOTIC_MIN)[0]
+        if small.size:
+            # Row k of the block is w + k.  Rows past an entry's threshold
+            # are zeroed, so each entry takes exactly its own steps, and
+            # the rows are added one by one: a sum over the block axis may
+            # regroup the additions depending on the block's width.  log
+            # Gamma's shift stays a sum of logs; the log of the product
+            # misses log_gamma(1) = 0 by 1.8e-15.
+            w = x[small]
+            depth = int(_ASYMPTOTIC_MIN - w.min()) + 1
+            block = w + np.arange(depth, dtype=float)[:, None]
+            live = block < _ASYMPTOTIC_MIN
+            terms = np.empty((rows,) + block.shape)
+            np.log(block, out=terms[0])
+            inv = np.divide(1.0, block, out=terms[1])
+            for j in range(2, rows):
+                np.multiply(terms[j - 1], inv, out=terms[j])
+            terms *= live
+            shift = np.zeros((rows, small.size))
+            for k in range(depth):
+                shift += terms[:, k]
+            shift *= _STEP_SCALE[:rows]
+            x = x.copy()
+            x[small] = w + live.sum(axis=0)
+        log_x = np.log(x)
+        inv = 1.0 / x
+        inv_sq = inv * inv
+        tails = np.empty((rows,) + x.shape)
+        tails[:] = _HORNER[0, :rows]
+        for coef in _HORNER[1:, :rows]:
+            tails *= inv_sq
+            tails += coef
+        res[0] = (x - 0.5) * log_x - x + _HALF_LOG_TWO_PI + tails[0] * inv
+        res[1] = log_x - 0.5 * inv - tails[1] * inv_sq
+        # psi^(m)(z) = (-1)^(m+1) z^-m [(m-1)! + m!/(2z) + sum_j c_j z^-2j]
+        lead = inv
+        for m in range(1, rows - 1):
+            res[m + 1] = lead * (
+                _FACTORIAL[m - 1] + 0.5 * _FACTORIAL[m] * inv + tails[m + 1] * inv_sq
+            )
+            lead = -lead * inv
+        if small.size:
+            res[:, small] += shift
+    return out.reshape((rows,) + z.shape)
 
 
 def log_gamma(x):
@@ -147,21 +155,9 @@ def log_gamma(x):
     function crosses zero (x = 1, 2) are accurate absolutely to a few ulp
     of the shifted evaluation.
     """
-    z, scalar, shape = _prepare(x, "x")
-    out = _gamma_trio(z)[0].reshape(shape)
-    return float(out) if scalar else out
-
-
-def _polygamma_asymptotic(m, z):
-    """Asymptotic expansion of psi^(m)(z), valid for z >= _ASYMPTOTIC_MIN."""
-    inv = 1.0 / z
-    inv_sq = inv * inv
-    tail = np.zeros_like(z)
-    for coef in reversed(_PSI_TAIL[m]):
-        tail = tail * inv_sq + coef
-    # psi^(m)(z) = (-1)^(m-1) z^-m [(m-1)! + m!/(2z) + sum_j c_j z^-2j]
-    lead = inv**m if m % 2 else -(inv**m)
-    return lead * (_FACTORIAL[m - 1] + 0.5 * _FACTORIAL[m] * inv + tail * inv_sq)
+    z = _prepare(x, "x")
+    out = _gamma_series(z, 0)[0]
+    return float(out) if z.ndim == 0 else out
 
 
 def polygamma(m, x):
@@ -172,21 +168,9 @@ def polygamma(m, x):
     """
     if isinstance(m, bool) or m not in (0, 1, 2, 3):
         raise ValueError("polygamma order must be one of 0, 1, 2, 3")
-    z, scalar, shape = _prepare(x, "x")
-    if m < 2:
-        acc = _gamma_trio(z)[m + 1]
-    else:
-        acc = np.zeros_like(z)
-        sign = -_FACTORIAL[m] if m % 2 else _FACTORIAL[m]
-        small = z < _ASYMPTOTIC_MIN
-        while small.any():
-            # psi^(m)(z) = psi^(m)(z + 1) - (-1)^m m! z^(-m-1)
-            acc[small] -= sign * z[small] ** (-m - 1)
-            z[small] += 1.0
-            small = z < _ASYMPTOTIC_MIN
-        acc += _polygamma_asymptotic(m, z)
-    acc = acc.reshape(shape)
-    return float(acc) if scalar else acc
+    z = _prepare(x, "x")
+    out = _gamma_series(z, m)[m + 1]
+    return float(out) if z.ndim == 0 else out
 
 
 def _upper_gamma_q(a, s, log_gamma_a):

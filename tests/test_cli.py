@@ -233,6 +233,21 @@ class TestTestCommand:
         assert document["estimates"]["phi"]["std_error"] == result.std_errors[3]
         assert document["meta"]["iterations"] == result.iterations
 
+    def test_design_rank_computed_once(self, capsys, monkeypatch):
+        # The CLI's rank check and both fits read one rank off the Dataset.
+        calls = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return matrix_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        code, _, _ = run_cli(
+            capsys, "test", "--null", "persons", "--methods", "lr,b3", "--format", "json"
+        )
+        assert code == 0 and len(calls) == 1
+
     def test_no_boot_meta_is_null(self, capsys):
         code, out, _ = run_cli(
             capsys, "test", "--null", "persons", "--methods", "lr", "--format", "json"
@@ -348,6 +363,21 @@ class TestDataErrors:
         code, _, err = run_cli(capsys, "fit", "--data", path)
         assert code == 3
         assert "rank" in err
+
+    def test_fewer_rows_than_terms(self, capsys, tmp_path):
+        path = self.write(tmp_path, "y,a,b,c\n0.3,1,2,3\n0.6,2,1,5\n0.4,7,1,2\n")
+        code, _, err = run_cli(capsys, "fit", "--data", path)
+        assert code == 3
+        assert "design matrix rank 3 < 4" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        monkeypatch.setattr(cli, "run_test", explode)
+        code, _, err = run_cli(capsys, "test", "--null", "persons", "--seed", "-1")
+        assert code == 2
+        assert "seed must be nonnegative" in err
 
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = str(tmp_path / "no_such_dir" / "report.txt")

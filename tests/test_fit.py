@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting, restricted fitting, and error paths."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ class TestFitOptions:
             {"gradient_tolerance": 0.0},
             {"gradient_tolerance": -1e-8},
             {"step_halving_max": -1},
+            {"gradient_tolerance": math.nan},
+            {"gradient_tolerance": math.inf},
         ],
     )
     def test_validation(self, kwargs):

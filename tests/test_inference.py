@@ -154,6 +154,10 @@ class TestBootstrapOptions:
             {"B": 2.5},
             {"max_failure_fraction": 1.0},
             {"max_failure_fraction": -0.1},
+            {"B": True},
+            {"seed": -1},
+            {"seed": 2.0},
+            {"seed": True},
         ],
     )
     def test_validation(self, kwargs):

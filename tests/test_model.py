@@ -48,6 +48,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y, X)
 
+    def test_rank_is_computed_once(self, monkeypatch):
+        X = [[1.0, 0.0, 0.0], [1.0, 1.0, 2.0], [1.0, 2.0, 4.0], [1.0, 3.0, 6.0]]
+        data = Dataset([0.2, 0.5, 0.7, 0.4], X)
+        calls = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return matrix_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        assert data.rank == 2 and data.rank == 2
+        assert len(calls) == 1
+
 
 class TestParamVector:
     def test_round_trip(self):
