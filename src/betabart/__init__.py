@@ -30,7 +30,6 @@ from .inference import (
     NestingError,
     TestReport,
     bartlett_corrected,
-    bootstrap_bartlett,
     lr_statistic,
     run_test,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "TestReport",
     "bartlett_corrected",
     "bartlett_factor",
-    "bootstrap_bartlett",
     "chisq_sf",
     "cumulant_tensors",
     "design_matrix",

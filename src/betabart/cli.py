@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
 import os
 import re
 import sys
@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__, food_data_path
-from .fit import FitError, Restriction, fit_mle
+from .fit import Restriction, fit_mle
 from .inference import (
-    BootstrapFailureError,
+    _METHODS,
+    _TEST_FAILURES,
     BootstrapOptions,
-    NestingError,
     TestReport,
     run_test,
 )
@@ -35,16 +35,6 @@ from .simulate import (
 )
 
 _POSITIONAL_NAME = re.compile(r"^x([1-9][0-9]*)$")
-_SIMCONFIG_REQUIRED = ("n", "p", "phi_true", "beta_true", "restriction")
-_SIMCONFIG_OPTIONAL = (
-    "delta",
-    "reps",
-    "boot_B",
-    "alpha_levels",
-    "base_seed",
-    "covariate_seed",
-    "methods",
-)
 
 
 class CLIConfigError(ValueError):
@@ -221,13 +211,17 @@ def _load_model(args: argparse.Namespace):
             f"{args.data}: line {int(bad[0]) + 2}: covariate value is not finite"
         )
     # The fits reuse data's rank.  With n <= p there is no Dataset, but a
-    # deficient rank is still reported here; Dataset raises only after.
-    data = Dataset(y, X) if X.shape[0] > X.shape[1] else None
+    # deficient rank is still reported as such before the row count.
+    n, p = X.shape
+    data = Dataset(y, X) if n > p else None
     rank = int(np.linalg.matrix_rank(X)) if data is None else data.rank
-    if rank < X.shape[1]:
+    if rank < p:
         raise DataError(
-            f"design matrix rank {rank} < {X.shape[1]}; "
-            f"duplicate or collinear columns"
+            f"design matrix rank {rank} < {p}; duplicate or collinear columns"
+        )
+    if data is None:
+        raise DataError(
+            f"{args.data}: {n} rows for {p} terms; need more rows than terms"
         )
     coef_names = ["(intercept)"] + names
     link = _resolve_link(args.link)
@@ -235,9 +229,9 @@ def _load_model(args: argparse.Namespace):
         "link": args.link,
         "response": response,
         "terms": coef_names,
-        "n": int(len(y)),
+        "n": n,
     }
-    return data or Dataset(y, X), link, coef_names, model
+    return data, link, coef_names, model
 
 
 def _estimates(coef_names: list[str], result) -> dict[str, dict[str, float]]:
@@ -250,29 +244,27 @@ def _estimates(coef_names: list[str], result) -> dict[str, dict[str, float]]:
 
 
 def _tests_block(report: TestReport) -> dict[str, dict[str, float]]:
-    block: dict[str, dict[str, float]] = {}
-    stats = {
-        "lr": report.lr,
-        "b1": report.lr_b1,
-        "b2": report.lr_b2,
-        "b3": report.lr_b3,
-        "boot": report.lr_boot,
+    return {
+        name: {
+            "statistic": float(value),
+            "df": report.q,
+            "p_value": report.p_values[name],
+        }
+        for name, value in report.statistics.items()
+        if name in report.p_values
     }
-    for name, value in stats.items():
-        if name in report.p_values and value is not None and math.isfinite(value):
-            block[name] = {
-                "statistic": float(value),
-                "df": report.q,
-                "p_value": report.p_values[name],
-            }
-    return block
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(document: dict, args: argparse.Namespace, render_csv, render_text) -> None:
+    """Write the document in the chosen format to --out, or to stdout."""
+    if args.format == "json":
+        text = json.dumps(document, indent=2) + "\n"
+    else:
+        text = (render_csv if args.format == "csv" else render_text)(document)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as handle:
+        with open(args.out, "w") as handle:
             handle.write(text)
 
 
@@ -350,12 +342,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "version": __version__,
         },
     }
-    if args.format == "json":
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_render_fit_csv(document), args.out)
-    else:
-        _emit(_render_fit_text(document), args.out)
+    _emit(document, args, _render_fit_csv, _render_fit_text)
     return 0
 
 
@@ -380,12 +367,7 @@ def cmd_test(args: argparse.Namespace) -> int:
             "version": __version__,
         },
     }
-    if args.format == "json":
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_render_test_csv(document), args.out)
-    else:
-        _emit(_render_test_text(document, args.null), args.out)
+    _emit(document, args, _render_test_csv, lambda d: _render_test_text(d, args.null))
     return 0
 
 
@@ -399,14 +381,15 @@ def _load_sim_config(path: str) -> SimConfig:
         raise CLIConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise CLIConfigError(f"{path}: config must be a JSON object")
-    known = set(_SIMCONFIG_REQUIRED) | set(_SIMCONFIG_OPTIONAL)
-    unknown = sorted(set(document) - known)
+    fields = dataclasses.fields(SimConfig)
+    unknown = sorted(set(document) - {f.name for f in fields})
     if unknown:
         raise CLIConfigError(f"{path}: unknown config fields: {', '.join(unknown)}")
-    missing = sorted(set(_SIMCONFIG_REQUIRED) - set(document))
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    missing = sorted(required - set(document))
     if missing:
         raise CLIConfigError(f"{path}: missing config fields: {', '.join(missing)}")
-    restriction_doc = document["restriction"]
+    restriction_doc = document.pop("restriction")
     if (
         not isinstance(restriction_doc, dict)
         or "indices" not in restriction_doc
@@ -415,20 +398,17 @@ def _load_sim_config(path: str) -> SimConfig:
         raise CLIConfigError(
             f"{path}: restriction must be an object with indices and optional values"
         )
-    indices = tuple(restriction_doc["indices"])
-    values = tuple(restriction_doc.get("values", [0.0] * len(indices)))
-    kwargs = {
-        key: value
-        for key, value in document.items()
-        if key not in ("restriction", "beta_true", "alpha_levels", "methods")
-    }
-    kwargs["beta_true"] = tuple(document["beta_true"])
-    if "alpha_levels" in document:
-        kwargs["alpha_levels"] = tuple(document["alpha_levels"])
-    if "methods" in document:
-        kwargs["methods"] = tuple(document["methods"])
+    # Sequence fields must be JSON arrays: a string would be split into
+    # letters and a number would not convert at all.
+    lists = {f.name: document.get(f.name, []) for f in fields if "tuple" in f.type}
+    lists.update((f"restriction.{k}", v) for k, v in restriction_doc.items())
+    for name, value in lists.items():
+        if not isinstance(value, list):
+            raise CLIConfigError(f"{path}: {name} must be a list")
+    indices = restriction_doc["indices"]
+    values = restriction_doc.get("values", [0.0] * len(indices))
     try:
-        return SimConfig(restriction=Restriction(indices, values), **kwargs)
+        return SimConfig(restriction=Restriction(indices, values), **document)
     except (TypeError, ValueError) as exc:
         raise CLIConfigError(f"{path}: {exc}") from None
 
@@ -521,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     test_parser.add_argument(
         "--methods",
-        default="lr,b1,b2,b3,boot",
-        help="statistics to compute (default: lr,b1,b2,b3,boot)",
+        default=",".join(_METHODS),
+        help="statistics to compute (default: %(default)s)",
     )
     test_parser.add_argument(
         "--boot-B", type=int, default=500, help="bootstrap size (default: 500)"
@@ -548,7 +528,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NestingError as exc:
+    except (*_TEST_FAILURES, SimulationError) as exc:
+        # before ValueError: a NestingError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (CLIConfigError, ValueError) as exc:
@@ -563,9 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         detail = exc.strerror or str(exc)
         print(f"error: {name}: {detail}" if name else f"error: {detail}", file=sys.stderr)
         return 3
-    except (FitError, BootstrapFailureError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

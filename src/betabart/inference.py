@@ -5,19 +5,22 @@ to a chi-squared law with q degrees of freedom.  Three analytic variants
 rescale LR by the correction factor c = 1 + x with x = (eps_full -
 eps_nuis) / q: LR / c, LR exp(-x), and LR (1 - x), equivalent to order
 1/n.  The bootstrap variant rescales by the mean of LR over parametric
-resamples drawn under the null at the restricted estimate.
+resamples drawn under the null at the restricted estimate.  run_test is
+the one entry point: it fits both hypotheses once and computes every
+requested statistic, the bootstrap one included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
 from .cumulants import bartlett_factor
 from .fit import (
+    FitError,
     FitOptions,
     FitResult,
     NonConvergenceError,
@@ -36,7 +39,6 @@ __all__ = [
     "TestReport",
     "lr_statistic",
     "bartlett_corrected",
-    "bootstrap_bartlett",
     "run_test",
 ]
 
@@ -53,6 +55,26 @@ class NestingError(ValueError):
 
 class BootstrapFailureError(RuntimeError):
     """Too many resample fits failed, or the resample mean degenerated."""
+
+
+# The numerical failures of one test: a study counts each as a failed
+# replication, and the CLI maps each to its numerical-failure exit code.
+_TEST_FAILURES = (FitError, BootstrapFailureError, NestingError)
+
+
+def _check_methods(methods) -> tuple[str, ...]:
+    """The requested statistic names as a tuple, each one of _METHODS."""
+    if isinstance(methods, str):
+        raise ValueError("methods must be a sequence of names, not a string")
+    chosen = tuple(methods)
+    if not chosen:
+        raise ValueError("methods must name at least one statistic")
+    for name in chosen:
+        if name not in _METHODS:
+            raise ValueError(
+                f"unknown method {name!r} in methods; choose from {', '.join(_METHODS)}"
+            )
+    return chosen
 
 
 def _check_seed(value: int, name: str) -> None:
@@ -83,8 +105,9 @@ class BootstrapOptions:
 class TestReport:
     """Everything one restriction test produced.
 
-    Statistics not requested are None; p_values maps each computed,
-    finite statistic's name to chisq_sf(max(stat, 0), q).  full_fit is the
+    Statistics not requested are None; statistics holds lr and each
+    computed one by method name.  p_values maps each requested, finite
+    statistic's name to chisq_sf(max(stat, 0), q).  full_fit is the
     unrestricted fit behind lr, kept so callers need not refit it.
     """
 
@@ -110,6 +133,12 @@ class TestReport:
     @property
     def df(self) -> int:
         return self.q
+
+    @property
+    def statistics(self) -> dict[str, float]:
+        """lr and each computed statistic, keyed by method name."""
+        values = (self.lr, self.lr_b1, self.lr_b2, self.lr_b3, self.lr_boot)
+        return {m: v for m, v in zip(_METHODS, values) if v is not None}
 
 
 def lr_statistic(full: FitResult, restricted: FitResult) -> float:
@@ -158,20 +187,20 @@ def _bootstrap_mean(
     theta_tilde,
     opts: BootstrapOptions,
     fit_opts: FitOptions,
-    resample_fn,
 ):
     """Mean resample LR under the null at theta_tilde, with failure count.
 
-    Resample b comes from resample_fn (gen_beta_sample unless a test
-    installs another) on an RNG stream derived from (seed, b), so the
-    aggregate is independent of evaluation order; summation over the
-    successful resamples is in fixed b-order.  The restricted fits of all
-    resamples are one call to the scoring core, warm-started at the
-    generating parameters, and the full fits of the rows that converged
-    are another, warm-started at each row's restricted solution; a
-    resample fails unless both of its rows end CONVERGED.  The core's
-    rows are bit for bit batch-independent, so each resample's fits, and
-    hence the mean, do not depend on how resamples are grouped or ordered.
+    Resample b comes from gen_beta_sample, looked up in this module so a
+    test can install another draw, on an RNG stream derived from (seed,
+    b), so the aggregate is independent of evaluation order; summation
+    over the successful resamples is in fixed b-order.  The restricted
+    fits of all resamples are one call to the scoring core, warm-started
+    at the generating parameters, and the full fits of the rows that
+    converged are another, warm-started at each row's restricted
+    solution; a resample fails unless both of its rows end CONVERGED.
+    The core's rows are bit for bit batch-independent, so each
+    resample's fits, and hence the mean, do not depend on how resamples
+    are grouped or ordered.
     """
     X = data.X
     n, p = X.shape
@@ -182,7 +211,7 @@ def _bootstrap_mean(
     Y = np.empty((opts.B, n))
     for b in range(opts.B):
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(b,)))
-        Y[b] = resample_fn(mu_t, phi_t, rng)
+        Y[b] = gen_beta_sample(mu_t, phi_t, rng)
 
     rest = _fisher_scoring_batch(
         Y, X[:, free_cols], offset, link, theta_tilde.beta[free_cols], phi_t, fit_opts
@@ -207,39 +236,6 @@ def _bootstrap_mean(
     return mean, failures
 
 
-def bootstrap_bartlett(
-    data: Dataset,
-    link: LinkFunction,
-    restriction: Restriction,
-    opts: Optional[BootstrapOptions] = None,
-    fit_opts: Optional[FitOptions] = None,
-    resample_fn: Optional[Callable] = None,
-):
-    """Bootstrap-corrected statistic LR * q / mean(LR over resamples).
-
-    Resamples are drawn from the fitted null model: beta variates with
-    means from the restricted estimate and its precision.  resample_fn
-    overrides the generator (signature (mu, phi, rng) -> y), which is how
-    tests install the self-resample identity.  Returns (lr_boot,
-    boot_mean, boot_failures), deterministic given opts.seed.
-    """
-    opts = opts or BootstrapOptions()
-    fit_opts = fit_opts or FitOptions()
-    full = fit_mle(data, link, fit_opts)
-    rest = fit_restricted(data, link, restriction, fit_opts)
-    lr = lr_statistic(full, rest)
-    mean, failures = _bootstrap_mean(
-        data,
-        link,
-        restriction,
-        rest.theta_hat,
-        opts,
-        fit_opts,
-        resample_fn or gen_beta_sample,
-    )
-    return lr * restriction.q / mean, mean, failures
-
-
 def run_test(
     data: Dataset,
     link: LinkFunction,
@@ -249,12 +245,7 @@ def run_test(
     fit_opts: Optional[FitOptions] = None,
 ) -> TestReport:
     """Fit both hypotheses once and compute every requested statistic."""
-    chosen = tuple(dict.fromkeys(methods))
-    for name in chosen:
-        if name not in _METHODS:
-            raise ValueError(f"unknown method {name!r}; choose from {_METHODS}")
-    if not chosen:
-        raise ValueError("methods must name at least one statistic")
+    chosen = _check_methods(methods)
     fit_opts = fit_opts or FitOptions()
     full = fit_mle(data, link, fit_opts)
     rest = fit_restricted(data, link, restriction, fit_opts)
@@ -276,17 +267,11 @@ def run_test(
     if "boot" in chosen:
         opts = boot_opts or BootstrapOptions()
         boot_mean, boot_failures = _bootstrap_mean(
-            data, link, restriction, rest.theta_hat, opts, fit_opts, gen_beta_sample
+            data, link, restriction, rest.theta_hat, opts, fit_opts
         )
         lr_boot = lr * q / boot_mean
 
-    p_values = {}
-    stats = {"lr": lr, "b1": lr_b1, "b2": lr_b2, "b3": lr_b3, "boot": lr_boot}
-    for name in chosen:
-        value = stats[name]
-        if value is not None and math.isfinite(value):
-            p_values[name] = chisq_sf(max(value, 0.0), q)
-    return TestReport(
+    report = TestReport(
         lr=lr,
         q=q,
         eps_diff_over_q=x,
@@ -296,6 +281,12 @@ def run_test(
         lr_boot=lr_boot,
         boot_mean=boot_mean,
         boot_failures=boot_failures,
-        p_values=p_values,
+        p_values={},
         full_fit=full,
     )
+    p_values = {
+        name: chisq_sf(max(value, 0.0), q)
+        for name, value in report.statistics.items()
+        if name in chosen and math.isfinite(value)
+    }
+    return replace(report, p_values=p_values)

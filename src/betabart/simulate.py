@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitError, Restriction
+from .fit import Restriction
 from .inference import (
     _METHODS,
-    BootstrapFailureError,
+    _TEST_FAILURES,
     BootstrapOptions,
-    NestingError,
+    _check_methods,
     _check_seed,
     run_test,
 )
@@ -30,14 +30,6 @@ from .model import Dataset, LinkFunction, gen_beta_sample, logit_link
 from .specfun import chisq_sf
 
 _FAILURE_BUDGET = 0.01
-
-_STAT_ATTR = {
-    "lr": "lr",
-    "b1": "lr_b1",
-    "b2": "lr_b2",
-    "b3": "lr_b3",
-    "boot": "lr_boot",
-}
 
 
 class SimulationError(RuntimeError):
@@ -105,12 +97,7 @@ class SimConfig:
         object.__setattr__(self, "alpha_levels", alphas)
         _check_seed(self.base_seed, "base_seed")
         _check_seed(self.covariate_seed, "covariate_seed")
-        methods = tuple(self.methods)
-        if not methods:
-            raise ValueError("methods must be nonempty")
-        for m in methods:
-            if m not in _STAT_ATTR:
-                raise ValueError(f"unknown method {m!r}")
+        methods = _check_methods(self.methods)
         if len(set(methods)) != len(methods):
             raise ValueError("methods must be distinct")
         object.__setattr__(self, "methods", methods)
@@ -192,14 +179,9 @@ def _replication(
     beta_gen = np.array(config.beta_true)
     beta_gen[config.restriction.split(X)[1]] += config.delta
     mu = link.g_inv(X @ beta_gen)
-    boot_opts = None
-    if "boot" in config.methods:
-        boot_seed = int(
-            np.random.SeedSequence(config.base_seed, spawn_key=(j, 1)).generate_state(
-                1, dtype=np.uint64
-            )[0]
-        )
-        boot_opts = BootstrapOptions(B=config.boot_B, seed=boot_seed)
+    boot_seeds = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
+    boot_seed = int(boot_seeds.generate_state(1, dtype=np.uint64)[0])
+    boot_opts = BootstrapOptions(B=config.boot_B, seed=boot_seed)
     try:
         data = Dataset(gen_beta_sample(mu, config.phi_true, data_rng), X)
     except ValueError:
@@ -209,9 +191,9 @@ def _replication(
         report = run_test(
             data, link, config.restriction, methods=config.methods, boot_opts=boot_opts
         )
-    except (FitError, BootstrapFailureError, NestingError):
+    except _TEST_FAILURES:
         return None
-    values = {m: float(getattr(report, _STAT_ATTR[m])) for m in config.methods}
+    values = {m: float(report.statistics[m]) for m in config.methods}
     if not all(math.isfinite(v) for v in values.values()):
         return None
     return values
@@ -265,17 +247,14 @@ def _summarize(values: np.ndarray) -> tuple[StatMoments, StatQuantiles]:
 
 def _run_study(config: SimConfig) -> SimResult:
     workers = _worker_count()
-    outcomes: dict[int, dict[str, float] | None] = {}
+    chunks = _chunk_indices(config.reps, workers)
+    configs = [config] * len(chunks)
     if workers == 1:
-        for j, values in _replication_block(config, tuple(range(config.reps))):
-            outcomes[j] = values
+        blocks = list(map(_replication_block, configs, chunks))
     else:
-        chunks = _chunk_indices(config.reps, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_replication_block, config, chunk) for chunk in chunks]
-            for future in futures:
-                for j, values in future.result():
-                    outcomes[j] = values
+            blocks = list(pool.map(_replication_block, configs, chunks))
+    outcomes = dict(pair for block in blocks for pair in block)
 
     survivors = tuple(j for j in range(config.reps) if outcomes[j] is not None)
     failures = config.reps - len(survivors)

@@ -370,6 +370,15 @@ class TestDataErrors:
         assert code == 3
         assert "design matrix rank 3 < 4" in err
 
+    def test_as_many_rows_as_terms(self, capsys, tmp_path):
+        # full rank, yet no residual degrees of freedom: a data error
+        path = self.write(tmp_path, "y,income,persons\n0.3,1,2\n0.6,2,1\n0.4,7,1\n")
+        code, _, err = run_cli(
+            capsys, "fit", "--data", path, "--covariates", "income,persons"
+        )
+        assert code == 3
+        assert "3 rows for 3 terms" in err
+
     def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise AssertionError("fitted before the options were checked")
@@ -496,14 +505,23 @@ class TestSimulateCommand:
             lambda d: d.update(restriction={"indices": [2], "other": 1}),
             lambda d: d.update(reps=0),
             lambda d: d.update(methods=["wald"]),
+            lambda d: d.update(beta_true=5),
+            lambda d: d.update(alpha_levels=0.1),
+            lambda d: d.update(restriction={"indices": 2}),
+            lambda d: d.update(methods="lr"),
         ],
     )
     def test_bad_config_exit_code_2(self, capsys, tmp_path, mutate):
+        base = self.config_document()
         document = self.config_document()
         mutate(document)
         path = self.write_config(tmp_path, document)
         code, _, err = run_cli(capsys, "simulate", path)
         assert code == 2 and err.startswith("error:")
+        # the message names the field that was broken
+        keys = base.keys() | document.keys()
+        changed = [key for key in keys if base.get(key) != document.get(key)]
+        assert any(key in err for key in changed)
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "study.json"

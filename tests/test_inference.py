@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betabart.inference as inference
 from betabart.fit import (
     FitOptions,
     FitResult,
@@ -21,12 +22,12 @@ from betabart.inference import (
     BootstrapOptions,
     NestingError,
     bartlett_corrected,
-    bootstrap_bartlett,
     lr_statistic,
     run_test,
 )
 from betabart.inference import TestReport as Report  # alias: not a test class
 from betabart.model import Dataset, ParamVector, gen_beta_sample
+from betabart.simulate import SimConfig
 from betabart.specfun import chisq_sf
 from conftest import random_instance
 
@@ -169,80 +170,74 @@ class TestBootstrapOptions:
         assert opts.B == 7
 
 
+def _boot(data, link, restriction, opts):
+    """(lr_boot, boot_mean, boot_failures) of the bootstrap statistic alone."""
+    report = run_test(data, link, restriction, methods=("boot",), boot_opts=opts)
+    return report.lr_boot, report.boot_mean, report.boot_failures
+
+
+def _first_draw_fails(monkeypatch):
+    """Make the first resample of the next bootstrap unfittable."""
+    state = {"calls": 0}
+
+    def sometimes_bad(mu, phi, rng):
+        state["calls"] += 1
+        if state["calls"] == 1:
+            return np.full(mu.shape, np.nan)
+        return gen_beta_sample(mu, phi, rng)
+
+    monkeypatch.setattr(inference, "gen_beta_sample", sometimes_bad)
+
+
 class TestBootstrapBartlett:
-    def test_self_resample_identity(self, food_five, link):
+    def test_self_resample_identity(self, food_five, link, monkeypatch):
         # when every resample is the observed data, mean(LR*) = LR and
         # the corrected statistic collapses to the reference mean q
         restriction = Restriction((4, 5), (0.0, 0.0))
-        lr_boot, boot_mean, failures = bootstrap_bartlett(
-            food_five,
-            link,
-            restriction,
-            BootstrapOptions(B=1, seed=0),
-            resample_fn=lambda mu, phi, rng: food_five.y.copy(),
+        monkeypatch.setattr(
+            inference, "gen_beta_sample", lambda mu, phi, rng: food_five.y.copy()
+        )
+        lr_boot, boot_mean, failures = _boot(
+            food_five, link, restriction, BootstrapOptions(B=1, seed=0)
         )
         assert failures == 0
         assert lr_boot == pytest.approx(restriction.q, rel=1e-10)
 
     def test_seed_determinism(self, food_five, link):
         restriction = Restriction((4,), (0.0,))
-        first = bootstrap_bartlett(
-            food_five, link, restriction, BootstrapOptions(B=25, seed=11)
-        )
-        second = bootstrap_bartlett(
-            food_five, link, restriction, BootstrapOptions(B=25, seed=11)
-        )
-        third = bootstrap_bartlett(
-            food_five, link, restriction, BootstrapOptions(B=25, seed=12)
-        )
+        first = _boot(food_five, link, restriction, BootstrapOptions(B=25, seed=11))
+        second = _boot(food_five, link, restriction, BootstrapOptions(B=25, seed=11))
+        third = _boot(food_five, link, restriction, BootstrapOptions(B=25, seed=12))
         assert first == second
         assert first[0] != third[0]
 
-    def test_failure_budget_enforced(self, food_five, link):
-        restriction = Restriction((4,), (0.0,))
-        state = {"calls": 0}
-
-        def sometimes_bad(mu, phi, rng):
-            state["calls"] += 1
-            if state["calls"] == 1:
-                return np.full(mu.shape, np.nan)
-            return gen_beta_sample(mu, phi, rng)
-
+    def test_failure_budget_enforced(self, food_five, link, monkeypatch):
+        _first_draw_fails(monkeypatch)
         with pytest.raises(BootstrapFailureError, match="over the budget"):
-            bootstrap_bartlett(
+            _boot(
                 food_five,
                 link,
-                restriction,
+                Restriction((4,), (0.0,)),
                 BootstrapOptions(B=20, seed=3, max_failure_fraction=0.0),
-                resample_fn=sometimes_bad,
             )
 
-    def test_failures_within_budget_are_counted(self, food_five, link):
-        restriction = Restriction((4,), (0.0,))
-        state = {"calls": 0}
-
-        def sometimes_bad(mu, phi, rng):
-            state["calls"] += 1
-            if state["calls"] == 1:
-                return np.full(mu.shape, np.nan)
-            return gen_beta_sample(mu, phi, rng)
-
-        lr_boot, boot_mean, failures = bootstrap_bartlett(
+    def test_failures_within_budget_are_counted(self, food_five, link, monkeypatch):
+        _first_draw_fails(monkeypatch)
+        lr_boot, boot_mean, failures = _boot(
             food_five,
             link,
-            restriction,
+            Restriction((4,), (0.0,)),
             BootstrapOptions(B=20, seed=3, max_failure_fraction=0.10),
-            resample_fn=sometimes_bad,
         )
         assert failures == 1
         assert math.isfinite(lr_boot) and lr_boot > 0.0
 
     def test_mean_stabilizes_in_b(self, food_reduced, link):
         restriction = Restriction((3,), (0.0,))
-        _, mean_small, _ = bootstrap_bartlett(
+        _, mean_small, _ = _boot(
             food_reduced, link, restriction, BootstrapOptions(B=200, seed=1)
         )
-        _, mean_large, _ = bootstrap_bartlett(
+        _, mean_large, _ = _boot(
             food_reduced, link, restriction, BootstrapOptions(B=2000, seed=1)
         )
         assert abs(mean_small - mean_large) < 0.5
@@ -277,16 +272,15 @@ class TestRunTest:
         assert report.lr_b3 == pytest.approx(b3, rel=1e-12)
 
     def test_boot_agrees_with_bootstrap_bartlett(self, food_five, link):
+        # the bootstrap statistic does not depend on what else is requested
         restriction = Restriction((4,), (0.0,))
         opts = BootstrapOptions(B=40, seed=7)
         report = run_test(
             food_five, link, restriction, methods=("lr", "boot"), boot_opts=opts
         )
-        lr_boot, boot_mean, failures = bootstrap_bartlett(
-            food_five, link, restriction, opts
-        )
-        assert report.lr_boot == pytest.approx(lr_boot, rel=1e-12)
-        assert report.boot_mean == pytest.approx(boot_mean, rel=1e-12)
+        lr_boot, boot_mean, failures = _boot(food_five, link, restriction, opts)
+        assert report.lr_boot == lr_boot
+        assert report.boot_mean == boot_mean
         assert report.boot_failures == failures
 
     def test_lr_only(self, food_five, link):
@@ -315,6 +309,38 @@ class TestRunTest:
             run_test(food_five, link, Restriction((4,), (0.0,)), methods=("wald",))
         with pytest.raises(ValueError, match="at least one"):
             run_test(food_five, link, Restriction((4,), (0.0,)), methods=())
+
+    def test_bare_string_methods_rejected(self, food_five, link):
+        # a string is a sequence of letters, never a list of method names
+        with pytest.raises(ValueError, match="string"):
+            run_test(food_five, link, Restriction((4,), (0.0,)), methods="lr")
+        with pytest.raises(ValueError, match="string"):
+            SimConfig(
+                n=20,
+                p=3,
+                phi_true=40.0,
+                beta_true=(0.8, 0.0, 1.0),
+                restriction=Restriction((2,), (0.0,)),
+                methods="lr",
+            )
+
+    @pytest.mark.parametrize(
+        "methods", [("lr",), ("b3",), ("b1", "boot"), ("lr", "b1", "b2", "b3", "boot")]
+    )
+    def test_statistics_are_lr_and_the_requested(self, food_five, link, methods):
+        report = run_test(
+            food_five,
+            link,
+            Restriction((4,), (0.0,)),
+            methods=methods,
+            boot_opts=BootstrapOptions(B=10, seed=5),
+        )
+        assert set(report.statistics) == {"lr", *methods}
+        assert report.statistics["lr"] == report.lr
+        attrs = {"b1": "lr_b1", "b2": "lr_b2", "b3": "lr_b3", "boot": "lr_boot"}
+        for name in methods:
+            if name != "lr":
+                assert report.statistics[name] == getattr(report, attrs[name])
 
     def test_p_values_are_chisq_tails(self, food_five, link):
         report = run_test(
