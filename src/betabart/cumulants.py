@@ -21,19 +21,31 @@ corrections"), computed as one matrix product against the row-wise outer
 products x_i x_i': O(n p^4) flops, all in BLAS, with an (n, p^2)
 intermediate.  epsilon_matrix is a short chain of matrix products, O(k^4).
 bartlett_factor builds the dense tensors once and slices both the full and
-the nuisance sets from them.
+the nuisance sets from them.  The core carries a leading row axis, one
+row per parameter point, with every product stacked over the rows; a
+Monte Carlo block passes its 64 replications at once, so peak memory
+grows as 64 k^4 doubles per dense tensor (14.6 MB at k = 13), plus
+64 n p^2 for the weighted outer products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .fit import FitError, Restriction, _invert_information
-from .model import Dataset, LinkFunction, ParamVector, _theta_rows, obs_state
+from .fit import FitError, Restriction, _inverse_rows, _singular_error
+from .model import (
+    Dataset,
+    LinkFunction,
+    ParamVector,
+    _rows_state,
+    _theta_rows,
+    obs_state,
+)
 from .specfun import _gamma_series
 
 __all__ = [
@@ -151,17 +163,24 @@ def obs_quantities(
     theta: ParamVector, data: Dataset, link: LinkFunction
 ) -> ObsQuantities:
     """Evaluate every per-observation quantity at theta."""
-    # The model pass gives (mu, 1 - mu, 1); one kernel pass on the stacked
-    # (a, b, phi) = (mu, 1 - mu, 1) phi gives the polygammas of orders 1-3,
-    # order 1 bit for bit the model pass's trigamma.
     _, _, _, (M, _, _, _, _, _) = _theta_rows(theta, data, link)
-    n = data.n
-    phi = theta.phi
-    mu, one_m = M[0, :n], M[0, n : 2 * n]
-    p1, p2, p3 = _gamma_series(M[0] * phi, 3)[2:]
-    p1a, p1b, p1_phi = p1[:n], p1[n : 2 * n], p1[2 * n]
-    p2a, p2b, p2_phi = p2[:n], p2[n : 2 * n], p2[2 * n]
-    p3a, p3b, p3_phi = p3[:n], p3[n : 2 * n], p3[2 * n]
+    return _obs_rows(M[0], theta.phi, link)
+
+
+def _obs_rows(M, phi, link) -> ObsQuantities:
+    """ObsQuantities from the model pass's M = (mu, 1 - mu, 1), per row.
+
+    M is (2n + 1,) with a scalar phi, or (rows, 2n + 1) with phi a (rows, 1)
+    column; every field then has M's leading shape over n observations.
+    One kernel pass on the stacked (a, b, phi) = M phi gives the polygammas
+    of orders 1-3, order 1 bit for bit the model pass's trigamma.
+    """
+    n = M.shape[-1] // 2
+    mu, one_m = M[..., :n], M[..., n : 2 * n]
+    p1, p2, p3 = _gamma_series(M * phi, 3)[2:]
+    p1a, p1b, p1_phi = p1[..., :n], p1[..., n : 2 * n], p1[..., 2 * n :]
+    p2a, p2b, p2_phi = p2[..., :n], p2[..., n : 2 * n], p2[..., 2 * n :]
+    p3a, p3b, p3_phi = p3[..., :n], p3[..., n : 2 * n], p3[..., 2 * n :]
 
     g1 = np.asarray(link.deriv1(mu), dtype=float)
     g2 = np.asarray(link.deriv2(mu), dtype=float)
@@ -212,43 +231,9 @@ def obs_quantities(
     z_mu = omega + 3.0 * phi * omega_phi + phi**2 * omega_phi2
     z_phi = 2.0 * mustar_phi2 + phi * mustar_phi3
 
-    return ObsQuantities(
-        mu=mu,
-        t=t,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        omega=omega,
-        m=m,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        s=s,
-        u=u,
-        r=r,
-        z=z,
-        mustar_phi=mustar_phi,
-        mustar_phi2=mustar_phi2,
-        mustar_phi3=mustar_phi3,
-        omega_mu=omega_mu,
-        omega_phi=omega_phi,
-        omega_phi2=omega_phi2,
-        m_mu=m_mu,
-        m_phi=m_phi,
-        a_mu=a_mu,
-        b_mu=b_mu,
-        c_mu=c_mu,
-        c_phi=c_phi,
-        s_mu=s_mu,
-        s_phi=s_phi,
-        u_mu=u_mu,
-        u_phi=u_phi,
-        r_mu=r_mu,
-        r_phi=r_phi,
-        z_mu=z_mu,
-        z_phi=z_phi,
-    )
+    # Every field is a local of the same name.
+    scope = locals()
+    return ObsQuantities(**{f.name: scope[f.name] for f in fields(ObsQuantities)})
 
 
 def _outer_rows(X):
@@ -258,27 +243,27 @@ def _outer_rows(X):
 
 
 def _moment(f, X, XX, order):
-    """Moment sum sum_i f_i x_i^(tensor order) as one matrix product.
+    """Moment sum sum_i f_i x_i^(tensor order), for each row of f.
 
-    XX is _outer_rows(X); orders 3 and 4 contract it against X or itself,
-    so every sum runs in BLAS at O(n p^order).
+    f is (n,) or (rows, n) and XX is _outer_rows(X).  Every order is a
+    matrix product, stacked over the rows: orders 3 and 4 contract the
+    f-weighted outer products against X or XX, so each sum runs in BLAS at
+    O(n p^order) per row, and each row's product is its own.
     """
     p = X.shape[1]
     if order == 0:
-        return float(np.sum(f))
+        return f.sum(axis=-1)
     if order == 1:
-        return X.T @ f
-    if order == 2:
-        return (X.T * f) @ X
-    if order == 3:
-        return ((XX * f[:, None]).T @ X).reshape(p, p, p)
-    return ((XX * f[:, None]).T @ XX).reshape(p, p, p, p)
+        return (f[..., None, :] @ X)[..., 0, :]
+    W = (X if order == 2 else XX).T * f[..., None, :]
+    return (W @ (XX if order == 4 else X)).reshape(f.shape[:-1] + (p,) * order)
 
 
 def _tensor(X, XX, blocks):
     """Dense tensor over the k = p + 1 parameter positions, block by block.
 
-    blocks maps space-separated patterns to a per-observation factor f.  A
+    blocks maps space-separated patterns to a per-observation factor f, all
+    of one shape, (n,) or (rows, n); the tensor takes f's leading shape.  A
     pattern has one letter per axis: "b" spans the coefficient positions
     0..p-1 and "p" is the precision position p.  Each listed block is set to
     the moment sum of f over as many x_i factors as the pattern has "b"s;
@@ -286,12 +271,14 @@ def _tensor(X, XX, blocks):
     """
     p = X.shape[1]
     order = len(next(iter(blocks)).split()[0])
-    T = np.zeros((p + 1,) * order)
+    lead = np.shape(next(iter(blocks.values())))[:-1]
+    T = np.zeros(lead + (p + 1,) * order)
     for patterns, f in blocks.items():
         patterns = patterns.split()
         block = _moment(f, X, XX, patterns[0].count("b"))
         for pattern in patterns:
-            T[tuple(slice(0, p) if axis == "b" else p for axis in pattern)] = block
+            axes = tuple(slice(0, p) if axis == "b" else p for axis in pattern)
+            T[(Ellipsis, *axes)] = block
     return T
 
 
@@ -322,14 +309,23 @@ def loglik_derivative_tensors(
     """
     if order not in (2, 3, 4):
         raise ValueError("order must be 2, 3, or 4")
-    state = obs_state(theta, data, link)
     q = obs_quantities(theta, data, link)
-    X = data.X
-    phi = theta.phi
-    t, t1 = q.t, q.t1
+    if order == 4 and q.t3 is None:
+        raise ValueError("fourth-order tensors need a link with a fourth derivative")
+    state = obs_state(theta, data, link)
     resid = state.ystar - state.mustar
-    XX = _outer_rows(X)
+    U = _derivative_tensors(q, data.X, _outer_rows(data.X), theta.phi, resid)
+    return U[: order - 1] + (None,) * (4 - order)
 
+
+def _derivative_tensors(q, X, XX, phi, resid):
+    """(U2, U3, U4) at the residuals resid = ystar - mustar.
+
+    The residual enters linearly, so resid = 0 gives their expectations,
+    the cumulant tensors kappa_rs, kappa_rst and kappa_rstu.  U4 holds the
+    resid * b_mu term only for a link with a fourth derivative.
+    """
+    t, t1 = q.t, q.t1
     U2 = _sym(
         X,
         XX,
@@ -337,8 +333,6 @@ def loglik_derivative_tensors(
         (resid - q.c) * t,
         -q.d,
     )
-    if order == 2:
-        return U2, None, None
     U3 = _sym(
         X,
         XX,
@@ -347,10 +341,6 @@ def loglik_derivative_tensors(
         -q.r,
         -q.s,
     )
-    if order == 3:
-        return U2, U3, None
-    if q.t3 is None:
-        raise ValueError("fourth-order tensors need a link with a fourth derivative")
     dt3_dmu = 3.0 * t**2 * t1  # d(t^3)/dmu
     U4 = _sym(
         X,
@@ -359,7 +349,7 @@ def loglik_derivative_tensors(
         * (
             phi**2 * (q.m * dt3_dmu + q.m_mu * t**3)
             + phi * ((q.a_mu + q.b) * q.omega + phi * q.m * q.a)
-            - resid * q.b_mu
+            - (0.0 if q.b_mu is None else resid * q.b_mu)
         )
         * t,
         -phi
@@ -376,46 +366,19 @@ def loglik_derivative_tensors(
     return U2, U3, U4
 
 
-def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi: float):
+def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi):
     """Dense cumulant tensors over the full parameter vector.
 
     Returns (K2, T3, T4, D1, D31, D22): the expected derivative tensors
     kappa_rs, kappa_rst, kappa_rstu, and the derivative families
     kappa_rs^{(t)}, kappa_rst^{(u)}, kappa_rs^{(tu)}.  K2 is the second
-    cumulant matrix, so the information matrix is -K2.
+    cumulant matrix, so the information matrix is -K2.  With q and phi
+    from _obs_rows over rows, each tensor has a leading row axis.
     """
     t, t1, t2 = q.t, q.t1, q.t2
     dt3_dmu = 3.0 * t**2 * t1
-
     XX = _outer_rows(X)
-
-    K2 = _sym(X, XX, -(phi**2) * q.omega * t**2, -q.c * t, -q.d)
-
-    T3 = _sym(
-        X,
-        XX,
-        -(phi**2) * (phi * q.m * t**3 + q.omega * q.a),
-        q.u * t**2 - q.c * t1 * t,
-        -q.r,
-        -q.s,
-    )
-
-    T4 = _sym(
-        X,
-        XX,
-        -(phi**2)
-        * (phi * (q.m * dt3_dmu + q.m_mu * t**3 + q.m * q.a) + q.omega * (q.a_mu + q.b))
-        * t,
-        -phi
-        * (
-            phi * (3.0 * q.m + phi * q.m_phi) * t**3
-            + q.a * (2.0 * q.omega + phi * q.omega_phi)
-            + q.b * q.mustar_phi
-        ),
-        -q.r_mu * t,
-        -q.s_mu * t,
-        -q.s_phi,
-    )
+    K2, T3, T4 = _derivative_tensors(q, X, XX, phi, 0.0)
 
     # First derivatives of the second cumulants, kappa_rs^{(t)}; symmetric
     # in the cumulant pair only.
@@ -491,13 +454,78 @@ def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi: float):
     return K2, T3, T4, D1, D31, D22
 
 
+def _scaled_dense(X, link, Beta, Phi):
+    """Dense cumulant tensors at each row's (Beta[i], Phi[i]), on a scaled design.
+
+    Each column of X is scaled by the power of two that brings its RMS into
+    [1/2, 1), and Beta inversely, so eta and every per-observation factor
+    are unchanged bit for bit.  Epsilon is invariant under this change of
+    coordinates, and the scaled information has a small condition number
+    however the columns differ in size.  Returns (dense, g): multiplying a tensor
+    along an axis at position a by g[a] converts it, exactly, back to the
+    caller's coordinates.
+    """
+    n, p = X.shape
+    if Beta.shape[1] != p:
+        raise ValueError("parameter dimension does not match design matrix")
+    _, exponent = np.frexp(np.sqrt(np.mean(X * X, axis=0)))
+    Xs = np.ldexp(X, -exponent)
+    M = _rows_state(
+        np.ldexp(Beta, exponent), Phi, Xs.T, 0.0, link, np.zeros((len(Phi), 2 * n))
+    )[0]
+    dense = _cumulant_factor_tensors(_obs_rows(M, Phi[:, None], link), Xs, Phi[:, None])
+    return dense, np.append(np.ldexp(1.0, exponent), 1.0)
+
+
+def _subset_tensors(dense, positions, g=None):
+    """Slice dense row-stacked tensors down to sorted, distinct positions.
+
+    Returns (tensors, failed): CumulantTensors whose fields keep the row
+    axis and, when g is given, are converted by g (see _scaled_dense), and
+    a dict mapping each failed row to its error, a singular information or
+    else a non-finite tensor.  No row raises; a failed row's fields are 0.
+    """
+    idx = np.array(positions, dtype=int)
+    K2, T3, T4, D1, D31, D22 = (
+        T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense
+    )
+    K_inv, singular = _inverse_rows(-K2)
+    # Q[u][r, s] = kappa_su^{(r)}, i.e. the derivative index runs over rows.
+    parts = dict(
+        K=-K2,
+        K_inv=K_inv,
+        P=np.einsum("...rst->...trs", T3),
+        Q=np.einsum("...sur->...urs", D1),
+        A=0.25 * np.einsum("...rstu->...turs", T4)
+        - np.einsum("...rstu->...turs", D31)
+        + np.einsum("...rtsu->...turs", D22),
+    )
+    if g is not None:
+        for name, T in parts.items():
+            scale = 1.0 / g[idx] if name == "K_inv" else g[idx]
+            parts[name] = T * reduce(np.multiply.outer, [scale] * (T.ndim - 1))
+    bad = np.nonzero(singular)[0] if singular is not None else ()
+    failed = {int(i): _singular_error(parts["K"][i]) for i in bad}
+    for name in ("K", "P", "Q", "A"):
+        T = parts[name]
+        for i in np.nonzero(~np.isfinite(T).all(axis=tuple(range(1, T.ndim))))[0]:
+            failed.setdefault(
+                int(i), NonFiniteCumulantError(f"cumulant tensor {name} is not finite")
+            )
+    for T in parts.values():
+        T[list(failed)] = 0.0
+    return CumulantTensors(subset=positions, **parts), failed
+
+
 def cumulant_tensors(
     theta: ParamVector, data: Dataset, link: LinkFunction, subset=None
 ) -> CumulantTensors:
     """Cumulant tensors over a parameter subset, in subset coordinates.
 
     subset is a collection of 0-based positions into theta (0..p-1 the
-    coefficients, p the precision); None means all of them.
+    coefficients, p the precision); None means all of them.  A one-row call
+    into the batched core, whose scaled inverse information K_inv is
+    converted back to the caller's coordinates exactly.
     """
     p = data.p
     k = p + 1
@@ -511,37 +539,15 @@ def cumulant_tensors(
             raise ValueError("subset positions must be distinct")
         if positions[0] < 0 or positions[-1] > p:
             raise ValueError(f"subset positions must lie in 0..{p}")
-    q = obs_quantities(theta, data, link)
-    dense = _cumulant_factor_tensors(q, data.X, theta.phi)
-    return _subset_tensors(dense, positions)
+    dense, g = _scaled_dense(data.X, link, theta.beta[None], np.array([theta.phi]))
+    tensors, failed = _subset_tensors(dense, positions, g)
+    if failed:
+        raise failed[0]
+    t = tensors
+    return CumulantTensors(positions, t.K[0], t.K_inv[0], t.P[0], t.Q[0], t.A[0])
 
 
-def _subset_tensors(dense, positions) -> CumulantTensors:
-    """Slice the dense full-set tensors down to sorted, distinct positions."""
-    K2, T3, T4, D1, D31, D22 = dense
-    idx = np.array(positions, dtype=int)
-    K_S = -K2[np.ix_(idx, idx)]
-    K_inv = _invert_information(K_S)
-    T3_S = T3[np.ix_(idx, idx, idx)]
-    D1_S = D1[np.ix_(idx, idx, idx)]
-    T4_S = T4[np.ix_(idx, idx, idx, idx)]
-    D31_S = D31[np.ix_(idx, idx, idx, idx)]
-    D22_S = D22[np.ix_(idx, idx, idx, idx)]
-    P = np.einsum("rst->trs", T3_S)
-    # Q[u][r, s] = kappa_su^{(r)}, i.e. the derivative index runs over rows.
-    Q = np.einsum("sur->urs", D1_S)
-    A = (
-        0.25 * np.einsum("rstu->turs", T4_S)
-        - np.einsum("rstu->turs", D31_S)
-        + np.einsum("rtsu->turs", D22_S)
-    )
-    for name, arr in (("K", K_S), ("P", P), ("Q", Q), ("A", A)):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteCumulantError(f"cumulant tensor {name} is not finite")
-    return CumulantTensors(subset=positions, K=K_S, K_inv=K_inv, P=P, Q=Q, A=A)
-
-
-def epsilon_matrix(tensors: CumulantTensors) -> float:
+def epsilon_matrix(tensors: CumulantTensors):
     """Order-1/n term of E(LR) via the trace identities.
 
     Builds L[r,s] = tr(K^-1 A^(rs)), the three M matrices, the three N
@@ -549,30 +555,31 @@ def epsilon_matrix(tensors: CumulantTensors) -> float:
     and N = -N1/4 + N2 - N3.  With G_P[r] = K^-1 P^(r) and G_Q likewise,
     M1[r,s] = tr(G_P[r] G_P[s]), M3 the same in G_Q, and
     M2[r,s] = tr(G_P[r] K^-1 Q^(s)'), so every term is a matrix product.
+    Tensors with a leading row axis give one epsilon per row, each from
+    its own stacked products; tensors without one give a float.
     """
-    B = tensors.K_inv
-    P = tensors.P
-    Q = tensors.Q
-    k = B.shape[0]
-    L = (tensors.A.reshape(k * k, k * k) @ B.T.ravel()).reshape(k, k)
-    G_P = B @ P
-    G_Q = B @ Q
+    B, P, Q = tensors.K_inv, tensors.P, tensors.Q
+    k, lead = B.shape[-1], B.shape[:-2]
+    Bt = B.swapaxes(-1, -2)
 
-    def trace_products(G):
-        return G.reshape(k, -1) @ G.transpose(0, 2, 1).reshape(k, -1).T
+    def frobenius(F, H):
+        """[r, s] -> sum over a, b of F[r, a, b] H[s, a, b]."""
+        return F.reshape(*lead, k, k * k) @ H.reshape(*lead, k, k * k).swapaxes(-1, -2)
 
-    M1 = trace_products(G_P)
-    M2 = (G_P @ B).reshape(k, -1) @ Q.reshape(k, -1).T
-    M3 = trace_products(G_Q)
-    trPB = np.einsum("rab,ba->r", P, B)
-    trQB = np.einsum("rab,ba->r", Q, B)
+    A = tensors.A.reshape(*lead, k * k, k * k)
+    L = (A @ Bt.reshape(*lead, k * k, 1)).reshape(B.shape)
+    G_P = B[..., None, :, :] @ P
+    G_Q = B[..., None, :, :] @ Q
+    M1 = frobenius(G_P, G_P.swapaxes(-1, -2))
+    M2 = frobenius(G_P @ B[..., None, :, :], Q)
+    M3 = frobenius(G_Q, G_Q.swapaxes(-1, -2))
+    u = np.einsum("...rab,...ba->...r", P, B)[..., None]
+    v = np.einsum("...rab,...ba->...r", Q, B)[..., None]
+    ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
     M = -M1 / 6.0 + M2 - M3
-    N = (
-        -np.outer(trPB, trPB) / 4.0
-        + np.outer(trPB, trQB)
-        - np.outer(trQB, trQB)
-    )
-    return float(np.sum(B * (L - M - N).T))
+    N = -(u @ ut) / 4.0 + u @ vt - v @ vt
+    eps = np.sum(Bt * (L - M - N), axis=(-2, -1))
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def epsilon_lawley_direct(tensors: CumulantTensors) -> float:
@@ -619,6 +626,25 @@ def epsilon_lawley_direct(tensors: CumulantTensors) -> float:
     return total4 - total6
 
 
+def _bartlett_rows(X, link, free, Beta, Phi):
+    """(eps_full, eps_nuis, failed) at each row's (Beta[i], Phi[i]): the
+    batched core behind bartlett_factor and the Monte Carlo blocks.
+
+    One dense pass on the scaled design (see _scaled_dense) gives both
+    terms: the full-set one over all k positions, the nuisance one over
+    the free coefficient positions plus the precision.  failed is as in
+    _subset_tensors; a failed row's epsilons are NaN.
+    """
+    p = X.shape[1]
+    dense, _ = _scaled_dense(X, link, Beta, Phi)
+    subsets = (tuple(range(p + 1)), (*free.tolist(), p))
+    sets = [_subset_tensors(dense, positions) for positions in subsets]
+    eps = np.array([epsilon_matrix(tensors) for tensors, _ in sets])
+    failed = {**sets[1][1], **sets[0][1]}
+    eps[:, list(failed)] = np.nan
+    return eps[0], eps[1], failed
+
+
 def bartlett_factor(
     data: Dataset,
     link: LinkFunction,
@@ -630,17 +656,16 @@ def bartlett_factor(
     Both epsilon terms are evaluated at theta_tilde: the full-set term over
     all k positions, the nuisance term over the free coefficient positions
     plus the precision, with the inverse of the nuisance sub-information.
+    A one-row call into _bartlett_rows.
     """
-    p = data.p
     free, _, _ = restriction.split(data.X)
     q = restriction.q
-    dense = _cumulant_factor_tensors(
-        obs_quantities(theta_tilde, data, link), data.X, theta_tilde.phi
+    eps_full, eps_nuis, failed = _bartlett_rows(
+        data.X, link, free, theta_tilde.beta[None], np.array([theta_tilde.phi])
     )
-    full = _subset_tensors(dense, tuple(range(p + 1)))
-    nuis = _subset_tensors(dense, (*free.tolist(), p))
-    eps_full = epsilon_matrix(full)
-    eps_nuis = epsilon_matrix(nuis)
+    if failed:
+        raise failed[0]
+    eps_full, eps_nuis = float(eps_full[0]), float(eps_nuis[0])
     return BartlettFactor(
         eps_full=eps_full,
         eps_nuis=eps_nuis,

@@ -242,18 +242,24 @@ class _Active:
 
 
 def _solve(K, U):
-    """Solve K step = U per row; also returns the singular rows' mask, or None."""
+    """Solve K[i] Z[i] = U[i] for each matrix in the stacks K and U; also
+    returns the singular rows' mask, or None.  A singular row's Z is zero."""
     try:
-        return np.linalg.solve(K, U[:, :, None])[:, :, 0], None
+        return np.linalg.solve(K, U), None
     except np.linalg.LinAlgError:
-        Step = np.zeros_like(U)
+        Z = np.zeros(U.shape)
         singular = np.zeros(len(U), dtype=bool)
         for i in range(len(U)):
             try:
-                Step[i] = np.linalg.solve(K[i], U[i])
+                Z[i] = np.linalg.solve(K[i], U[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-        return Step, singular
+        return Z, singular
+
+
+def _inverse_rows(K):
+    """Inverse of each matrix of the stack K, and the singular rows' mask or None."""
+    return _solve(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape))
 
 
 def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
@@ -346,7 +352,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
             if not len(s.rows):
                 break
             U, K = U[~conv], K[~conv]
-        Step, singular = _solve(K, U)
+        Step, singular = _solve(K, U[:, :, None])
+        Step = Step[:, :, 0]
         if singular is not None:
             retire(singular, ScoringStatus.SINGULAR, iteration, K)
             if not len(s.rows):
@@ -393,19 +400,30 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
     return out
 
 
+def _fit_rows(Y, X, offset, link, opts, start=None):
+    """(fit, K_inv, ok): every row of Y fitted in one call to the scoring
+    core, from start = (Beta0, Phi0) or else each row's least-squares start;
+    the inverse information of the rows in ok, which converged with an
+    invertible one, and zeros elsewhere."""
+    if start is None:
+        start = np.empty((len(Y), X.shape[1])), np.empty(len(Y))
+        for i, y in enumerate(Y):
+            start[0][i], start[1][i] = _starting_point(y, X, offset, link)
+    fit = _fisher_scoring_batch(Y, X, offset, link, *start, opts)
+    ok = fit.ok
+    K_inv = np.zeros_like(fit.K)
+    K_inv[ok], singular = _inverse_rows(fit.K[ok])
+    if singular is not None:
+        ok[np.nonzero(ok)[0][singular]] = False
+    return fit, K_inv, ok
+
+
 def _singular_error(K):
     cond = float(np.linalg.cond(K))
     return SingularInformationError(
         f"information matrix is singular (condition estimate {cond:.2e})",
         condition=cond,
     )
-
-
-def _invert_information(K):
-    try:
-        return np.linalg.inv(K)
-    except np.linalg.LinAlgError as exc:
-        raise _singular_error(K) from exc
 
 
 def _fit(data, link, restriction, opts, start):
@@ -422,25 +440,22 @@ def _fit(data, link, restriction, opts, start):
         X = X[:, free]
         values = restriction.values
     _check_full_rank(data)
-    if start is None:
-        beta0, phi0 = _starting_point(data.y, X, offset, link)
-    else:
+    if start is not None:
         if start.beta.size != p:
             raise ValueError("starting point dimension does not match design")
-        beta0, phi0 = start.beta[free], start.phi
-    fit = _fisher_scoring_batch(data.y[None, :], X, offset, link, beta0, phi0, opts)
+        start = start.beta[free], start.phi
+    fit, K_inv, ok = _fit_rows(data.y[None, :], X, offset, link, opts, start)
     status = fit.status[0]
-    if status == ScoringStatus.SINGULAR:
-        raise _singular_error(fit.K[0])
-    if status != ScoringStatus.CONVERGED:
+    if status not in (ScoringStatus.CONVERGED, ScoringStatus.SINGULAR):
         raise NonConvergenceError(
             [float(fit.LL[0])],
             "log-likelihood is not finite at the starting point"
             if status == ScoringStatus.NON_FINITE
             else f"Fisher scoring did not converge within {opts.max_iterations} iterations",
         )
-    K = fit.K[0]
-    K_inv = _invert_information(K)
+    if not ok[0]:
+        raise _singular_error(fit.K[0])
+    K, K_inv = fit.K[0], K_inv[0]
     k = p + 1
     beta = np.empty(p)
     beta[free] = fit.Beta[0]

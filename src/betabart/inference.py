@@ -236,6 +236,33 @@ def _bootstrap_mean(
     return mean, failures
 
 
+def _report(lr, q, chosen, x=None, boot=None, full_fit=None) -> TestReport:
+    """A TestReport of lr and the chosen corrections, without p-values.
+
+    x = (eps_full - eps_nuis) / q comes with a chosen Bartlett form, and
+    boot, the bootstrap's (mean, failures), with "boot".
+    """
+    corrected = (None,) * 3 if x is None else bartlett_corrected(lr, x, q)
+    lr_b1, lr_b2, lr_b3 = (
+        value if name in chosen else None
+        for name, value in zip(("b1", "b2", "b3"), corrected)
+    )
+    boot_mean, boot_failures = boot or (None, 0)
+    return TestReport(
+        lr=lr,
+        q=q,
+        eps_diff_over_q=x,
+        lr_b1=lr_b1,
+        lr_b2=lr_b2,
+        lr_b3=lr_b3,
+        lr_boot=None if boot is None else lr * q / boot_mean,
+        boot_mean=boot_mean,
+        boot_failures=boot_failures,
+        p_values={},
+        full_fit=full_fit,
+    )
+
+
 def run_test(
     data: Dataset,
     link: LinkFunction,
@@ -252,38 +279,17 @@ def run_test(
     lr = lr_statistic(full, rest)
     q = restriction.q
 
-    x = None
-    lr_b1 = lr_b2 = lr_b3 = None
+    x = boot = None
     if any(name in chosen for name in ("b1", "b2", "b3")):
         factor = bartlett_factor(data, link, restriction, rest.theta_hat)
         x = (factor.eps_full - factor.eps_nuis) / q
-        b1, b2, b3 = bartlett_corrected(lr, x, q)
-        lr_b1 = b1 if "b1" in chosen else None
-        lr_b2 = b2 if "b2" in chosen else None
-        lr_b3 = b3 if "b3" in chosen else None
-
-    lr_boot = boot_mean = None
-    boot_failures = 0
     if "boot" in chosen:
-        opts = boot_opts or BootstrapOptions()
-        boot_mean, boot_failures = _bootstrap_mean(
-            data, link, restriction, rest.theta_hat, opts, fit_opts
+        boot_opts = boot_opts or BootstrapOptions()
+        boot = _bootstrap_mean(
+            data, link, restriction, rest.theta_hat, boot_opts, fit_opts
         )
-        lr_boot = lr * q / boot_mean
 
-    report = TestReport(
-        lr=lr,
-        q=q,
-        eps_diff_over_q=x,
-        lr_b1=lr_b1,
-        lr_b2=lr_b2,
-        lr_b3=lr_b3,
-        lr_boot=lr_boot,
-        boot_mean=boot_mean,
-        boot_failures=boot_failures,
-        p_values={},
-        full_fit=full,
-    )
+    report = _report(lr, q, chosen, x, boot, full)
     p_values = {
         name: chisq_sf(max(value, 0.0), q)
         for name, value in report.statistics.items()

@@ -3,8 +3,12 @@
 Replications draw beta responses on a fixed design, run the full test
 battery, and aggregate rejection rates, moments, and quantiles of the
 statistics.  Randomness is hierarchical: replication j consumes streams
-derived from ``(base_seed, j)`` only, so results are independent of how
-replications are distributed over worker processes.
+derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
+of _BLOCK consecutive indices: a block fits all its full models as one
+call to the batched scoring core, all its restricted models as another,
+and takes all its Bartlett factors from one batched pass.  The blocks do
+not depend on the worker count, so neither does any result;
+BETABART_THREADS only spreads the blocks over worker processes.
 """
 
 from __future__ import annotations
@@ -17,19 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import Restriction
+from .cumulants import _bartlett_rows
+from .fit import FitOptions, Restriction, _fit_rows
 from .inference import (
+    _LR_ROUNDOFF,
     _METHODS,
-    _TEST_FAILURES,
+    BootstrapFailureError,
     BootstrapOptions,
+    _bootstrap_mean,
     _check_methods,
     _check_seed,
-    run_test,
+    _report,
+    run_test,  # noqa: F401  kept as a module attribute for span tracers
 )
-from .model import Dataset, LinkFunction, gen_beta_sample, logit_link
+from .model import Dataset, ParamVector, gen_beta_sample, logit_link
 from .specfun import chisq_sf
 
 _FAILURE_BUDGET = 0.01
+
+# Replications per block.  A constant, so a block's batched products, and
+# every result, are the same for any number of workers.
+_BLOCK = 64
 
 
 class SimulationError(RuntimeError):
@@ -89,6 +101,8 @@ class SimConfig:
             raise ValueError("restriction must be a Restriction")
         if max(self.restriction.indices) > self.p:
             raise ValueError("restriction index exceeds p")
+        if self.restriction.q >= self.p:
+            raise ValueError("restriction must leave at least one free coefficient")
         alphas = tuple(float(a) for a in self.alpha_levels)
         if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
             raise ValueError("alpha_levels must lie strictly inside (0, 1)")
@@ -165,46 +179,75 @@ def design_matrix(n: int, p: int, covariate_seed: int) -> np.ndarray:
     return X
 
 
-def _replication(
-    config: SimConfig, X: np.ndarray, link: LinkFunction, j: int
-) -> dict[str, float] | None:
-    """Run replication j; return its statistics, or None on failure.
-
-    A rejected draw and the typed numerical failures of the test count as
-    a failed replication; any other exception is a defect and propagates.
-    """
-    data_rng = np.random.default_rng(
-        np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
-    )
-    beta_gen = np.array(config.beta_true)
-    beta_gen[config.restriction.split(X)[1]] += config.delta
-    mu = link.g_inv(X @ beta_gen)
-    boot_seeds = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
-    boot_seed = int(boot_seeds.generate_state(1, dtype=np.uint64)[0])
-    boot_opts = BootstrapOptions(B=config.boot_B, seed=boot_seed)
-    try:
-        data = Dataset(gen_beta_sample(mu, config.phi_true, data_rng), X)
-    except ValueError:
-        # the generator rejects means outside (0, 1); that draw is void
-        return None
-    try:
-        report = run_test(
-            data, link, config.restriction, methods=config.methods, boot_opts=boot_opts
-        )
-    except _TEST_FAILURES:
-        return None
-    values = {m: float(report.statistics[m]) for m in config.methods}
-    if not all(math.isfinite(v) for v in values.values()):
-        return None
-    return values
-
-
 def _replication_block(
-    config: SimConfig, indices: tuple[int, ...]
-) -> list[tuple[int, dict[str, float] | None]]:
+    config: SimConfig, indices: range
+) -> dict[int, dict[str, float] | None]:
+    """Statistics of each replication in indices, or None where it failed.
+
+    Replication j fails on a rejected draw, a fit that does not converge
+    or whose information is singular, an LR below -_LR_ROUNDOFF, failed
+    cumulant tensors, a bootstrap failure or a non-finite statistic; any
+    other exception is a defect and propagates.  Each row of the batched
+    fits and Bartlett factors is its own, so a failure moves no other.
+    """
     X = design_matrix(config.n, config.p, config.covariate_seed)
     link = logit_link()
-    return [(j, _replication(config, X, link, j)) for j in indices]
+    restriction, q, methods = config.restriction, config.restriction.q, config.methods
+    free, fixed, offset = restriction.split(X)
+    beta_gen = np.array(config.beta_true)
+    beta_gen[fixed] += config.delta
+    mu = link.g_inv(X @ beta_gen)
+    drawn, Y = [], []
+    for j in indices:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
+        )
+        try:
+            Y.append(gen_beta_sample(mu, config.phi_true, rng))
+        except ValueError:
+            continue  # the generator rejects means outside (0, 1); that draw is void
+        drawn.append(j)
+
+    Y = np.array(Y).reshape(len(drawn), config.n)
+    opts = FitOptions()
+    full, _, full_ok = _fit_rows(Y, X, np.zeros(config.n), link, opts)
+    rest, _, rest_ok = _fit_rows(Y, X[:, free], offset, link, opts)
+    rows = np.nonzero(full_ok & rest_ok)[0]
+    lr = 2.0 * (full.LL[rows] - rest.LL[rows])
+    nested = lr >= -_LR_ROUNDOFF
+    rows, lr = rows[nested], np.maximum(lr[nested], 0.0)
+    Beta = np.empty((len(rows), config.p))
+    Beta[:, fixed] = restriction.values
+    Beta[:, free] = rest.Beta[rows]
+    Phi = rest.Phi[rows]
+    x, failed = None, {}
+    if any(name in methods for name in ("b1", "b2", "b3")):
+        eps_full, eps_nuis, failed = _bartlett_rows(X, link, free, Beta, Phi)
+        x = (eps_full - eps_nuis) / q
+
+    outcomes: dict[int, dict[str, float] | None] = dict.fromkeys(indices)
+    for i, r in enumerate(rows):
+        if i in failed:
+            continue
+        j, boot = drawn[r], None
+        if "boot" in methods:
+            seed = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
+            boot_opts = BootstrapOptions(
+                B=config.boot_B, seed=int(seed.generate_state(1, dtype=np.uint64)[0])
+            )
+            theta = ParamVector(Beta[i], Phi[i])
+            try:
+                boot = _bootstrap_mean(
+                    Dataset(Y[r], X), link, restriction, theta, boot_opts, opts
+                )
+            except BootstrapFailureError:
+                continue
+        x_i = None if x is None else float(x[i])
+        report = _report(float(lr[i]), q, methods, x_i, boot)
+        values = {m: float(report.statistics[m]) for m in methods}
+        if all(math.isfinite(v) for v in values.values()):
+            outcomes[j] = values
+    return outcomes
 
 
 def _worker_count() -> int:
@@ -218,12 +261,6 @@ def _worker_count() -> int:
     if count < 0:
         raise ValueError("BETABART_THREADS must be nonnegative")
     return count if count > 0 else os.cpu_count() or 1
-
-
-def _chunk_indices(reps: int, workers: int) -> list[tuple[int, ...]]:
-    pieces = min(reps, workers * 4)
-    bounds = [reps * i // pieces for i in range(pieces + 1)]
-    return [tuple(range(bounds[i], bounds[i + 1])) for i in range(pieces)]
 
 
 def _summarize(values: np.ndarray) -> tuple[StatMoments, StatQuantiles]:
@@ -246,15 +283,16 @@ def _summarize(values: np.ndarray) -> tuple[StatMoments, StatQuantiles]:
 
 
 def _run_study(config: SimConfig) -> SimResult:
-    workers = _worker_count()
-    chunks = _chunk_indices(config.reps, workers)
-    configs = [config] * len(chunks)
+    reps = config.reps
+    blocks = [range(j, min(j + _BLOCK, reps)) for j in range(0, reps, _BLOCK)]
+    workers = min(_worker_count(), len(blocks))
+    configs = [config] * len(blocks)
     if workers == 1:
-        blocks = list(map(_replication_block, configs, chunks))
+        results = list(map(_replication_block, configs, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_replication_block, configs, chunks))
-    outcomes = dict(pair for block in blocks for pair in block)
+            results = list(pool.map(_replication_block, configs, blocks))
+    outcomes = {j: values for block in results for j, values in block.items()}
 
     survivors = tuple(j for j in range(config.reps) if outcomes[j] is not None)
     failures = config.reps - len(survivors)

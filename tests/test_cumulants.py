@@ -13,6 +13,7 @@ import pytest
 
 from betabart.cumulants import (
     NonFiniteCumulantError,
+    _bartlett_rows,
     _cumulant_factor_tensors,
     bartlett_factor,
     cumulant_tensors,
@@ -336,6 +337,44 @@ class TestEpsilon:
                 cumulant_tensors(theta, data, link)
         assert isinstance(info.value, FitError)
         assert not isinstance(info.value, ValueError)
+
+
+class TestBartlettRows:
+    """The batched core gives each row what a one-row bartlett_factor call
+    gives, and a failed row is recorded instead of raised."""
+
+    def _rows(self):
+        rng = np.random.default_rng(77)
+        data, theta, link = random_instance(rng, n=30, p=4, phi=20.0)
+        restriction = Restriction((3, 4), (0.0, 0.0))
+        Beta = theta.beta + rng.uniform(-0.3, 0.3, (12, 4))
+        Beta[:, 2:] = 0.0
+        Phi = rng.uniform(5.0, 80.0, 12)
+        return data, link, restriction, Beta, Phi
+
+    def test_rows_match_one_row_calls(self):
+        data, link, restriction, Beta, Phi = self._rows()
+        free = restriction.split(data.X)[0]
+        eps_full, eps_nuis, failed = _bartlett_rows(data.X, link, free, Beta, Phi)
+        assert failed == {}
+        for i in range(len(Phi)):
+            factor = bartlett_factor(data, link, restriction, ParamVector(Beta[i], Phi[i]))
+            assert eps_full[i] == pytest.approx(factor.eps_full, rel=1e-12)
+            assert eps_nuis[i] == pytest.approx(factor.eps_nuis, rel=1e-12)
+
+    def test_non_finite_row_is_masked(self):
+        data, link, restriction, Beta, Phi = self._rows()
+        free = restriction.split(data.X)[0]
+        ref_full, ref_nuis, _ = _bartlett_rows(data.X, link, free, Beta, Phi)
+        Phi[5] = 1e200  # phi^2 overflows in every tensor of row 5
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps_full, eps_nuis, failed = _bartlett_rows(data.X, link, free, Beta, Phi)
+        assert list(failed) == [5]
+        assert isinstance(failed[5], NonFiniteCumulantError)
+        assert np.isnan(eps_full[5]) and np.isnan(eps_nuis[5])
+        rest = np.arange(12) != 5
+        assert np.array_equal(eps_full[rest], ref_full[rest])
+        assert np.array_equal(eps_nuis[rest], ref_nuis[rest])
 
 
 class TestBartlettFactor:

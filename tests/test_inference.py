@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betabart.inference as inference
+from betabart.cumulants import bartlett_factor
 from betabart.fit import (
     FitOptions,
     FitResult,
@@ -403,3 +404,18 @@ class TestInvariance:
         lr_a, c_a = _lr_and_c(Dataset(data.y, X), link, restriction)
         assert lr_a == pytest.approx(lr, rel=1e-8, abs=1e-10)
         assert c_a == pytest.approx(c, rel=1e-10)
+
+    @settings(max_examples=25)
+    @given(_tested_designs())
+    def test_column_scaling(self, design):
+        # X -> X diag(s) with beta -> beta / s leaves eta, and so c, unchanged,
+        # with scales spanning twelve decades
+        data, link, restriction, rng = design
+        theta = fit_restricted(data, link, restriction).theta_hat
+        s = 10.0 ** rng.uniform(-6.0, 6.0, data.p)
+        scaled = Dataset(data.y, data.X * s)
+        c = bartlett_factor(data, link, restriction, theta).c
+        c_s = bartlett_factor(
+            scaled, link, restriction, ParamVector(theta.beta / s, theta.phi)
+        ).c
+        assert c_s == pytest.approx(c, rel=1e-10)

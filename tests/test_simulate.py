@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-import betabart.inference as inference
 import betabart.simulate as simulate
 from betabart.fit import Restriction
+from betabart.inference import run_test
+from betabart.model import Dataset, logit_link
 from betabart.simulate import (
     MomentTable,
     SimConfig,
@@ -275,7 +276,8 @@ class TestStudies:
         def broken(*args, **kwargs):
             raise error("synthetic defect")
 
-        monkeypatch.setattr(inference, "bartlett_factor", broken)
+        # the batched Bartlett core is what a study's blocks call
+        monkeypatch.setattr(simulate, "_bartlett_rows", broken)
         with pytest.raises(error, match="synthetic defect"):
             power_study(small_config(reps=5))
 
@@ -286,6 +288,92 @@ class TestStudies:
         monkeypatch.setenv("BETABART_THREADS", "-2")
         with pytest.raises(ValueError, match="nonnegative"):
             size_study(small_config(reps=2))
+
+
+class TestBlocks:
+    """A study runs its replications in fixed blocks of _BLOCK, batched."""
+
+    def config(self):
+        return small_config(reps=2 * simulate._BLOCK + 9, methods=("lr", "b1", "b2", "b3"))
+
+    def test_block_values_match_one_row_tests(self):
+        config = self.config()
+        result = size_study(config)
+        assert result.failures == 0
+        X = design_matrix(config.n, config.p, config.covariate_seed)
+        link = logit_link()
+        mu = link.g_inv(X @ np.array(config.beta_true))
+        for i, j in enumerate(result.archive_reps):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
+            )
+            data = Dataset(gen_beta_sample(mu, config.phi_true, rng), X)
+            report = run_test(data, link, config.restriction, methods=config.methods)
+            for m in config.methods:
+                want = report.statistics[m]
+                assert result.statistic_archive[m][i] == pytest.approx(want, rel=1e-12)
+
+    def test_rejected_draw_voids_only_its_replication(self, monkeypatch):
+        config = self.config()
+        reference = size_study(config)
+        calls = {"count": 0}
+
+        def reject_one(mu, phi, rng):
+            calls["count"] += 1
+            if calls["count"] == 31:  # replication 30, inside the first block
+                raise ValueError("synthetic generation failure")
+            return gen_beta_sample(mu, phi, rng)
+
+        monkeypatch.setattr(simulate, "gen_beta_sample", reject_one)
+        result = size_study(config)
+        assert result.failures == 1
+        assert result.archive_reps == tuple(j for j in reference.archive_reps if j != 30)
+        keep = np.array(reference.archive_reps) != 30
+        for m in config.methods:
+            assert np.array_equal(
+                result.statistic_archive[m], reference.statistic_archive[m][keep]
+            )
+
+    def test_bit_identical_at_one_two_and_three_workers(self, monkeypatch):
+        config = self.config()
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BETABART_THREADS", threads)
+            results.append(size_study(config))
+        for other in results[1:]:
+            assert other.archive_reps == results[0].archive_reps
+            for m in config.methods:
+                assert np.array_equal(
+                    other.statistic_archive[m], results[0].statistic_archive[m]
+                )
+
+    @pytest.mark.parametrize(
+        "threads, reps, pool_size",
+        [("8", 16, None), ("1", 137, None), ("2", 137, 2), ("8", 137, 3)],
+    )
+    def test_no_more_workers_than_blocks(self, monkeypatch, threads, reps, pool_size):
+        started = []
+
+        class FakePool:
+            """Records its size and runs the blocks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("BETABART_THREADS", threads)
+        result = size_study(small_config(reps=reps, methods=("lr",)))
+        assert len(result.archive_reps) + result.failures == reps
+        assert started == ([] if pool_size is None else [pool_size])
 
 
 class TestThreadIndependence:
