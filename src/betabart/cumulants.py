@@ -23,15 +23,16 @@ intermediate.  epsilon_matrix is a short chain of matrix products, O(k^4).
 bartlett_factor builds the dense tensors once and slices both the full and
 the nuisance sets from them.  The core carries a leading row axis, one
 row per parameter point, with every product stacked over the rows; a
-Monte Carlo block passes its 64 replications at once, so peak memory
-grows as 64 k^4 doubles per dense tensor (14.6 MB at k = 13), plus
-64 n p^2 for the weighted outer products.
+Monte Carlo block passes its 64 replications at once, so memory grows as
+64 k^4 doubles per dense tensor (14.6 MB at k = 13), plus 64 n p^2 for
+the weighted outer products.  Three dense tensors are of order 4 and
+each subset adds its own; at n = 200, k = 13 one 64-row block peaks at
+about 111 MB of array memory (28 MB at 16 rows; tracemalloc).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import reduce
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -231,9 +232,43 @@ def _obs_rows(M, phi, link) -> ObsQuantities:
     z_mu = omega + 3.0 * phi * omega_phi + phi**2 * omega_phi2
     z_phi = 2.0 * mustar_phi2 + phi * mustar_phi3
 
-    # Every field is a local of the same name.
-    scope = locals()
-    return ObsQuantities(**{f.name: scope[f.name] for f in fields(ObsQuantities)})
+    return ObsQuantities(
+        mu=mu,
+        t=t,
+        t1=t1,
+        t2=t2,
+        t3=t3,
+        omega=omega,
+        m=m,
+        a=a,
+        b=b,
+        c=c,
+        d=d,
+        s=s,
+        u=u,
+        r=r,
+        z=z,
+        mustar_phi=mustar_phi,
+        mustar_phi2=mustar_phi2,
+        mustar_phi3=mustar_phi3,
+        omega_mu=omega_mu,
+        omega_phi=omega_phi,
+        omega_phi2=omega_phi2,
+        m_mu=m_mu,
+        m_phi=m_phi,
+        a_mu=a_mu,
+        b_mu=b_mu,
+        c_mu=c_mu,
+        c_phi=c_phi,
+        s_mu=s_mu,
+        s_phi=s_phi,
+        u_mu=u_mu,
+        u_phi=u_phi,
+        r_mu=r_mu,
+        r_phi=r_phi,
+        z_mu=z_mu,
+        z_phi=z_phi,
+    )
 
 
 def _outer_rows(X):
@@ -454,36 +489,22 @@ def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi):
     return K2, T3, T4, D1, D31, D22
 
 
-def _scaled_dense(X, link, Beta, Phi):
-    """Dense cumulant tensors at each row's (Beta[i], Phi[i]), on a scaled design.
-
-    Each column of X is scaled by the power of two that brings its RMS into
-    [1/2, 1), and Beta inversely, so eta and every per-observation factor
-    are unchanged bit for bit.  Epsilon is invariant under this change of
-    coordinates, and the scaled information has a small condition number
-    however the columns differ in size.  Returns (dense, g): multiplying a tensor
-    along an axis at position a by g[a] converts it, exactly, back to the
-    caller's coordinates.
-    """
+def _dense_rows(X, link, Beta, Phi):
+    """Dense cumulant tensors at each row's (Beta[i], Phi[i]), row axis first."""
     n, p = X.shape
     if Beta.shape[1] != p:
         raise ValueError("parameter dimension does not match design matrix")
-    _, exponent = np.frexp(np.sqrt(np.mean(X * X, axis=0)))
-    Xs = np.ldexp(X, -exponent)
-    M = _rows_state(
-        np.ldexp(Beta, exponent), Phi, Xs.T, 0.0, link, np.zeros((len(Phi), 2 * n))
-    )[0]
-    dense = _cumulant_factor_tensors(_obs_rows(M, Phi[:, None], link), Xs, Phi[:, None])
-    return dense, np.append(np.ldexp(1.0, exponent), 1.0)
+    M = _rows_state(Beta, Phi, X.T, 0.0, link, np.zeros((len(Phi), 2 * n)))[0]
+    return _cumulant_factor_tensors(_obs_rows(M, Phi[:, None], link), X, Phi[:, None])
 
 
-def _subset_tensors(dense, positions, g=None):
+def _subset_tensors(dense, positions):
     """Slice dense row-stacked tensors down to sorted, distinct positions.
 
     Returns (tensors, failed): CumulantTensors whose fields keep the row
-    axis and, when g is given, are converted by g (see _scaled_dense), and
-    a dict mapping each failed row to its error, a singular information or
-    else a non-finite tensor.  No row raises; a failed row's fields are 0.
+    axis, and a dict mapping each failed row to its error, a singular
+    information or else a non-finite tensor.  No row raises; a failed
+    row's fields are 0.
     """
     idx = np.array(positions, dtype=int)
     K2, T3, T4, D1, D31, D22 = (
@@ -500,10 +521,6 @@ def _subset_tensors(dense, positions, g=None):
         - np.einsum("...rstu->...turs", D31)
         + np.einsum("...rtsu->...turs", D22),
     )
-    if g is not None:
-        for name, T in parts.items():
-            scale = 1.0 / g[idx] if name == "K_inv" else g[idx]
-            parts[name] = T * reduce(np.multiply.outer, [scale] * (T.ndim - 1))
     bad = np.nonzero(singular)[0] if singular is not None else ()
     failed = {int(i): _singular_error(parts["K"][i]) for i in bad}
     for name in ("K", "P", "Q", "A"):
@@ -524,8 +541,7 @@ def cumulant_tensors(
 
     subset is a collection of 0-based positions into theta (0..p-1 the
     coefficients, p the precision); None means all of them.  A one-row call
-    into the batched core, whose scaled inverse information K_inv is
-    converted back to the caller's coordinates exactly.
+    into the batched core.
     """
     p = data.p
     k = p + 1
@@ -539,8 +555,8 @@ def cumulant_tensors(
             raise ValueError("subset positions must be distinct")
         if positions[0] < 0 or positions[-1] > p:
             raise ValueError(f"subset positions must lie in 0..{p}")
-    dense, g = _scaled_dense(data.X, link, theta.beta[None], np.array([theta.phi]))
-    tensors, failed = _subset_tensors(dense, positions, g)
+    dense = _dense_rows(data.X, link, theta.beta[None], np.array([theta.phi]))
+    tensors, failed = _subset_tensors(dense, positions)
     if failed:
         raise failed[0]
     t = tensors
@@ -630,13 +646,13 @@ def _bartlett_rows(X, link, free, Beta, Phi):
     """(eps_full, eps_nuis, failed) at each row's (Beta[i], Phi[i]): the
     batched core behind bartlett_factor and the Monte Carlo blocks.
 
-    One dense pass on the scaled design (see _scaled_dense) gives both
-    terms: the full-set one over all k positions, the nuisance one over
-    the free coefficient positions plus the precision.  failed is as in
-    _subset_tensors; a failed row's epsilons are NaN.
+    One dense pass gives both terms: the full-set one over all k
+    positions, the nuisance one over the free coefficient positions plus
+    the precision.  failed is as in _subset_tensors; a failed row's
+    epsilons are NaN.
     """
     p = X.shape[1]
-    dense, _ = _scaled_dense(X, link, Beta, Phi)
+    dense = _dense_rows(X, link, Beta, Phi)
     subsets = (tuple(range(p + 1)), (*free.tolist(), p))
     sets = [_subset_tensors(dense, positions) for positions in subsets]
     eps = np.array([epsilon_matrix(tensors) for tensors, _ in sets])

@@ -1,10 +1,12 @@
 """Maximum likelihood estimation by Fisher scoring.
 
 One scoring loop, _fisher_scoring_batch, fits a stack of response vectors
-that share a design: the bootstrap calls it with B rows, fit_mle and
-fit_restricted with one.  It reports a ScoringStatus per row, from which
-the one-row fits raise NonConvergenceError or SingularInformationError.  A
-row's result is bit for bit the same in any batch.  Restrictions fix
+that share a design: the bootstrap calls it with B rows, and _fit_rows with
+one row per dataset, a Monte Carlo block's replications or the one dataset
+of fit_mle and fit_restricted.  It reports a ScoringStatus per row, from
+which _fit_rows records a NonConvergenceError or SingularInformationError
+for the row and the one-row fits raise it.  A row's result is bit for bit
+the same in any batch.  Restrictions fix
 selected coefficients at given values; the restricted problem is solved
 on the free columns with the fixed part absorbed into an offset.
 Restricted results embed the fixed values at their positions and report
@@ -400,24 +402,6 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
     return out
 
 
-def _fit_rows(Y, X, offset, link, opts, start=None):
-    """(fit, K_inv, ok): every row of Y fitted in one call to the scoring
-    core, from start = (Beta0, Phi0) or else each row's least-squares start;
-    the inverse information of the rows in ok, which converged with an
-    invertible one, and zeros elsewhere."""
-    if start is None:
-        start = np.empty((len(Y), X.shape[1])), np.empty(len(Y))
-        for i, y in enumerate(Y):
-            start[0][i], start[1][i] = _starting_point(y, X, offset, link)
-    fit = _fisher_scoring_batch(Y, X, offset, link, *start, opts)
-    ok = fit.ok
-    K_inv = np.zeros_like(fit.K)
-    K_inv[ok], singular = _inverse_rows(fit.K[ok])
-    if singular is not None:
-        ok[np.nonzero(ok)[0][singular]] = False
-    return fit, K_inv, ok
-
-
 def _singular_error(K):
     cond = float(np.linalg.cond(K))
     return SingularInformationError(
@@ -426,57 +410,91 @@ def _singular_error(K):
     )
 
 
-def _fit(data, link, restriction, opts, start):
-    """One-row call into the scoring core, embedded in the full space."""
-    opts = opts or FitOptions()
-    p = data.p
-    X = data.X
+def _fit_rows(datasets, link, restriction, opts, start=None):
+    """(results, failed): datasets that share one design, fitted with the
+    coefficients of restriction held fixed (none when it is None) in one
+    call to the scoring core.
+
+    start, a full-space ParamVector, seeds every row; by default each row
+    starts from its own least-squares point (never a batched one, which
+    would move the iterates).  results maps each row that converged with
+    an invertible information to its FitResult, embedded in the full
+    space; failed maps every other row to its FitError.
+    """
+    X = datasets[0].X
+    n, p = X.shape
     if restriction is None:
-        free, fixed, offset, values = np.arange(p), np.arange(0), np.zeros(data.n), ()
+        free, fixed, offset, values = np.arange(p), np.arange(0), np.zeros(n), ()
     else:
         free, fixed, offset = restriction.split(X)
         if not free.size:
             raise ValueError("restriction must leave at least one free coefficient")
         X = X[:, free]
         values = restriction.values
-    _check_full_rank(data)
-    if start is not None:
-        if start.beta.size != p:
-            raise ValueError("starting point dimension does not match design")
-        start = start.beta[free], start.phi
-    fit, K_inv, ok = _fit_rows(data.y[None, :], X, offset, link, opts, start)
-    status = fit.status[0]
-    if status not in (ScoringStatus.CONVERGED, ScoringStatus.SINGULAR):
-        raise NonConvergenceError(
-            [float(fit.LL[0])],
-            "log-likelihood is not finite at the starting point"
-            if status == ScoringStatus.NON_FINITE
-            else f"Fisher scoring did not converge within {opts.max_iterations} iterations",
-        )
-    if not ok[0]:
-        raise _singular_error(fit.K[0])
-    K, K_inv = fit.K[0], K_inv[0]
+    try:
+        _check_full_rank(datasets[0])
+    except SingularInformationError as exc:
+        return {}, dict.fromkeys(range(len(datasets)), exc)
+    Y = np.array([data.y for data in datasets])
+    if start is None:
+        Beta0, Phi0 = np.empty((len(Y), free.size)), np.empty(len(Y))
+        for i, y in enumerate(Y):
+            Beta0[i], Phi0[i] = _starting_point(y, X, offset, link)
+    elif start.beta.size != p:
+        raise ValueError("starting point dimension does not match design")
+    else:
+        Beta0, Phi0 = start.beta[free], start.phi
+    fit = _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts)
+    ok = fit.ok
+    K_inv = np.zeros_like(fit.K)
+    K_inv[ok], singular = _inverse_rows(fit.K[ok])
+    if singular is not None:
+        ok[np.nonzero(ok)[0][singular]] = False
+
     k = p + 1
-    beta = np.empty(p)
-    beta[free] = fit.Beta[0]
-    beta[fixed] = values
     free_indices = np.append(free, p)
-    std_errors = np.zeros(k)
-    std_errors[free_indices] = np.sqrt(np.diag(K_inv))
-    fixed_mask = np.zeros(k, dtype=bool)
-    fixed_mask[fixed] = True
-    return FitResult(
-        theta_hat=ParamVector(beta, float(fit.Phi[0])),
-        loglik=float(fit.LL[0]),
-        K=K,
-        K_inv=K_inv,
-        std_errors=std_errors,
-        iterations=int(fit.iterations[0]),
-        converged=True,
-        clamp_activated=bool(fit.clamped[0]),
-        fixed_mask=fixed_mask,
-        free_indices=free_indices,
-    )
+    results, failed = {}, {}
+    for i, status in enumerate(fit.status):
+        if not ok[i]:
+            if status in (ScoringStatus.CONVERGED, ScoringStatus.SINGULAR):
+                failed[i] = _singular_error(fit.K[i])
+            else:
+                failed[i] = NonConvergenceError(
+                    [float(fit.LL[i])],
+                    "log-likelihood is not finite at the starting point"
+                    if status == ScoringStatus.NON_FINITE
+                    else "Fisher scoring did not converge within "
+                    f"{opts.max_iterations} iterations",
+                )
+            continue
+        beta = np.empty(p)
+        beta[free] = fit.Beta[i]
+        beta[fixed] = values
+        std_errors = np.zeros(k)
+        std_errors[free_indices] = np.sqrt(np.diag(K_inv[i]))
+        fixed_mask = np.zeros(k, dtype=bool)
+        fixed_mask[fixed] = True
+        results[i] = FitResult(
+            theta_hat=ParamVector(beta, float(fit.Phi[i])),
+            loglik=float(fit.LL[i]),
+            K=fit.K[i],
+            K_inv=K_inv[i],
+            std_errors=std_errors,
+            iterations=int(fit.iterations[i]),
+            converged=True,
+            clamp_activated=bool(fit.clamped[i]),
+            fixed_mask=fixed_mask,
+            free_indices=free_indices,
+        )
+    return results, failed
+
+
+def _fit(data, link, restriction, opts, start):
+    """One-row call into _fit_rows, raising the row's error."""
+    results, failed = _fit_rows([data], link, restriction, opts or FitOptions(), start)
+    if failed:
+        raise failed[0]
+    return results[0]
 
 
 def fit_mle(

@@ -5,9 +5,11 @@ to a chi-squared law with q degrees of freedom.  Three analytic variants
 rescale LR by the correction factor c = 1 + x with x = (eps_full -
 eps_nuis) / q: LR / c, LR exp(-x), and LR (1 - x), equivalent to order
 1/n.  The bootstrap variant rescales by the mean of LR over parametric
-resamples drawn under the null at the restricted estimate.  run_test is
-the one entry point: it fits both hypotheses once and computes every
-requested statistic, the bootstrap one included.
+resamples drawn under the null at the restricted estimate.  One path,
+_test_rows, computes every requested statistic, the bootstrap one
+included, for a stack of datasets that share a design: run_test is a
+one-row call into it, and a Monte Carlo block calls it on all its
+replications at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cumulants import bartlett_factor
+from .cumulants import (
+    _bartlett_rows,
+    bartlett_factor,  # noqa: F401  kept as a module attribute for span tracers
+)
 from .fit import (
     FitError,
     FitOptions,
@@ -236,31 +241,74 @@ def _bootstrap_mean(
     return mean, failures
 
 
-def _report(lr, q, chosen, x=None, boot=None, full_fit=None) -> TestReport:
-    """A TestReport of lr and the chosen corrections, without p-values.
+def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts, fits):
+    """(reports, failed): the test battery on datasets that share one design.
 
-    x = (eps_full - eps_nuis) / q comes with a chosen Bartlett form, and
-    boot, the bootstrap's (mean, failures), with "boot".
+    fits = (full, rest, failed) maps each row to its full and restricted
+    FitResult, or to the error of the first of its fits that failed.  A row
+    then fails on a nesting error, failed cumulant tensors or a bootstrap
+    failure, in the order run_test raises them.  The Bartlett factors of
+    all rows come from one call to the batched core, and row i's bootstrap
+    runs with boot_opts[i]; each row's values are its own.  reports maps
+    every row that passed to its TestReport, without p-values, and failed
+    every other row to its error.
     """
-    corrected = (None,) * 3 if x is None else bartlett_corrected(lr, x, q)
-    lr_b1, lr_b2, lr_b3 = (
-        value if name in chosen else None
-        for name, value in zip(("b1", "b2", "b3"), corrected)
-    )
-    boot_mean, boot_failures = boot or (None, 0)
-    return TestReport(
-        lr=lr,
-        q=q,
-        eps_diff_over_q=x,
-        lr_b1=lr_b1,
-        lr_b2=lr_b2,
-        lr_b3=lr_b3,
-        lr_boot=None if boot is None else lr * q / boot_mean,
-        boot_mean=boot_mean,
-        boot_failures=boot_failures,
-        p_values={},
-        full_fit=full_fit,
-    )
+    full, rest, failed = fits
+    failed = dict(failed)
+    q = restriction.q
+    lr = {}
+    for i in full.keys() & rest.keys():
+        try:
+            lr[i] = lr_statistic(full[i], rest[i])
+        except NestingError as exc:
+            failed[i] = exc
+    rows = sorted(lr)
+
+    x = {}
+    if rows and any(name in chosen for name in ("b1", "b2", "b3")):
+        X = datasets[0].X
+        Beta = np.array([rest[i].theta_hat.beta for i in rows])
+        Phi = np.array([rest[i].theta_hat.phi for i in rows])
+        eps_full, eps_nuis, bad = _bartlett_rows(
+            X, link, restriction.split(X)[0], Beta, Phi
+        )
+        failed.update((rows[r], error) for r, error in bad.items())
+        x = dict(zip(rows, ((eps_full - eps_nuis) / q).tolist()))
+
+    reports = {}
+    for i in rows:
+        if i in failed:
+            continue
+        boot = None
+        if "boot" in chosen:
+            theta = rest[i].theta_hat
+            try:
+                boot = _bootstrap_mean(
+                    datasets[i], link, restriction, theta, boot_opts[i], fit_opts
+                )
+            except BootstrapFailureError as exc:
+                failed[i] = exc
+                continue
+        corrected = bartlett_corrected(lr[i], x[i], q) if i in x else (None,) * 3
+        lr_b1, lr_b2, lr_b3 = (
+            value if name in chosen else None
+            for name, value in zip(("b1", "b2", "b3"), corrected)
+        )
+        boot_mean, boot_failures = boot or (None, 0)
+        reports[i] = TestReport(
+            lr=lr[i],
+            q=q,
+            eps_diff_over_q=x.get(i),
+            lr_b1=lr_b1,
+            lr_b2=lr_b2,
+            lr_b3=lr_b3,
+            lr_boot=None if boot is None else lr[i] * q / boot_mean,
+            boot_mean=boot_mean,
+            boot_failures=boot_failures,
+            p_values={},
+            full_fit=full[i],
+        )
+    return reports, failed
 
 
 def run_test(
@@ -271,27 +319,29 @@ def run_test(
     boot_opts: Optional[BootstrapOptions] = None,
     fit_opts: Optional[FitOptions] = None,
 ) -> TestReport:
-    """Fit both hypotheses once and compute every requested statistic."""
+    """Fit both hypotheses once and compute every requested statistic.
+
+    A one-row call into _test_rows, the path a Monte Carlo block takes;
+    the first error of the test is raised.
+    """
     chosen = _check_methods(methods)
     fit_opts = fit_opts or FitOptions()
     full = fit_mle(data, link, fit_opts)
     rest = fit_restricted(data, link, restriction, fit_opts)
-    lr = lr_statistic(full, rest)
-    q = restriction.q
-
-    x = boot = None
-    if any(name in chosen for name in ("b1", "b2", "b3")):
-        factor = bartlett_factor(data, link, restriction, rest.theta_hat)
-        x = (factor.eps_full - factor.eps_nuis) / q
-    if "boot" in chosen:
-        boot_opts = boot_opts or BootstrapOptions()
-        boot = _bootstrap_mean(
-            data, link, restriction, rest.theta_hat, boot_opts, fit_opts
-        )
-
-    report = _report(lr, q, chosen, x, boot, full)
+    reports, failed = _test_rows(
+        [data],
+        link,
+        restriction,
+        chosen,
+        [boot_opts or BootstrapOptions()],
+        fit_opts,
+        ({0: full}, {0: rest}, {}),
+    )
+    if failed:
+        raise failed[0]
+    report = reports[0]
     p_values = {
-        name: chisq_sf(max(value, 0.0), q)
+        name: chisq_sf(max(value, 0.0), restriction.q)
         for name, value in report.statistics.items()
         if name in chosen and math.isfinite(value)
     }

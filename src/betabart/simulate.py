@@ -6,7 +6,8 @@ statistics.  Randomness is hierarchical: replication j consumes streams
 derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
 of _BLOCK consecutive indices: a block fits all its full models as one
 call to the batched scoring core, all its restricted models as another,
-and takes all its Bartlett factors from one batched pass.  The blocks do
+and runs the test battery on all its rows through the path run_test
+takes, with every Bartlett factor from one batched pass.  The blocks do
 not depend on the worker count, so neither does any result;
 BETABART_THREADS only spreads the blocks over worker processes.
 """
@@ -21,20 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulants import _bartlett_rows
 from .fit import FitOptions, Restriction, _fit_rows
 from .inference import (
-    _LR_ROUNDOFF,
     _METHODS,
-    BootstrapFailureError,
     BootstrapOptions,
-    _bootstrap_mean,
     _check_methods,
     _check_seed,
-    _report,
+    _test_rows,
     run_test,  # noqa: F401  kept as a module attribute for span tracers
 )
-from .model import Dataset, ParamVector, gen_beta_sample, logit_link
+from .model import Dataset, gen_beta_sample, logit_link
 from .specfun import chisq_sf
 
 _FAILURE_BUDGET = 0.01
@@ -184,69 +181,50 @@ def _replication_block(
 ) -> dict[int, dict[str, float] | None]:
     """Statistics of each replication in indices, or None where it failed.
 
-    Replication j fails on a rejected draw, a fit that does not converge
-    or whose information is singular, an LR below -_LR_ROUNDOFF, failed
-    cumulant tensors, a bootstrap failure or a non-finite statistic; any
-    other exception is a defect and propagates.  Each row of the batched
-    fits and Bartlett factors is its own, so a failure moves no other.
+    Replication j draws its responses on the (base_seed, j, 0) stream and
+    bootstraps on (base_seed, j, 1).  The block fits all its full models in
+    one call to the scoring core and all its restricted models in another,
+    then runs the test battery on every row at once.  A replication fails
+    on a rejected draw, a failure of its test or a non-finite statistic;
+    any other exception is a defect and propagates.  Each row is its own,
+    so a failure moves no other.
     """
     X = design_matrix(config.n, config.p, config.covariate_seed)
     link = logit_link()
-    restriction, q, methods = config.restriction, config.restriction.q, config.methods
-    free, fixed, offset = restriction.split(X)
+    restriction = config.restriction
     beta_gen = np.array(config.beta_true)
-    beta_gen[fixed] += config.delta
+    beta_gen[restriction.split(X)[1]] += config.delta
     mu = link.g_inv(X @ beta_gen)
-    drawn, Y = [], []
+    drawn, datasets, boot_opts = [], [], []
     for j in indices:
         rng = np.random.default_rng(
             np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
         )
         try:
-            Y.append(gen_beta_sample(mu, config.phi_true, rng))
+            datasets.append(Dataset(gen_beta_sample(mu, config.phi_true, rng), X))
         except ValueError:
-            continue  # the generator rejects means outside (0, 1); that draw is void
+            # the generator rejects means outside (0, 1), and Dataset a
+            # response outside it (NaN included); that draw is void
+            continue
         drawn.append(j)
-
-    Y = np.array(Y).reshape(len(drawn), config.n)
-    opts = FitOptions()
-    full, _, full_ok = _fit_rows(Y, X, np.zeros(config.n), link, opts)
-    rest, _, rest_ok = _fit_rows(Y, X[:, free], offset, link, opts)
-    rows = np.nonzero(full_ok & rest_ok)[0]
-    lr = 2.0 * (full.LL[rows] - rest.LL[rows])
-    nested = lr >= -_LR_ROUNDOFF
-    rows, lr = rows[nested], np.maximum(lr[nested], 0.0)
-    Beta = np.empty((len(rows), config.p))
-    Beta[:, fixed] = restriction.values
-    Beta[:, free] = rest.Beta[rows]
-    Phi = rest.Phi[rows]
-    x, failed = None, {}
-    if any(name in methods for name in ("b1", "b2", "b3")):
-        eps_full, eps_nuis, failed = _bartlett_rows(X, link, free, Beta, Phi)
-        x = (eps_full - eps_nuis) / q
+        seed = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
+        boot_seed = int(seed.generate_state(1, dtype=np.uint64)[0])
+        boot_opts.append(BootstrapOptions(B=config.boot_B, seed=boot_seed))
 
     outcomes: dict[int, dict[str, float] | None] = dict.fromkeys(indices)
-    for i, r in enumerate(rows):
-        if i in failed:
-            continue
-        j, boot = drawn[r], None
-        if "boot" in methods:
-            seed = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
-            boot_opts = BootstrapOptions(
-                B=config.boot_B, seed=int(seed.generate_state(1, dtype=np.uint64)[0])
-            )
-            theta = ParamVector(Beta[i], Phi[i])
-            try:
-                boot = _bootstrap_mean(
-                    Dataset(Y[r], X), link, restriction, theta, boot_opts, opts
-                )
-            except BootstrapFailureError:
-                continue
-        x_i = None if x is None else float(x[i])
-        report = _report(float(lr[i]), q, methods, x_i, boot)
-        values = {m: float(report.statistics[m]) for m in methods}
+    if not datasets:
+        return outcomes
+    opts = FitOptions()
+    full, failed = _fit_rows(datasets, link, None, opts)
+    rest, rest_failed = _fit_rows(datasets, link, restriction, opts)
+    fits = full, rest, {**rest_failed, **failed}  # the full fit's error first
+    reports, _ = _test_rows(
+        datasets, link, restriction, config.methods, boot_opts, opts, fits
+    )
+    for i, report in reports.items():
+        values = {m: float(report.statistics[m]) for m in config.methods}
         if all(math.isfinite(v) for v in values.values()):
-            outcomes[j] = values
+            outcomes[drawn[i]] = values
     return outcomes
 
 

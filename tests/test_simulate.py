@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import betabart.inference as inference
 import betabart.simulate as simulate
 from betabart.fit import Restriction
 from betabart.inference import run_test
@@ -276,8 +277,8 @@ class TestStudies:
         def broken(*args, **kwargs):
             raise error("synthetic defect")
 
-        # the batched Bartlett core is what a study's blocks call
-        monkeypatch.setattr(simulate, "_bartlett_rows", broken)
+        # the batched Bartlett core is what the test path of a block calls
+        monkeypatch.setattr(inference, "_bartlett_rows", broken)
         with pytest.raises(error, match="synthetic defect"):
             power_study(small_config(reps=5))
 
@@ -333,6 +334,70 @@ class TestBlocks:
             assert np.array_equal(
                 result.statistic_archive[m], reference.statistic_archive[m][keep]
             )
+
+    # NaN is what the generator returns when both gamma variates underflow
+    @pytest.mark.parametrize("bad", [math.nan, 1.0])
+    def test_response_outside_unit_interval_voids_only_its_replication(
+        self, monkeypatch, bad
+    ):
+        config = self.config()
+        reference = size_study(config)
+        calls = {"count": 0}
+
+        def spoil_one(mu, phi, rng):
+            calls["count"] += 1
+            y = gen_beta_sample(mu, phi, rng)
+            if calls["count"] == 71:  # replication 70, inside the second block
+                y[3] = bad
+            return y
+
+        monkeypatch.setattr(simulate, "gen_beta_sample", spoil_one)
+        result = size_study(config)
+        assert result.failures == 1
+        assert result.archive_reps == tuple(j for j in reference.archive_reps if j != 70)
+        keep = np.array(reference.archive_reps) != 70
+        for m in config.methods:
+            assert np.array_equal(
+                result.statistic_archive[m], reference.statistic_archive[m][keep]
+            )
+
+    def test_a_replication_fails_exactly_when_its_one_row_test_does(self):
+        # a small, steep design on which some fits do not converge: the
+        # block's rows must fail where run_test raises, and agree elsewhere
+        config = SimConfig(
+            n=8,
+            p=5,
+            phi_true=3.0,
+            beta_true=(1.0, 0.0, 0.0, 5.0, -4.0),
+            restriction=Restriction((2, 3), (0.0, 0.0)),
+            reps=simulate._BLOCK,
+            methods=("lr", "b1", "b3"),
+            base_seed=5,
+            covariate_seed=1,
+        )
+        X = design_matrix(config.n, config.p, config.covariate_seed)
+        link = logit_link()
+        mu = link.g_inv(X @ np.array(config.beta_true))
+        with np.errstate(all="ignore"):
+            outcomes = simulate._replication_block(config, range(config.reps))
+            failed = 0
+            for j, values in outcomes.items():
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
+                )
+                data = Dataset(gen_beta_sample(mu, config.phi_true, rng), X)
+                try:
+                    report = run_test(data, link, config.restriction, config.methods)
+                except inference._TEST_FAILURES:
+                    report = None
+                if report is None or not all(
+                    math.isfinite(v) for v in report.statistics.values()
+                ):
+                    failed += 1
+                    assert values is None
+                else:
+                    assert values == pytest.approx(report.statistics, rel=1e-12)
+        assert 0 < failed < config.reps
 
     def test_bit_identical_at_one_two_and_three_workers(self, monkeypatch):
         config = self.config()
