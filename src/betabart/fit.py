@@ -1,16 +1,20 @@
-"""Maximum likelihood estimation by Fisher scoring.
+"""Maximum likelihood estimation by Newton steps with a scoring fallback.
 
 One scoring loop, _fisher_scoring_batch, fits a stack of response vectors
 that share a design: the bootstrap calls it with B rows, and _fit_rows with
 one row per dataset, a Monte Carlo block's replications or the one dataset
-of fit_mle and fit_restricted.  It reports a ScoringStatus per row, from
+of fit_mle and fit_restricted.  Each row steps on its observed information
+J, which converges quadratically near the optimum; a row whose J cannot be
+solved, or whose Newton step does not ascend, takes the Fisher scoring
+step on the expected information K instead.  Reported information
+matrices are always K.  The loop reports a ScoringStatus per row, from
 which _fit_rows records a NonConvergenceError or SingularInformationError
 for the row and the one-row fits raise it.  A row's result is bit for bit
-the same in any batch.  Restrictions fix
-selected coefficients at given values; the restricted problem is solved
-on the free columns with the fixed part absorbed into an offset.
-Restricted results embed the fixed values at their positions and report
-the information matrix on the free space along with an embedding map.
+the same in any batch.  Restrictions fix selected coefficients at given
+values; the restricted problem is solved on the free columns with the
+fixed part absorbed into an offset.  Restricted results embed the fixed
+values at their positions and report the information matrix on the free
+space along with an embedding map.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .model import (
     LinkFunction,
     ParamVector,
     _rows_information,
+    _rows_observed_information,
     _rows_score,
     _rows_state,
 )
@@ -59,7 +64,7 @@ class NonConvergenceError(FitError):
         self.trace = list(trace)
         super().__init__(
             message
-            or f"Fisher scoring did not converge within {len(self.trace) - 1} iterations"
+            or f"scoring did not converge within {len(self.trace) - 1} iterations"
         )
 
 
@@ -188,7 +193,7 @@ def _starting_point(y, X, offset, link):
 
 
 def starting_values(data: Dataset, link: LinkFunction) -> ParamVector:
-    """Starting point for Fisher scoring on the unrestricted model."""
+    """Starting point for the scoring loop on the unrestricted model."""
     _check_full_rank(data)
     beta0, phi0 = _starting_point(data.y, data.X, np.zeros(data.n), link)
     return ParamVector(beta0, phi0)
@@ -200,7 +205,8 @@ class ScoringStatus(IntEnum):
     CONVERGED: at the start of an iteration the score max-norm was within
     gradient_tolerance and the last accepted step moved l by at most the
     noise slack.  MAX_ITERATIONS: still moving after max_iterations steps.
-    SINGULAR: the information matrix could not be factorised.  NON_FINITE:
+    SINGULAR: the expected information, which a row steps on when its
+    Newton step fails, could not be factorised.  NON_FINITE:
     the log-likelihood at the start is not finite.
     """
 
@@ -213,9 +219,9 @@ class ScoringStatus(IntEnum):
 class _BatchFit(NamedTuple):
     """Per-row output of _fisher_scoring_batch, B rows in every field.
 
-    Beta, Phi and LL are the last accepted iterate; K is the information
-    there for CONVERGED and SINGULAR rows, zero elsewhere.  clamped flags a
-    mean clamped at the start or at an accepted iterate.
+    Beta, Phi and LL are the last accepted iterate; K is the expected
+    information there for CONVERGED and SINGULAR rows, zero elsewhere.
+    clamped flags a mean clamped at the start or at an accepted iterate.
     """
 
     Beta: np.ndarray
@@ -265,14 +271,18 @@ def _inverse_rows(K):
 
 
 def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
-    """Fisher scoring on a stack of response vectors; the only scoring loop.
+    """Newton steps, with scoring steps as the fallback, on a stack of
+    response vectors; the only scoring loop.
 
     Y has one response vector per row; X and offset are shared.  Beta0 is
     a single vector broadcast to every row or one row per response; Phi0
     likewise a scalar or per-row vector.  Returns a _BatchFit.
 
-    Each row takes expected-information steps, halved until phi stays
-    positive and the log-likelihood does not drop by more than the slack
+    Each row takes the Newton step J^-1 U on its observed information J,
+    or the scoring step K^-1 U on its expected information K where J is
+    singular or U . J^-1 U is not positive (not an ascent direction, or
+    not finite).  The step is halved until phi stays positive and the
+    log-likelihood does not drop by more than the slack
     _REL_LOGLIK_TOL * max(1, |l|): near the optimum the true gain of a full
     step is far below the rounding noise of l, and a strict gate would
     freeze the iterate with the gradient still above tolerance.  A row
@@ -311,15 +321,20 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
     s.slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(s.LL))
     s.settled = np.zeros(B, dtype=bool)
 
+    def information(rows):
+        """Expected information at the current point of the given rows."""
+        return _rows_information(XT, s.Phi[rows], s.M[rows], s.T[rows], s.Tri[rows])
+
     def retire(mask, status, iterations, K=None):
-        """Write the masked rows to out and drop them from the state."""
+        """Write the masked rows, with K their expected information, to
+        out and drop them from the state."""
         at = s.rows[mask]
         for name in ("Beta", "Phi", "LL", "clamped"):
             getattr(out, name)[at] = getattr(s, name)[mask]
         out.status[at] = status
         out.iterations[at] = iterations
         if K is not None:
-            out.K[at] = K[mask]
+            out.K[at] = K
         s.put(slice(None), **{name: value[~mask] for name, value in vars(s).items()})
 
     def accept(at, good, Beta_t, Phi_t, trial):
@@ -345,23 +360,31 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
         if not len(s.rows):
             break
         U = _rows_score(XT, s.Phi, s.M, s.T, s.Psi, s.L)
-        K = _rows_information(XT, s.Phi, s.M, s.T, s.Tri)
         conv = s.settled
         if conv.any():
             conv = conv & (np.abs(U).max(axis=1) <= opts.gradient_tolerance)
         if conv.any():
-            retire(conv, ScoringStatus.CONVERGED, iteration, K)
+            retire(conv, ScoringStatus.CONVERGED, iteration, information(conv))
             if not len(s.rows):
                 break
-            U, K = U[~conv], K[~conv]
-        Step, singular = _solve(K, U[:, :, None])
-        Step = Step[:, :, 0]
-        if singular is not None:
-            retire(singular, ScoringStatus.SINGULAR, iteration, K)
-            if not len(s.rows):
-                break
-            Step = Step[~singular]
-        del U, K  # freed before the trial evaluations
+            U = U[~conv]
+        J = _rows_observed_information(XT, s.Phi, s.M, s.T, s.Psi, s.Tri, s.L, link)
+        Step = _solve(J, U[:, :, None])[0][:, :, 0]
+        # A row whose J is singular (zero step) or whose Newton step is not
+        # an ascent direction takes the scoring step K^-1 U instead.
+        fallback = np.nonzero(~(np.einsum("bk,bk->b", U, Step) > 0.0))[0]
+        if fallback.size:
+            K = information(fallback)
+            Step_K, singular = _solve(K, U[fallback, :, None])
+            Step[fallback] = Step_K[:, :, 0]
+            if singular is not None:
+                mask = np.zeros(len(Step), dtype=bool)
+                mask[fallback[singular]] = True
+                retire(mask, ScoringStatus.SINGULAR, iteration, K[singular])
+                if not len(s.rows):
+                    break
+                Step = Step[~mask]
+        del U, J  # freed before the trial evaluations
         # The full step is tried on every row at once, with no index
         # bookkeeping; only the rows it fails go on to be halved.
         Phi_t = s.Phi + Step[:, p]
@@ -463,7 +486,7 @@ def _fit_rows(datasets, link, restriction, opts, start=None):
                     [float(fit.LL[i])],
                     "log-likelihood is not finite at the starting point"
                     if status == ScoringStatus.NON_FINITE
-                    else "Fisher scoring did not converge within "
+                    else "scoring did not converge within "
                     f"{opts.max_iterations} iterations",
                 )
             continue
@@ -503,7 +526,7 @@ def fit_mle(
     opts: Optional[FitOptions] = None,
     start: Optional[ParamVector] = None,
 ) -> FitResult:
-    """Unrestricted maximum likelihood fit by Fisher scoring.
+    """Unrestricted maximum likelihood fit (see _fisher_scoring_batch).
 
     start overrides the default starting point; useful for warm starts in
     resampling loops.

@@ -34,7 +34,14 @@ from .fit import (
     fit_mle,
     fit_restricted,
 )
-from .model import Dataset, LinkFunction, gen_beta_sample, obs_state
+from .model import (
+    MU_CLAMP,
+    Dataset,
+    LinkFunction,
+    _beta_ratio,
+    _beta_shapes,
+    obs_state,
+)
 from .specfun import chisq_sf
 
 __all__ = [
@@ -195,11 +202,13 @@ def _bootstrap_mean(
 ):
     """Mean resample LR under the null at theta_tilde, with failure count.
 
-    Resample b comes from gen_beta_sample, looked up in this module so a
-    test can install another draw, on an RNG stream derived from (seed,
-    b), so the aggregate is independent of evaluation order; summation
-    over the successful resamples is in fixed b-order.  The restricted
-    fits of all resamples are one call to the scoring core, warm-started
+    Resample b is drawn by _beta_ratio, looked up in this module so a test
+    can install another draw, on an RNG stream derived from (seed, b), so
+    the aggregate is independent of evaluation order.  The shapes are
+    checked and formed once and the B resamples clamped together, which
+    gives gen_beta_sample's draws bit for bit.  Summation over the
+    successful resamples is in fixed b-order.  The restricted fits of
+    all resamples are one call to the scoring core, warm-started
     at the generating parameters, and the full fits of the rows that
     converged are another, warm-started at each row's restricted
     solution; a resample fails unless both of its rows end CONVERGED.
@@ -210,13 +219,14 @@ def _bootstrap_mean(
     X = data.X
     n, p = X.shape
     free_cols, fixed_cols, offset = restriction.split(X)
-    mu_t = obs_state(theta_tilde, data, link).mu
     phi_t = theta_tilde.phi
+    shapes = _beta_shapes(obs_state(theta_tilde, data, link).mu, phi_t)
 
     Y = np.empty((opts.B, n))
     for b in range(opts.B):
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(b,)))
-        Y[b] = gen_beta_sample(mu_t, phi_t, rng)
+        Y[b] = _beta_ratio(*shapes, rng)
+    np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
 
     rest = _fisher_scoring_batch(
         Y, X[:, free_cols], offset, link, theta_tilde.beta[free_cols], phi_t, fit_opts

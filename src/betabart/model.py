@@ -41,13 +41,9 @@ __all__ = [
 MU_CLAMP = 1e-12
 
 
-def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw independent beta responses with means mu and dispersion phi.
-
-    Each y_i follows a beta law with shape parameters (mu_i phi,
-    (1 - mu_i) phi), realised as a ratio of gamma variates and clamped
-    away from the interval endpoints.
-    """
+def _beta_shapes(mu, phi):
+    """Shape parameters (mu phi, (1 - mu) phi) of a beta draw, after
+    checking that mu is a nonempty vector inside (0, 1) and phi > 0."""
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise ValueError("mu must be a nonempty vector")
@@ -56,9 +52,25 @@ def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.
     phi = float(phi)
     if not math.isfinite(phi) or phi <= 0.0:
         raise ValueError("phi must be positive and finite")
-    g1 = rng.standard_gamma(mu * phi)
-    g2 = rng.standard_gamma((1.0 - mu) * phi)
-    return np.clip(g1 / (g1 + g2), MU_CLAMP, 1.0 - MU_CLAMP)
+    return mu * phi, (1.0 - mu) * phi
+
+
+def _beta_ratio(a, b, rng):
+    """Unclamped beta draws with shapes a and b, as a ratio of gamma variates."""
+    g1 = rng.standard_gamma(a)
+    g2 = rng.standard_gamma(b)
+    return g1 / (g1 + g2)
+
+
+def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw independent beta responses with means mu and dispersion phi.
+
+    Each y_i follows a beta law with shape parameters (mu_i phi,
+    (1 - mu_i) phi), realised as a ratio of gamma variates and clamped
+    away from the interval endpoints.
+    """
+    a, b = _beta_shapes(mu, phi)
+    return np.clip(_beta_ratio(a, b, rng), MU_CLAMP, 1.0 - MU_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -281,12 +293,15 @@ def _rows_score(XT, Phi, M, T, Psi, L):
     return np.concatenate((Ub, Uphi[:, None]), axis=1)
 
 
-def _rows_information(XT, Phi, M, T, Tri):
+def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None):
     """Expected information matrices (rows, k, k) at _rows_state output.
 
     K_bb = X' diag(w) X with w = phi^2 [psi'(a) + psi'(b)] T^2, K_bphi =
     phi X' T [psi'(a) mu - psi'(b) (1 - mu)], and K_phiphi sums
     psi'(a) mu^2 + psi'(b) (1 - mu)^2 - psi'(phi) over observations.
+
+    Given the residuals R = y* - mu* and G2 = g''(mu), it returns the
+    observed information instead (see _rows_observed_information).
     """
     m, n = T.shape
     p = XT.shape[0]
@@ -294,20 +309,43 @@ def _rows_information(XT, Phi, M, T, Tri):
     K = np.empty((m, p + 1, p + 1))
     W = (Tri[:, :n] + Tri[:, n : 2 * n]) * (T * T)
     W *= (Phi * Phi)[:, None]
+    if R is not None:
+        W += Phi[:, None] * R * G2 * T**3
     K[:, :p, :p] = np.matmul(XT * W[:, None, :], XT.T)
     kbp = np.einsum("bn,jn->bj", (TM[:, :n] - TM[:, n:]) * T, XT)
     kbp *= Phi[:, None]
+    if R is not None:
+        kbp -= np.einsum("bn,jn->bj", T * R, XT)
     K[:, :p, p] = kbp
     K[:, p, :p] = kbp
     K[:, p, p] = np.einsum("bn,bn->b", TM, M[:, : 2 * n]) - n * Tri[:, 2 * n]
     return K
 
 
+def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link):
+    """Observed information matrices J = -d^2 l (rows, k, k) at _rows_state output.
+
+    In eta terms J differs from K in two blocks, through the residuals
+    r = y* - mu* (the score's difference of halves of L - Psi): J_bb adds
+    X' diag(phi r g''(mu) T^3) X and J_bphi subtracts X' (T r).  J_phiphi
+    equals K_phiphi.  E r = 0, so J averages to K.
+    """
+    n = T.shape[1]
+    D = L - Psi[:, : 2 * n]
+    G2 = np.asarray(link.deriv2(M[:, :n]), dtype=float)
+    return _rows_information(XT, Phi, M, T, Tri, D[:, :n] - D[:, n:], G2)
+
+
 def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):
-    """(XT, Phi, L, _rows_state output) for the single point theta."""
+    """(XT, Phi, L, _rows_state output) for the single point theta.
+
+    XT is laid out as the scoring core lays it out, so that the values
+    match the core's bit for bit (einsum and matmul reduce a strided
+    transpose in another order).
+    """
     if theta.beta.size != data.p:
         raise ValueError("parameter dimension does not match design matrix")
-    XT = data.X.T
+    XT = np.ascontiguousarray(data.X.T)
     Phi = np.array([theta.phi])
     L = np.concatenate((np.log(data.y), np.log1p(-data.y)))[None]
     return XT, Phi, L, _rows_state(theta.beta[None], Phi, XT, 0.0, link, L)

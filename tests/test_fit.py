@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import betabart.fit as fit_module
 from betabart.fit import (
     FitOptions,
     NonConvergenceError,
@@ -17,7 +18,16 @@ from betabart.fit import (
     fit_restricted,
     starting_values,
 )
-from betabart.model import Dataset, ParamVector, log_likelihood, score
+from betabart.model import (
+    Dataset,
+    ParamVector,
+    _rows_observed_information,
+    _rows_score,
+    _rows_state,
+    fisher_information,
+    log_likelihood,
+    score,
+)
 from betabart.simulate import design_matrix, gen_beta_sample
 from conftest import rel_err
 
@@ -238,10 +248,23 @@ def test_batch_iteration_cap_is_a_row_status(food_reduced, link):
     assert np.isfinite(batch.LL).all()
 
 
+def _newton_ascent(Y, X, offset, link, Beta, Phi):
+    """U . J^-1 U per row at (Beta, Phi): positive when the Newton step ascends."""
+    XT = np.ascontiguousarray(X.T)
+    L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
+    M, T, Psi, Tri, _, _ = _rows_state(Beta, Phi, XT, offset, link, L)
+    U = _rows_score(XT, Phi, M, T, Psi, L)
+    J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)
+    return np.einsum("bk,bk->b", U, np.linalg.solve(J, U[:, :, None])[:, :, 0])
+
+
 @pytest.mark.parametrize("restricted", [False, True])
-def test_batch_rows_are_independent(restricted, link):
+def test_batch_rows_are_independent(restricted, link, monkeypatch):
     # The bootstrap may group resamples in any way; each row's result must
-    # be bit for bit the one it gets alone or in any other batch.
+    # be bit for bit the one it gets alone or in any other batch.  Row 3
+    # starts far off, where its Newton step is not an ascent direction, so
+    # it takes scoring steps there; row 5's J is made singular throughout,
+    # so it takes scoring steps only.  Neither may move its neighbours.
     X = design_matrix(38, 6, 5)
     beta = np.array([0.5, 1.0, -1.0, 0.8, 0.0, 0.0])
     phi = 30.0
@@ -256,18 +279,56 @@ def test_batch_rows_are_independent(restricted, link):
     else:
         offset = np.zeros(38)
     opts = FitOptions()
+    Beta0 = np.tile(beta, (len(Y), 1))
+    Phi0 = np.full(len(Y), phi)
+    Phi0[3] = 1000.0
+    assert _newton_ascent(Y[3:4], X, offset, link, Beta0[3:4], Phi0[3:4])[0] < 0.0
 
-    def fit(rows):
-        return _fisher_scoring_batch(Y[rows], X, offset, link, beta, phi, opts)
+    observed = fit_module._rows_observed_information
+    marker = np.log(Y[5, 0])
+
+    def singular_for_row_5(XT, Phi, M, T, Psi, Tri, L, link):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
+        J[L[:, 0] == marker] = 0.0
+        return J
+
+    def fit(rows, starts=(Beta0, Phi0)):
+        Beta, Phi = starts
+        return _fisher_scoring_batch(
+            Y[rows], X, offset, link, Beta[rows], Phi[rows], opts
+        )
 
     everything = np.arange(len(Y))
+    plain = fit(everything)
+    near = fit(everything, (np.tile(beta, (len(Y), 1)), np.full(len(Y), phi)))
+    monkeypatch.setattr(fit_module, "_rows_observed_information", singular_for_row_5)
     batch = fit(everything)
+    assert batch.ok.all()
     perm = np.random.default_rng(7).permutation(len(Y))
     groups = [everything[b : b + 1] for b in everything]
     groups += [everything[5:17], everything[::3], perm]
     for rows in groups:
         for got, want in zip(fit(rows), batch):
             assert np.array_equal(got, want[rows])
+    assert batch.iterations[5] > plain.iterations[5]  # scoring is slower
+    for row, reference in ((5, plain), (3, near)):
+        others = np.delete(everything, row)
+        for got, want in zip(batch if row == 5 else plain, reference):
+            assert np.array_equal(got[others], want[others])
+    # Both rows reach the optimum that Newton steps reach from the truth.
+    # Scoring alone stops once |U| <= 1e-8, which pins beta only to about
+    # 1e-8 over the smallest eigenvalue of K, hence row 5's looser bound.
+    for row, tol in ((3, 1e-10), (5, 1e-9)):
+        assert rel_err(batch.Beta[row], near.Beta[row]) < tol
+        assert batch.LL[row] == pytest.approx(near.LL[row], rel=1e-12)
+
+
+def test_fit_information_is_the_expected_one(food_full, link):
+    # Steps use the observed information, but FitResult.K is the expected
+    # information at the returned point, to the bit.
+    result = fit_mle(food_full, link)
+    expected = fisher_information(result.theta_hat, food_full, link)
+    assert np.array_equal(result.K, expected)
 
 
 def test_fit_result_frozen(food_reduced, link):

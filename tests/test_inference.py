@@ -27,7 +27,7 @@ from betabart.inference import (
     run_test,
 )
 from betabart.inference import TestReport as Report  # alias: not a test class
-from betabart.model import Dataset, ParamVector, gen_beta_sample
+from betabart.model import Dataset, ParamVector, _beta_ratio
 from betabart.simulate import SimConfig
 from betabart.specfun import chisq_sf
 from conftest import random_instance
@@ -181,13 +181,13 @@ def _first_draw_fails(monkeypatch):
     """Make the first resample of the next bootstrap unfittable."""
     state = {"calls": 0}
 
-    def sometimes_bad(mu, phi, rng):
+    def sometimes_bad(a, b, rng):
         state["calls"] += 1
         if state["calls"] == 1:
-            return np.full(mu.shape, np.nan)
-        return gen_beta_sample(mu, phi, rng)
+            return np.full(a.shape, np.nan)
+        return _beta_ratio(a, b, rng)
 
-    monkeypatch.setattr(inference, "gen_beta_sample", sometimes_bad)
+    monkeypatch.setattr(inference, "_beta_ratio", sometimes_bad)
 
 
 class TestBootstrapBartlett:
@@ -196,7 +196,7 @@ class TestBootstrapBartlett:
         # the corrected statistic collapses to the reference mean q
         restriction = Restriction((4, 5), (0.0, 0.0))
         monkeypatch.setattr(
-            inference, "gen_beta_sample", lambda mu, phi, rng: food_five.y.copy()
+            inference, "_beta_ratio", lambda a, b, rng: food_five.y.copy()
         )
         lr_boot, boot_mean, failures = _boot(
             food_five, link, restriction, BootstrapOptions(B=1, seed=0)

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from betabart.cumulants import loglik_derivative_tensors
+from betabart.fit import Restriction, fit_mle, fit_restricted
 from betabart.model import (
     Dataset,
     ParamVector,
+    _rows_information,
+    _rows_observed_information,
+    _rows_state,
     fisher_information,
     log_likelihood,
     logit_link,
     obs_state,
     score,
 )
-from conftest import central_diff, random_instance, rel_err
+from conftest import central_diff, food_dataset, random_instance, rel_err
 
 
 class TestDataset:
@@ -198,3 +203,73 @@ def test_score_zero_mean_monte_carlo(link):
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(draws)
     assert np.all(np.abs(mean) < 4.0 * se + 1e-12)
+
+
+def _one_row(beta, phi, X, offset, link, L):
+    """(XT, Phi, L, _rows_state output) for one point on the design X."""
+    XT = np.ascontiguousarray(X.T)
+    Phi = np.array([phi])
+    return XT, Phi, L, _rows_state(np.asarray(beta)[None], Phi, XT, offset, link, L)
+
+
+def _observed(beta, phi, X, offset, link, y):
+    L = np.concatenate((np.log(y), np.log1p(-y)))[None]
+    XT, Phi, L, (M, T, Psi, Tri, _, _) = _one_row(beta, phi, X, offset, link, L)
+    return _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)[0]
+
+
+class TestObservedInformation:
+    # The scoring core steps on J = -d^2 l; loglik_derivative_tensors
+    # builds the same matrix independently, from the cumulant machinery.
+
+    @staticmethod
+    def _points(data, link, restriction):
+        full = fit_mle(data, link).theta_hat
+        tilde = fit_restricted(data, link, restriction).theta_hat
+        off = ParamVector(full.beta * np.resize([1.1, 0.9], data.p), full.phi * 0.6)
+        return {"hat": full, "tilde": tilde, "off": off}
+
+    @pytest.mark.parametrize("kind", ["reduced", "five", "full"])
+    def test_matches_second_derivative_tensor(self, kind, link):
+        data = food_dataset(kind)
+        restriction = Restriction((data.p,), (0.0,))
+        for name, theta in self._points(data, link, restriction).items():
+            J = _observed(
+                theta.beta, theta.phi, data.X, np.zeros(data.n), link, data.y
+            )
+            want = -loglik_derivative_tensors(theta, data, link, order=2)[0]
+            assert rel_err(J, want) < 1e-10, name
+
+    @pytest.mark.parametrize("kind", ["five", "full"])
+    def test_restricted_free_columns_with_offset(self, kind, link):
+        # On the free columns with the fixed part in the offset, J is the
+        # free-index block of the full-space J at the embedded point.
+        data = food_dataset(kind)
+        restriction = Restriction((2, data.p), (-0.01, 0.002))
+        free, _, offset = restriction.split(data.X)
+        keep = np.append(free, data.p)
+        for name, theta in self._points(data, link, restriction).items():
+            beta = theta.beta.copy()
+            beta[np.array(restriction.indices) - 1] = restriction.values
+            embedded = ParamVector(beta, theta.phi)
+            J = _observed(
+                beta[free], theta.phi, data.X[:, free], offset, link, data.y
+            )
+            want = -loglik_derivative_tensors(embedded, data, link, order=2)[0]
+            assert rel_err(J, want[np.ix_(keep, keep)]) < 1e-10, name
+
+    @pytest.mark.parametrize("kind", ["reduced", "full"])
+    def test_expected_log_responses_give_expected_information(self, kind, link):
+        # With E log y = psi(a) - psi(phi) and E log(1 - y) = psi(b) -
+        # psi(phi) in place of the data, the residuals vanish and J = K.
+        data = food_dataset(kind)
+        theta = fit_mle(data, link).theta_hat
+        n = data.n
+        placeholder = np.zeros((1, 2 * n))
+        XT, Phi, _, (M, T, Psi, Tri, _, _) = _one_row(
+            theta.beta, theta.phi, data.X, 0.0, link, placeholder
+        )
+        L = Psi[:, : 2 * n] - Psi[:, 2 * n :]
+        J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)[0]
+        K = _rows_information(XT, Phi, M, T, Tri)[0]
+        assert rel_err(J, K) < 1e-12
