@@ -206,15 +206,15 @@ def test_score_zero_mean_monte_carlo(link):
 
 
 def _one_row(beta, phi, X, offset, link, L):
-    """(XT, Phi, L, _rows_state output) for one point on the design X."""
+    """(XT, Phi, _rows_state output) for one point on the design X."""
     XT = np.ascontiguousarray(X.T)
     Phi = np.array([phi])
-    return XT, Phi, L, _rows_state(np.asarray(beta)[None], Phi, XT, offset, link, L)
+    return XT, Phi, _rows_state(np.asarray(beta)[None], Phi, XT, offset, link, L)
 
 
 def _observed(beta, phi, X, offset, link, y):
     L = np.concatenate((np.log(y), np.log1p(-y)))[None]
-    XT, Phi, L, (M, T, Psi, Tri, _, _) = _one_row(beta, phi, X, offset, link, L)
+    XT, Phi, (M, T, Psi, Tri, _, _) = _one_row(beta, phi, X, offset, link, L)
     return _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)[0]
 
 
@@ -266,7 +266,7 @@ class TestObservedInformation:
         theta = fit_mle(data, link).theta_hat
         n = data.n
         placeholder = np.zeros((1, 2 * n))
-        XT, Phi, _, (M, T, Psi, Tri, _, _) = _one_row(
+        XT, Phi, (M, T, Psi, Tri, _, _) = _one_row(
             theta.beta, theta.phi, data.X, 0.0, link, placeholder
         )
         L = Psi[:, : 2 * n] - Psi[:, 2 * n :]
