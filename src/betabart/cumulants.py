@@ -491,10 +491,10 @@ def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi):
 
 def _dense_rows(X, link, Beta, Phi):
     """Dense cumulant tensors at each row's (Beta[i], Phi[i]), row axis first."""
-    n, p = X.shape
-    if Beta.shape[1] != p:
+    if Beta.shape[1] != X.shape[1]:
         raise ValueError("parameter dimension does not match design matrix")
-    M = _rows_state(Beta, Phi, X.T, 0.0, link, np.zeros((len(Phi), 2 * n)))[0]
+    XT = np.ascontiguousarray(X.T)  # the fit's layout, so mu is the fit's bit for bit
+    M = _rows_state(Beta, Phi, XT, 0.0, link, np.zeros((len(Phi), 2 * len(X))))[0]
     return _cumulant_factor_tensors(_obs_rows(M, Phi[:, None], link), X, Phi[:, None])
 
 

@@ -52,6 +52,56 @@ def test_readme_fit_block(capsys):
     assert out == block
 
 
+# `betabart simulate` on the criterion-6 cell (the benchmark's moments-cell
+# design), 76 replications in two blocks, as the program printed it.
+MOMENTS_CELL_SUMMARY = """\
+replications: 76 (failures: 0)
+
+statistic      alpha    rate %
+lr               0.1     13.16
+lr              0.05      9.21
+lr              0.01      2.63
+b1               0.1      9.21
+b1              0.05      6.58
+b1              0.01      1.32
+b2               0.1      9.21
+b2              0.05      6.58
+b2              0.01      1.32
+b3               0.1      9.21
+b3              0.05      5.26
+b3              0.01      1.32
+
+statistic         mean  variance  skewness  kurtosis      p90      p95      p99
+lr              2.1997    6.2767    2.0427    7.1782    5.252    8.107   10.808
+b1              1.7550    3.9965    2.0424    7.1749    4.186    6.471    8.620
+b2              1.7073    3.7826    2.0423    7.1741    4.071    6.296    8.386
+b3              1.6423    3.5004    2.0422    7.1727    3.915    6.057    8.065
+"""
+
+
+def test_moments_cell_study_summary(capsys, tmp_path, monkeypatch):
+    # Pins the rejection rates, moments and quantiles of a two-block study.
+    monkeypatch.setenv("BETABART_THREADS", "1")
+    config = {
+        "n": 20,
+        "p": 5,
+        "phi_true": 30.0,
+        "beta_true": [1.0, 0.0, 0.0, 5.0, -4.0],
+        "restriction": {"indices": [2, 3]},
+        "reps": 76,
+        "methods": ["lr", "b1", "b2", "b3"],
+        "base_seed": 2024,
+        "covariate_seed": 0,
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "--out", str(tmp_path / "study")
+    )
+    assert code == 0 and err == ""
+    assert out == MOMENTS_CELL_SUMMARY
+
+
 class TestFitCommand:
     def test_text_output(self, capsys):
         code, out, err = run_cli(capsys, "fit")

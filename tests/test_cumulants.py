@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import betabart.cumulants as cumulants
 from betabart.cumulants import (
     NonFiniteCumulantError,
     _bartlett_rows,
@@ -393,6 +394,24 @@ class TestBartlettFactor:
         assert factor.eps_full == pytest.approx(epsilon_matrix(full), rel=1e-14)
         assert factor.eps_nuis == pytest.approx(epsilon_matrix(nuis), rel=1e-14)
         assert factor.c > 1.0  # small-sample inflation for this design
+
+    def test_taken_at_the_fitted_mean(self, monkeypatch, food_full, link):
+        # The dense pass lays out X' as the scoring core does, so the factor
+        # is evaluated at the restricted fit's mu bit for bit.
+        restriction = Restriction((4, 5, 6), (0.0, 0.0, 0.0))
+        theta = fit_restricted(food_full, link, restriction).theta_hat
+        seen = []
+
+        def recording(*args):
+            state = rows_state(*args)
+            seen.append(state[0][0, : food_full.n].copy())
+            return state
+
+        rows_state = cumulants._rows_state
+        monkeypatch.setattr(cumulants, "_rows_state", recording)
+        bartlett_factor(food_full, link, restriction, theta)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], obs_state(theta, food_full, link).mu)
 
     def test_restriction_index_out_of_range(self, food_reduced, link):
         theta = ParamVector([0.0, 0.0, 0.0], 10.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 
 from betabart.specfun import chisq_sf, log_gamma, polygamma
 
@@ -84,6 +85,25 @@ def test_chisq_sf_matches_scipy(df):
     got = chisq_sf(x, df)
     want = scipy.special.chdtrc(df, x)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("df", range(1, 31))
+def test_chisq_sf_relative_accuracy_in_the_tail(df):
+    # An absolute check passes a tail that underflows to 0 early; this one
+    # holds the relative error wherever the true value exceeds 1e-290.
+    x = np.linspace(0.0, 3000.0, 6001)
+    want = scipy.stats.chi2.sf(x, df)
+    keep = want > 1e-290
+    got = chisq_sf(x[keep], df)
+    assert np.max(np.abs(got - want[keep]) / want[keep]) < 1e-12
+    assert chisq_sf(0.0, df) == 1.0
+
+
+def test_chisq_sf_gives_the_normal_tail():
+    # P(Z > z) = P(chi2_1 > z^2) / 2 for z >= 0, out to where it underflows.
+    z = np.linspace(0.0, 37.0, 741)
+    want = scipy.stats.norm.sf(z)
+    assert np.max(np.abs(0.5 * chisq_sf(z * z, 1) - want) / want) < 1e-12
 
 
 def test_chisq_sf_exact_values():
