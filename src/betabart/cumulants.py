@@ -15,19 +15,19 @@ Notation used in comments and docstrings below: t = dmu/deta = 1/g'(mu),
 t', t'', t''' its mu-derivatives, psi^(m) the polygamma functions, and
 resid = ystar - mustar the logit-scale residual.
 
-Cost.  Every tensor block is a moment sum sum_i f_i x_i^(tensor j) with
-j <= 4 (Cordeiro 1993, "General matrix formulae for computing Bartlett
-corrections"), computed as one matrix product against the row-wise outer
-products x_i x_i': O(n p^4) flops, all in BLAS, with an (n, p^2)
-intermediate.  epsilon_matrix is a short chain of matrix products, O(k^4).
-bartlett_factor builds the dense tensors once and slices both the full and
-the nuisance sets from them.  The core carries a leading row axis, one
-row per parameter point, with every product stacked over the rows; a
-Monte Carlo block passes its 64 replications at once, so memory grows as
-64 k^4 doubles per dense tensor (14.6 MB at k = 13), plus 64 n p^2 for
-the weighted outer products.  Three dense tensors are of order 4 and
-each subset adds its own; at n = 200, k = 13 one 64-row block peaks at
-about 111 MB of array memory (28 MB at 16 rows; tracemalloc).
+Cost.  Each tensor is one table of per-observation factors f, and each
+block a moment sum sum_i f_i x_i^(tensor j), j <= 4 (Cordeiro 1993,
+"General matrix formulae for computing Bartlett corrections"): one matrix
+product against the row-wise outer products x_i x_i', O(n p^4) flops in
+BLAS.  A permuted tensor is the same factors under permuted patterns, so
+the core builds the four tensors epsilon_matrix reads in its layout, with
+no permutes, and only one of order 4, A = T4/4 - D31 + D22.  Both the
+full and the nuisance sets are sliced from them; epsilon_matrix is a short
+chain of matrix products, O(k^4).  Every product is stacked over a leading
+row axis, one row per parameter point, and a Monte Carlo block passes its
+64 replications at once: at n = 200, k = 13 that peaks at about 50 MiB of
+array memory (tracemalloc), A's 64 k^4 doubles (14 MiB), its moment
+product (24 MiB) and the per-observation factors.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fit import FitError, Restriction, _inverse_rows, _singular_error
+from .fit import FitError, Restriction, _index, _inverse_rows, _singular_error
 from .model import (
     Dataset,
     LinkFunction,
@@ -294,21 +294,21 @@ def _moment(f, X, XX, order):
     return (W @ (XX if order == 4 else X)).reshape(f.shape[:-1] + (p,) * order)
 
 
-def _tensor(X, XX, blocks):
-    """Dense tensor over the k = p + 1 parameter positions, block by block.
+def _tensor(X, XX, table):
+    """Dense tensor over the k = p + 1 parameter positions, from its table.
 
-    blocks maps space-separated patterns to a per-observation factor f, all
-    of one shape, (n,) or (rows, n); the tensor takes f's leading shape.  A
-    pattern has one letter per axis: "b" spans the coefficient positions
-    0..p-1 and "p" is the precision position p.  Each listed block is set to
-    the moment sum of f over as many x_i factors as the pattern has "b"s;
-    that sum is symmetric in its axes, so one block serves every pattern.
+    A table maps space-separated axis patterns to a per-observation factor
+    f, all of one shape, (n,) or (rows, n); the tensor takes f's leading
+    shape.  A pattern has one letter per axis: "b" spans the coefficient
+    positions 0..p-1 and "p" is the precision position p.  Each key's block
+    is the moment sum of f over as many x_i as a pattern has "b"s; that sum
+    is symmetric in its axes, so one block serves every pattern of the key.
     """
     p = X.shape[1]
-    order = len(next(iter(blocks)).split()[0])
-    lead = np.shape(next(iter(blocks.values())))[:-1]
+    order = len(next(iter(table)).split()[0])
+    lead = np.shape(next(iter(table.values())))[:-1]
     T = np.zeros(lead + (p + 1,) * order)
-    for patterns, f in blocks.items():
+    for patterns, f in table.items():
         patterns = patterns.split()
         block = _moment(f, X, XX, patterns[0].count("b"))
         for pattern in patterns:
@@ -317,18 +317,23 @@ def _tensor(X, XX, blocks):
     return T
 
 
-def _sym(X, XX, *factors):
-    """Fully symmetric tensor of order len(factors) - 1, in which factors[m]
-    feeds every block with m precision axes."""
+def _sym(*factors):
+    """Table of a fully symmetric tensor of order len(factors) - 1, in
+    which factors[m] feeds every pattern with m precision axes."""
     patterns = ["".join(axes) for axes in product("bp", repeat=len(factors) - 1)]
-    return _tensor(
-        X,
-        XX,
-        {
-            " ".join(pat for pat in patterns if pat.count("p") == m): f
-            for m, f in enumerate(factors)
-        },
-    )
+    return {
+        " ".join(pat for pat in patterns if pat.count("p") == m): f
+        for m, f in enumerate(factors)
+    }
+
+
+def _permuted(table, source, target):
+    """Table of einsum(f"{source}->{target}", T), one pattern per key."""
+    return {
+        "".join(pattern[source.index(axis)] for axis in target): f
+        for key, f in table.items()
+        for pattern in key.split()
+    }
 
 
 def loglik_derivative_tensors(
@@ -348,13 +353,13 @@ def loglik_derivative_tensors(
     if order == 4 and q.t3 is None:
         raise ValueError("fourth-order tensors need a link with a fourth derivative")
     state = obs_state(theta, data, link)
-    resid = state.ystar - state.mustar
-    U = _derivative_tensors(q, data.X, _outer_rows(data.X), theta.phi, resid)
-    return U[: order - 1] + (None,) * (4 - order)
+    tables = _derivative_tables(q, theta.phi, state.ystar - state.mustar)[: order - 1]
+    XX = _outer_rows(data.X)
+    return tuple(_tensor(data.X, XX, T) for T in tables) + (None,) * (4 - order)
 
 
-def _derivative_tensors(q, X, XX, phi, resid):
-    """(U2, U3, U4) at the residuals resid = ystar - mustar.
+def _derivative_tables(q, phi, resid):
+    """Tables of (U2, U3, U4) at the residuals resid = ystar - mustar.
 
     The residual enters linearly, so resid = 0 gives their expectations,
     the cumulant tensors kappa_rs, kappa_rst and kappa_rstu.  U4 holds the
@@ -362,15 +367,11 @@ def _derivative_tensors(q, X, XX, phi, resid):
     """
     t, t1 = q.t, q.t1
     U2 = _sym(
-        X,
-        XX,
         -(phi**2) * q.omega * t**2 + phi * resid * t1 * t,
         (resid - q.c) * t,
         -q.d,
     )
     U3 = _sym(
-        X,
-        XX,
         -phi * (phi**2 * q.m * t**3 + phi * q.omega * q.a - resid * q.b),
         q.u * t**2 + (resid - q.c) * t1 * t,
         -q.r,
@@ -378,8 +379,6 @@ def _derivative_tensors(q, X, XX, phi, resid):
     )
     dt3_dmu = 3.0 * t**2 * t1  # d(t^3)/dmu
     U4 = _sym(
-        X,
-        XX,
         -phi
         * (
             phi**2 * (q.m * dt3_dmu + q.m_mu * t**3)
@@ -401,105 +400,110 @@ def _derivative_tensors(q, X, XX, phi, resid):
     return U2, U3, U4
 
 
-def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi):
-    """Dense cumulant tensors over the full parameter vector.
+def _cumulant_tables(q: ObsQuantities, phi):
+    """Tables of the cumulant tensors over the full parameter vector.
 
     Returns (K2, T3, T4, D1, D31, D22): the expected derivative tensors
     kappa_rs, kappa_rst, kappa_rstu, and the derivative families
     kappa_rs^{(t)}, kappa_rst^{(u)}, kappa_rs^{(tu)}.  K2 is the second
     cumulant matrix, so the information matrix is -K2.  With q and phi
-    from _obs_rows over rows, each tensor has a leading row axis.
+    from _obs_rows over rows, each factor has a leading row axis.
     """
     t, t1, t2 = q.t, q.t1, q.t2
     dt3_dmu = 3.0 * t**2 * t1
-    XX = _outer_rows(X)
-    K2, T3, T4 = _derivative_tensors(q, X, XX, phi, 0.0)
+    K2, T3, T4 = _derivative_tables(q, phi, 0.0)
 
     # First derivatives of the second cumulants, kappa_rs^{(t)}; symmetric
     # in the cumulant pair only.
-    D1 = _tensor(
-        X,
-        XX,
-        {
-            "bbb": -(phi**2) * (phi * q.m * t**3 + (2.0 / 3.0) * q.omega * q.a),
-            "bbp": q.u * t**2,
-            "bpb pbb": -(q.c_mu * t + q.c * t1) * t,
-            "bpp pbp": -q.z * t,
-            "ppb": -q.r,
-            "ppp": -q.s,
-        },
-    )
+    D1 = {
+        "bbb": -(phi**2) * (phi * q.m * t**3 + (2.0 / 3.0) * q.omega * q.a),
+        "bbp": q.u * t**2,
+        "bpb pbb": -(q.c_mu * t + q.c * t1) * t,
+        "bpp pbp": -q.z * t,
+        "ppb": -q.r,
+        "ppp": -q.s,
+    }
 
     # Derivatives of the third cumulants, kappa_rst^{(u)}; symmetric in the
     # cumulant triple.  The "bbpb" factor multiplies the whole bracket by
     # t = dmu/deta: it is the beta-derivative of the (beta, beta, phi)
     # cumulant, so the chain rule contributes one extra t.
-    D31 = _tensor(
-        X,
-        XX,
-        {
-            "bbbb": -(phi**2)
-            * (phi * (q.m * (dt3_dmu + q.a) + q.m_mu * t**3) + q.omega * q.a_mu)
-            * t,
-            "bbbp": -phi
-            * (
-                phi * (3.0 * q.m + phi * q.m_phi) * t**3
-                + q.a * (2.0 * q.omega + phi * q.omega_phi)
-            ),
-            "bbpb bpbb pbbb": (
-                q.u_mu * t**2
-                + 2.0 * q.u * t * t1
-                - q.c_mu * t1 * t
-                - q.c * (t2 * t + t1**2)
-            )
-            * t,
-            "bbpp bpbp pbbp": (q.u_phi * t - q.z * t1) * t,
-            "bppb pbpb ppbb": -q.r_mu * t,
-            "bppp pbpp ppbp": -q.r_phi,
-            "pppb": -q.s_mu * t,
-            "pppp": -q.s_phi,
-        },
-    )
+    D31 = {
+        "bbbb": -(phi**2)
+        * (phi * (q.m * (dt3_dmu + q.a) + q.m_mu * t**3) + q.omega * q.a_mu)
+        * t,
+        "bbbp": -phi
+        * (
+            phi * (3.0 * q.m + phi * q.m_phi) * t**3
+            + q.a * (2.0 * q.omega + phi * q.omega_phi)
+        ),
+        "bbpb bpbb pbbb": (
+            q.u_mu * t**2
+            + 2.0 * q.u * t * t1
+            - q.c_mu * t1 * t
+            - q.c * (t2 * t + t1**2)
+        )
+        * t,
+        "bbpp bpbp pbbp": (q.u_phi * t - q.z * t1) * t,
+        "bppb pbpb ppbb": -q.r_mu * t,
+        "bppp pbpp ppbp": -q.r_phi,
+        "pppb": -q.s_mu * t,
+        "pppp": -q.s_phi,
+    }
 
     # Second derivatives of the second cumulants, kappa_rs^{(tu)};
     # symmetric within each pair.
     c_mumu = phi**2 * (2.0 * q.m + phi * q.m_phi)
-    D22 = _tensor(
-        X,
-        XX,
-        {
-            "bbbb": -(phi**2)
-            * (
-                phi * (q.m * (dt3_dmu + (2.0 / 3.0) * q.a) + q.m_mu * t**3)
-                + (2.0 / 3.0) * q.omega * q.a_mu
-            )
-            * t,
-            "bbbp bbpb": (q.u_mu * t + 2.0 * q.u * t1) * t**2,
-            "bbpp": q.u_phi * t**2,
-            "bpbb pbbb": -(c_mumu * t**2 + 3.0 * q.c_mu * t * t1 + q.c * (t2 * t + t1**2))
-            * t,
-            "bpbp pbbp bppb pbpb": -(q.z_mu * t + q.z * t1) * t,
-            "bppp pbpp": -q.z_phi * t,
-            "ppbb": -q.r_mu * t,
-            "ppbp pppb": -q.s_mu * t,
-            "pppp": -q.s_phi,
-        },
-    )
+    D22 = {
+        "bbbb": -(phi**2)
+        * (
+            phi * (q.m * (dt3_dmu + (2.0 / 3.0) * q.a) + q.m_mu * t**3)
+            + (2.0 / 3.0) * q.omega * q.a_mu
+        )
+        * t,
+        "bbbp bbpb": (q.u_mu * t + 2.0 * q.u * t1) * t**2,
+        "bbpp": q.u_phi * t**2,
+        "bpbb pbbb": -(c_mumu * t**2 + 3.0 * q.c_mu * t * t1 + q.c * (t2 * t + t1**2))
+        * t,
+        "bpbp pbbp bppb pbpb": -(q.z_mu * t + q.z * t1) * t,
+        "bppp pbpp": -q.z_phi * t,
+        "ppbb": -q.r_mu * t,
+        "ppbp pppb": -q.s_mu * t,
+        "pppp": -q.s_phi,
+    }
 
     return K2, T3, T4, D1, D31, D22
 
 
+def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi):
+    """The tensors of _cumulant_tables, dense: (K2, T3, T4, D1, D31, D22),
+    each with q's leading row axis if it has one."""
+    XX = _outer_rows(X)
+    return tuple(_tensor(X, XX, table) for table in _cumulant_tables(q, phi))
+
+
 def _dense_rows(X, link, Beta, Phi):
-    """Dense cumulant tensors at each row's (Beta[i], Phi[i]), row axis first."""
+    """Dense (K2, P, Q, A) at each row's (Beta[i], Phi[i]), row axis first.
+
+    P, Q and A are in the layout of CumulantTensors, from permuted tables;
+    P is T3 itself, whose table is fully symmetric.
+    """
     if Beta.shape[1] != X.shape[1]:
         raise ValueError("parameter dimension does not match design matrix")
     XT = np.ascontiguousarray(X.T)  # the fit's layout, so mu is the fit's bit for bit
     M = _rows_state(Beta, Phi, XT, 0.0, link, np.zeros((len(Phi), 2 * len(X))))[0]
-    return _cumulant_factor_tensors(_obs_rows(M, Phi[:, None], link), X, Phi[:, None])
+    q = _obs_rows(M, Phi[:, None], link)
+    K2, T3, T4, D1, D31, D22 = _cumulant_tables(q, Phi[:, None])
+    T4 = _permuted(T4, "rstu", "turs")
+    D31 = _permuted(D31, "rstu", "turs")
+    D22 = _permuted(D22, "rtsu", "turs")
+    A = {pattern: 0.25 * T4[pattern] - D31[pattern] + D22[pattern] for pattern in T4}
+    XX = _outer_rows(X)
+    return tuple(_tensor(X, XX, T) for T in (K2, T3, _permuted(D1, "sur", "urs"), A))
 
 
 def _subset_tensors(dense, positions):
-    """Slice dense row-stacked tensors down to sorted, distinct positions.
+    """Slice the dense row-stacked (K2, P, Q, A) to sorted, distinct positions.
 
     Returns (tensors, failed): CumulantTensors whose fields keep the row
     axis, and a dict mapping each failed row to its error, a singular
@@ -507,20 +511,9 @@ def _subset_tensors(dense, positions):
     row's fields are 0.
     """
     idx = np.array(positions, dtype=int)
-    K2, T3, T4, D1, D31, D22 = (
-        T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense
-    )
+    K2, P, Q, A = (T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense)
     K_inv, singular = _inverse_rows(-K2)
-    # Q[u][r, s] = kappa_su^{(r)}, i.e. the derivative index runs over rows.
-    parts = dict(
-        K=-K2,
-        K_inv=K_inv,
-        P=np.einsum("...rst->...trs", T3),
-        Q=np.einsum("...sur->...urs", D1),
-        A=0.25 * np.einsum("...rstu->...turs", T4)
-        - np.einsum("...rstu->...turs", D31)
-        + np.einsum("...rtsu->...turs", D22),
-    )
+    parts = dict(K=-K2, K_inv=K_inv, P=P, Q=Q, A=A)
     bad = np.nonzero(singular)[0] if singular is not None else ()
     failed = {int(i): _singular_error(parts["K"][i]) for i in bad}
     for name in ("K", "P", "Q", "A"):
@@ -544,11 +537,10 @@ def cumulant_tensors(
     into the batched core.
     """
     p = data.p
-    k = p + 1
     if subset is None:
-        positions = tuple(range(k))
+        positions = tuple(range(p + 1))
     else:
-        positions = tuple(sorted(int(i) for i in subset))
+        positions = tuple(sorted(_index(i, "subset positions") for i in subset))
         if not positions:
             raise ValueError("subset must be nonempty")
         if len(set(positions)) != len(positions):

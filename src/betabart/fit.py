@@ -76,6 +76,13 @@ class SingularInformationError(FitError):
         super().__init__(message)
 
 
+def _index(i, what):
+    """i as an int; a bool, a float or any other non-integer is an error."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"{what} must be integers, not {i!r}")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class Restriction:
     """Null hypothesis fixing q coefficients at given values.
@@ -89,7 +96,7 @@ class Restriction:
     values: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_index(i, "restriction indices") for i in self.indices)
         vals = tuple(float(v) for v in self.values)
         if not idx or len(idx) != len(vals):
             raise ValueError("indices and values must be nonempty and equal length")

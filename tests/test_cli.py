@@ -558,6 +558,7 @@ class TestSimulateCommand:
             lambda d: d.update(beta_true=5),
             lambda d: d.update(alpha_levels=0.1),
             lambda d: d.update(restriction={"indices": 2}),
+            lambda d: d.update(restriction={"indices": [2.5]}),
             lambda d: d.update(methods="lr"),
         ],
     )

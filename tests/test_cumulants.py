@@ -7,6 +7,7 @@ and the matrix-form epsilon is checked against brute-force index sums.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,7 +301,7 @@ class TestEpsilon:
         eps2 = epsilon_matrix(cumulant_tensors(theta, doubled, link))
         assert eps2 == pytest.approx(eps1 / 2.0, rel=1e-10)
 
-    @pytest.mark.parametrize("subset", [[], [0, 0, 1], [0, 99], [-1, 0]])
+    @pytest.mark.parametrize("subset", [[], [0, 0, 1], [0, 99], [-1, 0], [0.5, 1]])
     def test_subset_validation(self, small_instance, subset):
         data, theta, link = small_instance
         with pytest.raises(ValueError):
@@ -376,6 +377,24 @@ class TestBartlettRows:
         rest = np.arange(12) != 5
         assert np.array_equal(eps_full[rest], ref_full[rest])
         assert np.array_equal(eps_nuis[rest], ref_nuis[rest])
+
+    def test_batched_pass_memory(self):
+        # One 64-row block at n = 200, k = 13: the dense order-4 A takes
+        # 14 MiB and its moment product 24 MiB, a peak near 50 MiB in all;
+        # a second dense order-4 tensor would cross the bound.  tracemalloc
+        # counts every numpy array, so the peak is deterministic.
+        rng = np.random.default_rng(6)
+        data, theta, link = random_instance(rng, n=200, p=12, phi=50.0)
+        free = Restriction((8, 9, 10, 11, 12), (0.0,) * 5).split(data.X)[0]
+        Beta = np.tile(theta.beta, (64, 1))
+        Phi = np.full(64, theta.phi)
+        tracemalloc.start()
+        try:
+            _bartlett_rows(data.X, link, free, Beta, Phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBartlettFactor:
@@ -674,3 +693,23 @@ class TestMatrixKernel:
             nuis = cumulant_tensors(theta, data, link, subset=list(range(p - 1)) + [p])
             assert factor.eps_full == pytest.approx(epsilon_matrix(full), rel=1e-14)
             assert factor.eps_nuis == pytest.approx(epsilon_matrix(nuis), rel=1e-14)
+
+    def test_layout_matches_permuted_definitions(self):
+        # P, Q and A are built in epsilon's layout from permuted factor
+        # tables; the permutes of the dense definitions are the reference.
+        for data, theta, link in _kernel_cases():
+            q = obs_quantities(theta, data, link)
+            K2, T3, T4, D1, D31, D22 = _cumulant_factor_tensors(q, data.X, theta.phi)
+            want = dict(
+                P=np.einsum("rst->trs", T3),
+                Q=np.einsum("sur->urs", D1),
+                A=0.25 * np.einsum("rstu->turs", T4)
+                - np.einsum("rstu->turs", D31)
+                + np.einsum("rtsu->turs", D22),
+            )
+            for subset in (None, list(range(1, data.p + 1))):
+                got = cumulant_tensors(theta, data, link, subset=subset)
+                idx = np.array(got.subset)
+                for name, w in want.items():
+                    w = w[np.ix_(*(idx,) * w.ndim)]
+                    assert rel_err(getattr(got, name), w) < 1e-12, (name, data.p, subset)

@@ -47,6 +47,8 @@ class TestRestriction:
             ((4, 2), (0.0, 0.0)),  # unsorted
             ((0,), (0.0,)),  # indices are 1-based
             ((1,), (np.nan,)),  # non-finite value
+            ((2.5,), (0.0,)),  # indices are integers
+            ((True,), (0.0,)),
         ],
     )
     def test_validation(self, indices, values):
