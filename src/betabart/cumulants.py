@@ -307,7 +307,10 @@ def _tensor(X, XX, table):
     p = X.shape[1]
     order = len(next(iter(table)).split()[0])
     lead = np.shape(next(iter(table.values())))[:-1]
-    T = np.zeros(lead + (p + 1,) * order)
+    # rows innermost in memory, the layout of the np.ix_ slices of
+    # _subset_tensors, so that every subset's tensors share one layout
+    T = np.zeros((p + 1,) * order + lead)
+    T = np.moveaxis(T, range(order, T.ndim), range(len(lead)))
     for patterns, f in table.items():
         patterns = patterns.split()
         block = _moment(f, X, XX, patterns[0].count("b"))
@@ -508,10 +511,15 @@ def _subset_tensors(dense, positions):
     Returns (tensors, failed): CumulantTensors whose fields keep the row
     axis, and a dict mapping each failed row to its error, a singular
     information or else a non-finite tensor.  No row raises; a failed
-    row's fields are 0.
+    row's fields are 0.  The full set's P, Q and A are the dense tensors
+    themselves, copied only to zero a failed row, so dense is never
+    written.
     """
     idx = np.array(positions, dtype=int)
-    K2, P, Q, A = (T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense)
+    full = idx.size == dense[0].shape[-1]  # every position: no slicing, no copy
+    K2, P, Q, A = dense if full else (
+        T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense
+    )
     K_inv, singular = _inverse_rows(-K2)
     parts = dict(K=-K2, K_inv=K_inv, P=P, Q=Q, A=A)
     bad = np.nonzero(singular)[0] if singular is not None else ()
@@ -522,6 +530,10 @@ def _subset_tensors(dense, positions):
             failed.setdefault(
                 int(i), NonFiniteCumulantError(f"cumulant tensor {name} is not finite")
             )
+    if failed and full:
+        # P, Q and A are then the dense tensors, which other subsets read;
+        # the copies keep their layout
+        parts.update(P=P.copy("K"), Q=Q.copy("K"), A=A.copy("K"))
     for T in parts.values():
         T[list(failed)] = 0.0
     return CumulantTensors(subset=positions, **parts), failed

@@ -227,7 +227,8 @@ class _BatchFit(NamedTuple):
     """Per-row output of _fisher_scoring_batch, B rows in every field.
 
     Beta, Phi and LL are the last accepted iterate; K is the expected
-    information there for CONVERGED and SINGULAR rows, zero elsewhere.
+    information there for CONVERGED and SINGULAR rows, zero elsewhere, or
+    None when the caller asked for no K.
     clamped flags a mean clamped at the start or at an accepted iterate.
     """
 
@@ -277,13 +278,15 @@ def _inverse_rows(K):
     return _solve(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape))
 
 
-def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
+def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     """Newton steps, with scoring steps as the fallback, on a stack of
     response vectors; the only scoring loop.
 
     Y has one response vector per row; X and offset are shared.  Beta0 is
     a single vector broadcast to every row or one row per response; Phi0
-    likewise a scalar or per-row vector.  Returns a _BatchFit.
+    likewise a scalar or per-row vector.  Returns a _BatchFit; with keep_K
+    false its K is None and no retiring row's information is built, for
+    callers that read only the iterate and the status.
 
     Each row takes the Newton step J^-1 U on its observed information J,
     or the scoring step K^-1 U on its expected information K where J is
@@ -312,7 +315,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
         status=np.empty(B, dtype=np.int8),
         iterations=np.empty(B, dtype=int),
         clamped=np.empty(B, dtype=bool),
-        K=np.zeros((B, k, k)),
+        K=np.zeros((B, k, k)) if keep_K else None,
     )
 
     s = _Active()
@@ -340,7 +343,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
             getattr(out, name)[at] = getattr(s, name)[mask]
         out.status[at] = status
         out.iterations[at] = iterations
-        if K is not None:
+        if keep_K and K is not None:
             out.K[at] = K
         s.put(slice(None), **{name: value[~mask] for name, value in vars(s).items()})
 
@@ -371,7 +374,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts):
         if conv.any():
             conv = conv & (np.abs(U).max(axis=1) <= opts.gradient_tolerance)
         if conv.any():
-            retire(conv, ScoringStatus.CONVERGED, iteration, information(conv))
+            K = information(conv) if keep_K else None
+            retire(conv, ScoringStatus.CONVERGED, iteration, K)
             if not len(s.rows):
                 break
             U = U[~conv]

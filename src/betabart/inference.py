@@ -192,6 +192,76 @@ def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
     return lr_b1, lr_b2, lr_b3
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier; numpy keeps both streams stable across releases.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hash of 32-bit words, an int or a uint64 array, and
+    the next hash constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, ints or uint64 arrays."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _resample_states(seed: int, B: int) -> list[dict]:
+    """The PCG64 state of default_rng(SeedSequence(seed, spawn_key=(b,)))
+    for every resample b < B, derived in one pass.
+
+    This is numpy's SeedSequence mixing and PCG64 seeding.  The entropy is
+    the seed's 32-bit words, zero-padded to the pool size of four, then
+    the spawn word b.  Every word but b is hashed into the pool once, on
+    ints; b is mixed in vectorised over np.arange(B), as are the eight
+    words of generate_state(4, np.uint64); PCG64's two seeding steps then
+    run per resample on Python ints.  b is always one 32-bit word: B >=
+    2**32 resamples would need 32 GiB for np.arange(B) alone, and at least
+    as much for each of the (B, n) response block and the scoring core's
+    (B, n) work arrays, more memory than a bootstrap can be given.
+    """
+    size = max(4, (seed.bit_length() + 31) // 32)
+    words = [seed >> 32 * i & _MASK32 for i in range(size)]
+    pool, const = [], _INIT_A
+    for word in words[:4]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for word in (*words[4:], np.arange(B, dtype=np.uint64)):
+        for dst in range(4):
+            mixed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], mixed)
+    out, const = [], _INIT_B
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(word)
+    # the eight words read as four little-endian uint64s: the 128-bit seed
+    # and stream, high word first; PCG64 then sets inc = 2 stream + 1 and
+    # takes two LCG steps from state 0, adding the seed between them
+    halves = (out[j] | out[j + 1] << 32 for j in range(0, 8, 2))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(h.tolist() for h in halves)):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({**_PCG64_STATE, "state": {"state": state, "inc": inc}})
+    return states
+
+
 def _bootstrap_mean(
     data: Dataset,
     link: LinkFunction,
@@ -203,8 +273,11 @@ def _bootstrap_mean(
     """Mean resample LR under the null at theta_tilde, with failure count.
 
     Resample b is drawn by _beta_ratio, looked up in this module so a test
-    can install another draw, on an RNG stream derived from (seed, b), so
-    the aggregate is independent of evaluation order.  The shapes are
+    can install another draw, from default_rng(SeedSequence(seed,
+    spawn_key=(b,))), so the aggregate is independent of evaluation
+    order.  One generator serves every resample: _resample_states derives
+    all B of those generators' states in one pass, and each is set before
+    its resample's draw.  The shapes are
     checked and formed once and the B resamples clamped together, which
     gives gen_beta_sample's draws bit for bit.  Summation over the
     successful resamples is in fixed b-order.  The restricted fits of
@@ -219,24 +292,25 @@ def _bootstrap_mean(
     X = data.X
     n, p = X.shape
     free_cols, fixed_cols, offset = restriction.split(X)
-    phi_t = theta_tilde.phi
+    beta_t, phi_t = theta_tilde.beta[free_cols], theta_tilde.phi
     shapes = _beta_shapes(obs_state(theta_tilde, data, link).mu, phi_t)
 
+    rng = np.random.default_rng(0)  # its state is replaced before every draw
     Y = np.empty((opts.B, n))
-    for b in range(opts.B):
-        rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(b,)))
+    for b, state in enumerate(_resample_states(opts.seed, opts.B)):
+        rng.bit_generator.state = state
         Y[b] = _beta_ratio(*shapes, rng)
     np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
 
     rest = _fisher_scoring_batch(
-        Y, X[:, free_cols], offset, link, theta_tilde.beta[free_cols], phi_t, fit_opts
+        Y, X[:, free_cols], offset, link, beta_t, phi_t, fit_opts, keep_K=False
     )
     rows = np.nonzero(rest.ok)[0]
     beta_full0 = np.empty((len(rows), p))
     beta_full0[:, fixed_cols] = restriction.values
     beta_full0[:, free_cols] = rest.Beta[rows]
     full = _fisher_scoring_batch(
-        Y[rows], X, np.zeros(n), link, beta_full0, rest.Phi[rows], fit_opts
+        Y[rows], X, 0.0, link, beta_full0, rest.Phi[rows], fit_opts, keep_K=False
     )
     lr_ok = np.maximum(2.0 * (full.LL[full.ok] - rest.LL[rows][full.ok]), 0.0)
     failures = opts.B - len(lr_ok)

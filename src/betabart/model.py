@@ -56,9 +56,13 @@ def _beta_shapes(mu, phi):
 
 
 def _beta_ratio(a, b, rng):
-    """Unclamped beta draws with shapes a and b, as a ratio of gamma variates."""
-    g1 = rng.standard_gamma(a)
-    g2 = rng.standard_gamma(b)
+    """Unclamped beta draws with shapes a and b, as a ratio of gamma variates.
+
+    One standard_gamma call on the concatenated shapes draws the same
+    numbers, in the same order, as one call on a and then one on b.
+    """
+    g = rng.standard_gamma(np.concatenate((a, b)))
+    g1, g2 = g[: len(a)], g[len(a) :]
     return g1 / (g1 + g2)
 
 

@@ -378,6 +378,26 @@ class TestBartlettRows:
         assert np.array_equal(eps_full[rest], ref_full[rest])
         assert np.array_equal(eps_nuis[rest], ref_nuis[rest])
 
+    def test_full_set_failure_leaves_dense_intact(self):
+        # The full set's P, Q and A are the dense tensors themselves.
+        # Zeroing a row that fails there must not reach the dense tensors,
+        # which the nuisance set slices next, nor move any other row's
+        # epsilon.
+        data, link, restriction, Beta, Phi = self._rows()
+        dense = cumulants._dense_rows(data.X, link, Beta, Phi)
+        full = tuple(range(data.p + 1))
+        eps_ref = epsilon_matrix(cumulants._subset_tensors(dense, full)[0])
+        dense[0][4] = 0.0  # row 4's information is singular
+        saved = [T.copy() for T in dense]
+        tensors, failed = cumulants._subset_tensors(dense, full)
+        assert list(failed) == [4]
+        assert isinstance(failed[4], SingularInformationError)
+        for T, before in zip(dense, saved):
+            assert np.array_equal(T, before)
+        assert not tensors.A[4].any()
+        rest = np.arange(12) != 4
+        assert np.array_equal(epsilon_matrix(tensors)[rest], eps_ref[rest])
+
     def test_batched_pass_memory(self):
         # One 64-row block at n = 200, k = 13: the dense order-4 A takes
         # 14 MiB and its moment product 24 MiB, a peak near 50 MiB in all;

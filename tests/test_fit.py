@@ -250,6 +250,27 @@ def test_batch_iteration_cap_is_a_row_status(food_reduced, link):
     assert np.isfinite(batch.LL).all()
 
 
+@pytest.mark.parametrize("max_iterations", [100, 3])
+def test_batch_without_information(food_reduced, link, max_iterations):
+    # keep_K=False, for callers that read no information, returns K None
+    # and every other field bit for bit, for CONVERGED and MAX_ITERATIONS
+    # rows alike.
+    rng = np.random.default_rng(23)
+    n = food_reduced.n
+    Y = np.clip(food_reduced.y + rng.normal(0.0, 0.01, (6, n)), 0.01, 0.99)
+    start = starting_values(food_reduced, link)
+    args = (Y, food_reduced.X, np.zeros(n), link, start.beta, start.phi)
+    opts = FitOptions(max_iterations=max_iterations)
+    with_K = _fisher_scoring_batch(*args, opts)
+    without = _fisher_scoring_batch(*args, opts, keep_K=False)
+    assert without.K is None
+    for name in ("Beta", "Phi", "LL", "status", "iterations", "clamped"):
+        assert np.array_equal(getattr(without, name), getattr(with_K, name))
+    capped = max_iterations < 100
+    expected = ScoringStatus.MAX_ITERATIONS if capped else ScoringStatus.CONVERGED
+    assert (with_K.status == expected).all()
+
+
 def _newton_ascent(Y, X, offset, link, Beta, Phi):
     """U . J^-1 U per row at (Beta, Phi): positive when the Newton step ascends."""
     XT = np.ascontiguousarray(X.T)

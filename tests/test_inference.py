@@ -244,6 +244,59 @@ class TestBootstrapBartlett:
         assert abs(mean_small - mean_large) < 0.5
 
 
+# One-word, two-word and multi-word seeds, beyond the four-word pool too.
+_STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 2**200 + 12345)
+
+
+class TestResampleStreams:
+    """Resample b draws from default_rng(SeedSequence(seed, spawn_key=(b,))),
+    bit for bit, though no such generator is built."""
+
+    @pytest.mark.parametrize("B", [1, 2, 500, 1100])
+    @pytest.mark.parametrize("seed", _STREAM_SEEDS)
+    def test_states_are_the_spawned_generators(self, seed, B):
+        states = inference._resample_states(seed, B)
+        assert len(states) == B
+        rng = np.random.default_rng(0)
+        for b in sorted({0, min(1, B - 1), B - 1}):
+            sequence = np.random.SeedSequence(seed, spawn_key=(b,))
+            spawned = np.random.default_rng(sequence)
+            assert states[b] == spawned.bit_generator.state
+            rng.bit_generator.state = states[b]
+            shapes = np.array([0.4, 3.0, 250.0])
+            drawn = rng.standard_gamma(shapes)
+            assert np.array_equal(drawn, spawned.standard_gamma(shapes))
+            assert rng.random(4).tolist() == spawned.random(4).tolist()
+
+    @pytest.mark.parametrize("seed", [3, 2**70 + 1, 2**200 + 12345])
+    def test_mean_matches_one_generator_per_resample(
+        self, food_five, link, monkeypatch, seed
+    ):
+        # The reference builds each resample's generator and draws the two
+        # gamma vectors with two calls.  Six iterations fail some resamples
+        # (8 or 9 of 40 at these seeds), so the failure count is compared
+        # too.
+        restriction = Restriction((4,), (0.0,))
+        theta = fit_restricted(food_five, link, restriction).theta_hat
+        opts = BootstrapOptions(B=40, seed=seed, max_failure_fraction=0.9)
+        fit_opts = FitOptions(max_iterations=6)
+        args = (food_five, link, restriction, theta, opts, fit_opts)
+        got = inference._bootstrap_mean(*args)
+        resamples = iter(range(opts.B))
+
+        def own_generator(a, b, rng):
+            sequence = np.random.SeedSequence(seed, spawn_key=(next(resamples),))
+            own = np.random.default_rng(sequence)
+            g1 = own.standard_gamma(a)
+            g2 = own.standard_gamma(b)
+            return g1 / (g1 + g2)
+
+        monkeypatch.setattr(inference, "_beta_ratio", own_generator)
+        assert got == inference._bootstrap_mean(*args)
+        assert next(resamples, None) is None
+        assert got[1] > 0
+
+
 class TestRunTest:
     def test_all_methods(self, food_five, link):
         report = run_test(

@@ -11,6 +11,7 @@ from betabart.fit import Restriction, fit_mle, fit_restricted
 from betabart.model import (
     Dataset,
     ParamVector,
+    _beta_ratio,
     _rows_information,
     _rows_observed_information,
     _rows_state,
@@ -203,6 +204,21 @@ def test_score_zero_mean_monte_carlo(link):
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(draws)
     assert np.all(np.abs(mean) < 4.0 * se + 1e-12)
+
+
+def test_beta_ratio_is_the_two_call_draw():
+    # One standard_gamma call on the concatenated shapes draws what a call
+    # on a and then one on b draw, shapes below 1 included, and leaves the
+    # generator where the two calls leave it.
+    rng = np.random.default_rng(29)
+    for n, phi in ((1, 0.3), (15, 100.0), (38, 7.5), (200, 2.0e4)):
+        mu = rng.uniform(0.01, 0.99, n)
+        a, b = mu * phi, (1.0 - mu) * phi
+        one, two = np.random.default_rng(n), np.random.default_rng(n)
+        g1 = two.standard_gamma(a)
+        g2 = two.standard_gamma(b)
+        assert np.array_equal(_beta_ratio(a, b, one), g1 / (g1 + g2))
+        assert one.bit_generator.state == two.bit_generator.state
 
 
 def _one_row(beta, phi, X, offset, link, L):
