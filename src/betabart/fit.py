@@ -1,20 +1,21 @@
 """Maximum likelihood estimation by Newton steps with a scoring fallback.
 
-One scoring loop, _fisher_scoring_batch, fits a stack of response vectors
-that share a design: the bootstrap calls it with B rows, and _fit_rows with
-one row per dataset, a Monte Carlo block's replications or the one dataset
-of fit_mle and fit_restricted.  Each row steps on its observed information
-J, which converges quadratically near the optimum; a row whose J cannot be
-solved, or whose Newton step does not ascend, takes the Fisher scoring
-step on the expected information K instead.  Reported information
-matrices are always K.  The loop reports a ScoringStatus per row, from
-which _fit_rows records a NonConvergenceError or SingularInformationError
-for the row and the one-row fits raise it.  A row's result is bit for bit
-the same in any batch.  Restrictions fix selected coefficients at given
-values; the restricted problem is solved on the free columns with the
-fixed part absorbed into an offset.  Restricted results embed the fixed
-values at their positions and report the information matrix on the free
-space along with an embedding map.
+One scoring loop, _fisher_scoring_batch, fits a stack of response vectors,
+each row on one of a few designs: the bootstrap calls it with B rows on
+one design, and _fit_rows with one row per dataset and hypothesis, so that
+a Monte Carlo block fits every replication under both hypotheses in one
+call, and fit_mle and fit_restricted are one-row calls.  Each row steps on
+its observed information J, which converges quadratically near the
+optimum; a row whose J cannot be solved, or whose Newton step does not
+ascend, takes the Fisher scoring step on the expected information K
+instead.  Reported information matrices are always K.  The loop reports a
+ScoringStatus per row, from which _fit_rows records a NonConvergenceError
+or SingularInformationError for the row and the one-row fits raise it.  A
+row's result is bit for bit the same in any batch.  Restrictions fix
+selected coefficients at given values; the restricted problem is solved on
+the free columns with the fixed part absorbed into an offset.  Restricted
+results embed the fixed values at their positions and report the
+information matrix on the free space along with an embedding map.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .model import (
     Dataset,
     LinkFunction,
     ParamVector,
+    _eta_state,
     _rows_information,
     _rows_observed_information,
     _rows_score,
@@ -211,7 +213,10 @@ class ScoringStatus(IntEnum):
 
     CONVERGED: at the start of an iteration the score max-norm was within
     gradient_tolerance and the last accepted step moved l by at most the
-    noise slack.  MAX_ITERATIONS: still moving after max_iterations steps.
+    noise slack.  MAX_ITERATIONS: not converged after max_iterations
+    steps; this includes a row retired early because no step of any scale
+    was acceptable while its score max-norm was above gradient_tolerance:
+    its state cannot change again, so it could only have reached the cap.
     SINGULAR: the expected information, which a row steps on when its
     Newton step fails, could not be factorised.  NON_FINITE:
     the log-likelihood at the start is not finite.
@@ -228,7 +233,8 @@ class _BatchFit(NamedTuple):
 
     Beta, Phi and LL are the last accepted iterate; K is the expected
     information there for CONVERGED and SINGULAR rows, zero elsewhere, or
-    None when the caller asked for no K.
+    None when the caller asked for no K.  On several designs Beta and K
+    are padded to the widest one (see _fisher_scoring_batch).
     clamped flags a mean clamped at the start or at an accepted iterate.
     """
 
@@ -243,6 +249,21 @@ class _BatchFit(NamedTuple):
     @property
     def ok(self) -> np.ndarray:
         return self.status == ScoringStatus.CONVERGED
+
+    def part(self, rows, p):
+        """The rows (a slice) of a design of p columns, without padding."""
+        K = self.K
+        if K is not None:
+            K = np.ascontiguousarray(K[rows, : p + 1, : p + 1])
+        return _BatchFit(
+            self.Beta[rows, :p],
+            self.Phi[rows],
+            self.LL[rows],
+            self.status[rows],
+            self.iterations[rows],
+            self.clamped[rows],
+            K,
+        )
 
 
 class _Active:
@@ -278,15 +299,24 @@ def _inverse_rows(K):
     return _solve(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape))
 
 
-def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
+def _fisher_scoring_batch(
+    Y, X, offset, link, Beta0, Phi0, opts, keep_K=True, group=None
+):
     """Newton steps, with scoring steps as the fallback, on a stack of
     response vectors; the only scoring loop.
 
-    Y has one response vector per row; X and offset are shared.  Beta0 is
-    a single vector broadcast to every row or one row per response; Phi0
-    likewise a scalar or per-row vector.  Returns a _BatchFit; with keep_K
-    false its K is None and no retiring row's information is built, for
-    callers that read only the iterate and the status.
+    Y has one response vector per row.  X and offset are the design and
+    linear-predictor offset every row shares, or, with group given,
+    sequences of them: row b is fitted on X[group[b]] with
+    offset[group[b]], and the rows come design by design (group does not
+    decrease).  Beta0 is a single vector broadcast to every row or one row
+    per response; Phi0 likewise a scalar or per-row vector.  Returns a
+    _BatchFit; with keep_K false its K is None and no retiring row's
+    information is built, for callers that read only the iterate and the
+    status.  Beta0 and the result's Beta and K are as wide as the widest
+    design: a row on a design of p columns keeps its coefficients in the
+    first p columns (the rest are zero) and its K in the leading
+    (p + 1)-square block.
 
     Each row takes the Newton step J^-1 U on its observed information J,
     or the scoring step K^-1 U on its expected information K where J is
@@ -298,53 +328,89 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     freeze the iterate with the gradient still above tolerance.  A row
     with no acceptable step stays put.  Iteration i (1-based) starts with
     the convergence test.  A row stops CONVERGED, MAX_ITERATIONS, SINGULAR
-    or NON_FINITE (see ScoringStatus) after i iterations (0 for NON_FINITE).
+    or NON_FINITE (see ScoringStatus) after i iterations (0 for NON_FINITE,
+    max_iterations for MAX_ITERATIONS).
 
-    Every field of a row is bit for bit the same whichever rows share its
-    batch and in whatever order, a batch of one included, because all
-    arithmetic is row-local (see model._rows_state).
+    The linear predictor, the score, the information and the solves run
+    per design, each on its rows' slice of the state; everything else, the
+    model evaluation past the linear predictor (model._eta_state) at the
+    start and at every trial scale included, runs once over the rows of
+    all designs.  Every field of a row is bit for bit the same whichever
+    rows share its batch, on whatever designs and in whatever order, a
+    batch of one included, because all arithmetic is row-local (see
+    model._rows_state).
     """
+    if group is None:
+        X, offset = [X], [offset]
+    designs = [(np.ascontiguousarray(Xd.T), od) for Xd, od in zip(X, offset)]
     B, n = Y.shape
-    p = X.shape[1]
-    k = p + 1
-    XT = np.ascontiguousarray(X.T)
+    P = max(XT.shape[0] for XT, _ in designs)
     out = _BatchFit(
-        Beta=np.empty((B, p)),
+        Beta=np.empty((B, P)),
         Phi=np.empty(B),
         LL=np.empty(B),
         status=np.empty(B, dtype=np.int8),
         iterations=np.empty(B, dtype=int),
         clamped=np.empty(B, dtype=bool),
-        K=np.zeros((B, k, k)) if keep_K else None,
+        K=np.zeros((B, P + 1, P + 1)) if keep_K else None,
     )
 
     s = _Active()
     s.rows = np.arange(B)
+    if len(designs) > 1:
+        s.group = np.asarray(group)
     s.L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
-    s.Beta = np.zeros((B, p)) + Beta0
+    s.Beta = np.zeros((B, P)) + Beta0
+
+    def parts(at=slice(None)):
+        """(XT, offset, rows) for each design of the active rows at (a slice
+        or a sorted index array), rows being their slice of at."""
+        if len(designs) == 1:
+            return [(*designs[0], slice(None))]
+        bounds = np.searchsorted(s.group[at], np.arange(len(designs) + 1)).tolist()
+        return [
+            (*design, slice(a, b))
+            for design, a, b in zip(designs, bounds, bounds[1:])
+            if a < b
+        ]
+
+    def state(Beta, Phi, L, at=slice(None)):
+        """_rows_state for the active rows at, evaluated at (Beta, Phi)."""
+        if len(designs) == 1:
+            return _rows_state(Beta, Phi, *designs[0], link, L)
+        Eta = np.empty((len(Phi), n))
+        for XT, off, rows in parts(at):
+            np.einsum("bj,jn->bn", Beta[rows, : len(XT)], XT, out=Eta[rows])
+            Eta[rows] += off
+        return _eta_state(Eta, Phi, link, L)
+
     s.Phi = np.zeros(B) + Phi0
-    s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = _rows_state(
-        s.Beta, s.Phi, XT, offset, link, s.L
-    )
+    s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = state(s.Beta, s.Phi, s.L)
     # slack is the noise allowance _REL_LOGLIK_TOL * max(1, |l|); settled
     # marks rows whose last accepted step changed l by at most that much.
     s.slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(s.LL))
     s.settled = np.zeros(B, dtype=bool)
+    s.stalled = np.zeros(B, dtype=bool)  # no acceptable step on the last pass
 
-    def information(rows):
-        """Expected information at the current point of the given rows."""
-        return _rows_information(XT, s.Phi[rows], s.M[rows], s.T[rows], s.Tri[rows])
+    def information(XT, rows, pick):
+        """Expected information at the current point of the rows[pick]."""
+        return _rows_information(
+            XT, s.Phi[rows][pick], s.M[rows][pick], s.T[rows][pick], s.Tri[rows][pick]
+        )
 
-    def retire(mask, status, iterations, K=None):
-        """Write the masked rows, with K their expected information, to
-        out and drop them from the state."""
+    def retire(mask, status, iterations, K=()):
+        """Write the masked rows to out and drop them from the state; K
+        holds their expected information, one stack per design in order."""
         at = s.rows[mask]
         for name in ("Beta", "Phi", "LL", "clamped"):
             getattr(out, name)[at] = getattr(s, name)[mask]
         out.status[at] = status
         out.iterations[at] = iterations
-        if keep_K and K is not None:
-            out.K[at] = K
+        if keep_K:
+            for Kd in K:
+                k = Kd.shape[-1]
+                out.K[at[: len(Kd)], :k, :k] = Kd
+                at = at[len(Kd) :]
         s.put(slice(None), **{name: value[~mask] for name, value in vars(s).items()})
 
     def accept(at, good, Beta_t, Phi_t, trial):
@@ -369,64 +435,105 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     for iteration in range(1, opts.max_iterations + 1):
         if not len(s.rows):
             break
-        U = _rows_score(XT, s.Phi, s.M, s.T, s.Psi, s.L)
-        conv = s.settled
-        if conv.any():
-            conv = conv & (np.abs(U).max(axis=1) <= opts.gradient_tolerance)
-        if conv.any():
-            K = information(conv) if keep_K else None
-            retire(conv, ScoringStatus.CONVERGED, iteration, K)
+        groups = parts()
+        U = [
+            _rows_score(XT, s.Phi[rows], s.M[rows], s.T[rows], s.Psi[rows], s.L[rows])
+            for XT, _, rows in groups
+        ]
+        done = s.settled
+        if done.any():
+            small = np.concatenate([np.abs(u).max(axis=1) for u in U])
+            small = small <= opts.gradient_tolerance
+            conv = done & small
+            # A row that found no acceptable step on the last pass is where
+            # it was then.  Unless it converges now, it would repeat that
+            # pass every time, so it leaves with the status and count the
+            # iteration cap would give it.
+            stuck = s.stalled & ~small
+            done = conv | stuck
+        if done.any():
+            if conv.any():
+                K = [
+                    information(XT, rows, conv[rows])
+                    for XT, _, rows in groups
+                    if keep_K and conv[rows].any()
+                ]
+                retire(conv, ScoringStatus.CONVERGED, iteration, K)
+            if stuck.any():
+                retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
             if not len(s.rows):
                 break
-            U = U[~conv]
-        J = _rows_observed_information(XT, s.Phi, s.M, s.T, s.Psi, s.Tri, s.L, link)
-        Step = _solve(J, U[:, :, None])[0][:, :, 0]
+            U = [u[~done[rows]] for (_, _, rows), u in zip(groups, U)]
+            U = [u for u in U if len(u)]
+            groups = parts()
         # A row whose J is singular (zero step) or whose Newton step is not
         # an ascent direction takes the scoring step K^-1 U instead.
-        fallback = np.nonzero(~(np.einsum("bk,bk->b", U, Step) > 0.0))[0]
-        if fallback.size:
-            K = information(fallback)
-            Step_K, singular = _solve(K, U[fallback, :, None])
-            Step[fallback] = Step_K[:, :, 0]
-            if singular is not None:
-                mask = np.zeros(len(Step), dtype=bool)
-                mask[fallback[singular]] = True
-                retire(mask, ScoringStatus.SINGULAR, iteration, K[singular])
-                if not len(s.rows):
-                    break
-                Step = Step[~mask]
+        steps, singular, K = [], None, []
+        for (XT, _, rows), u in zip(groups, U):
+            J = _rows_observed_information(
+                XT, s.Phi[rows], s.M[rows], s.T[rows], s.Psi[rows], s.Tri[rows],
+                s.L[rows], link,
+            )
+            step = _solve(J, u[:, :, None])[0][:, :, 0]
+            fallback = np.nonzero(~(np.einsum("bk,bk->b", u, step) > 0.0))[0]
+            if fallback.size:
+                K_f = information(XT, rows, fallback)
+                step_K, bad = _solve(K_f, u[fallback, :, None])
+                step[fallback] = step_K[:, :, 0]
+                if bad is not None:
+                    if singular is None:
+                        singular = np.zeros(len(s.rows), dtype=bool)
+                    singular[rows][fallback[bad]] = True
+                    K.append(K_f[bad])
+            steps.append(step)
         del U, J  # freed before the trial evaluations
+        if len(designs) == 1:
+            Step = steps[0]
+        else:
+            # one row per active row: the beta step in the row's design
+            # columns and the phi step last, at column P
+            Step = np.zeros((len(s.rows), P + 1))
+            for (XT, _, rows), step in zip(groups, steps):
+                Step[rows, : len(XT)] = step[:, :-1]
+                Step[rows, P] = step[:, -1]
+        if singular is not None:
+            retire(singular, ScoringStatus.SINGULAR, iteration, K)
+            if not len(s.rows):
+                break
+            Step = Step[~singular]
         # The full step is tried on every row at once, with no index
         # bookkeeping; only the rows it fails go on to be halved.
-        Phi_t = s.Phi + Step[:, p]
+        Phi_t = s.Phi + Step[:, P]
         scale = 1.0
         if Phi_t.min() > 0.0:
-            Beta_t = s.Beta + Step[:, :p]
-            trial = _rows_state(Beta_t, Phi_t, XT, offset, link, s.L)
+            Beta_t = s.Beta + Step[:, :P]
+            trial = state(Beta_t, Phi_t, s.L)
             good = trial[4] >= s.LL - s.slack
+            pending = ~good
             if good.all():
                 accept(None, good, Beta_t, Phi_t, trial)
+                s.stalled = pending
                 continue
             accept(np.arange(len(good)), good, Beta_t, Phi_t, trial)
-            pending = ~good
             scale = 0.5
         else:
             pending = np.ones(len(Phi_t), dtype=bool)
         while scale >= min_scale and pending.any():
             idx = np.nonzero(pending)[0]
-            Phi_t = s.Phi[idx] + scale * Step[idx, p]
+            Phi_t = s.Phi[idx] + scale * Step[idx, P]
             pos = Phi_t > 0.0
             if pos.any():
                 at = idx[pos]
-                Beta_t = s.Beta[at] + scale * Step[at, :p]
-                trial = _rows_state(Beta_t, Phi_t[pos], XT, offset, link, s.L[at])
+                Beta_t = s.Beta[at] + scale * Step[at, :P]
+                trial = state(Beta_t, Phi_t[pos], s.L[at], at)
                 good = trial[4] >= s.LL[at] - s.slack[at]
                 accept(at, good, Beta_t, Phi_t[pos], trial)
                 pending[at[good]] = False
             scale *= 0.5
-        # Rows with no acceptable step stay put; the gradient criterion or
-        # the iteration budget decides their fate on a later pass.
+        # Rows with no acceptable step stay put; the gradient criterion
+        # decides their fate on the next pass.
         s.settled[pending] = True
+        s.stalled = pending
     if len(s.rows):
         retire(
             np.ones(len(s.rows), dtype=bool),
@@ -444,41 +551,68 @@ def _singular_error(K):
     )
 
 
-def _fit_rows(datasets, link, restriction, opts, start=None):
-    """(results, failed): datasets that share one design, fitted with the
-    coefficients of restriction held fixed (none when it is None) in one
-    call to the scoring core.
+def _fit_rows(datasets, link, restrictions, opts, start=None):
+    """[(results, failed)], one pair per entry of restrictions: datasets
+    that share one design, each fitted once per entry with that entry's
+    coefficients held fixed (none when it is None), all in one call to the
+    scoring core.
 
     start, a full-space ParamVector, seeds every row; by default each row
     starts from its own least-squares point (never a batched one, which
     would move the iterates).  results maps each row that converged with
     an invertible information to its FitResult, embedded in the full
-    space; failed maps every other row to its FitError.
+    space; failed maps every other row to its FitError.  Each pair is bit
+    for bit what a call with its restriction alone returns.
     """
     X = datasets[0].X
     n, p = X.shape
-    if restriction is None:
-        free, fixed, offset, values = np.arange(p), np.arange(0), np.zeros(n), ()
-    else:
+    splits = []  # (free, fixed, offset, fixed values, design of the free columns)
+    for restriction in restrictions:
+        if restriction is None:
+            splits.append((np.arange(p), np.arange(0), np.zeros(n), (), X))
+            continue
         free, fixed, offset = restriction.split(X)
         if not free.size:
             raise ValueError("restriction must leave at least one free coefficient")
-        X = X[:, free]
-        values = restriction.values
+        splits.append((free, fixed, offset, restriction.values, X[:, free]))
     try:
         _check_full_rank(datasets[0])
     except SingularInformationError as exc:
-        return {}, dict.fromkeys(range(len(datasets)), exc)
-    Y = np.array([data.y for data in datasets])
-    if start is None:
-        Beta0, Phi0 = np.empty((len(Y), free.size)), np.empty(len(Y))
-        for i, y in enumerate(Y):
-            Beta0[i], Phi0[i] = _starting_point(y, X, offset, link)
-    elif start.beta.size != p:
+        return [({}, dict.fromkeys(range(len(datasets)), exc)) for _ in splits]
+    if start is not None and start.beta.size != p:
         raise ValueError("starting point dimension does not match design")
-    else:
-        Beta0, Phi0 = start.beta[free], start.phi
-    fit = _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts)
+    Y = np.array([data.y for data in datasets])
+    N = len(Y)
+    width = max(split[0].size for split in splits)
+    Beta0, Phi0 = np.zeros((len(splits) * N, width)), np.empty(len(splits) * N)
+    for g, (free, _, offset, _, Xg) in enumerate(splits):
+        if start is None:
+            for i, y in enumerate(Y, g * N):
+                Beta0[i, : free.size], Phi0[i] = _starting_point(y, Xg, offset, link)
+        else:
+            Beta0[g * N : (g + 1) * N, : free.size] = start.beta[free]
+            Phi0[g * N : (g + 1) * N] = start.phi
+    _, _, offsets, _, designs = zip(*splits)
+    fit = _fisher_scoring_batch(
+        np.concatenate([Y] * len(splits)),
+        designs,
+        offsets,
+        link,
+        Beta0,
+        Phi0,
+        opts,
+        group=np.arange(len(splits)).repeat(N),
+    )
+
+    pairs = []
+    for g, (free, fixed, _, values, _) in enumerate(splits):
+        part = fit.part(slice(g * N, (g + 1) * N), free.size)
+        pairs.append(_results(part, p, free, fixed, values, opts))
+    return pairs
+
+
+def _results(fit, p, free, fixed, values, opts):
+    """(results, failed) of _fit_rows from the core's rows of one design."""
     ok = fit.ok
     K_inv = np.zeros_like(fit.K)
     K_inv[ok], singular = _inverse_rows(fit.K[ok])
@@ -525,7 +659,8 @@ def _fit_rows(datasets, link, restriction, opts, start=None):
 
 def _fit(data, link, restriction, opts, start):
     """One-row call into _fit_rows, raising the row's error."""
-    results, failed = _fit_rows([data], link, restriction, opts or FitOptions(), start)
+    opts = opts or FitOptions()
+    results, failed = _fit_rows([data], link, [restriction], opts, start)[0]
     if failed:
         raise failed[0]
     return results[0]

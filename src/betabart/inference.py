@@ -406,7 +406,10 @@ def run_test(
     """Fit both hypotheses once and compute every requested statistic.
 
     A one-row call into _test_rows, the path a Monte Carlo block takes;
-    the first error of the test is raised.
+    the first error of the test is raised.  The two fits are separate
+    one-row calls to the scoring core, the full model's first, so a full
+    fit that fails raises before the restricted one runs; a block fits
+    both hypotheses of all its rows in one call instead.
     """
     chosen = _check_methods(methods)
     fit_opts = fit_opts or FitOptions()

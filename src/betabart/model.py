@@ -263,15 +263,24 @@ def _rows_state(Beta, Phi, XT, offset, link, L):
     reduction order does not depend on the number of rows (a BLAS product
     of whole batches does not keep that promise).
     """
-    n = XT.shape[1]
     Eta = np.einsum("bj,jn->bn", Beta, XT)
     Eta += offset
+    return _eta_state(Eta, Phi, link, L)
+
+
+def _eta_state(Eta, Phi, link, L):
+    """_rows_state at the linear predictors Eta, one row per parameter point.
+
+    Everything past the linear predictor is the same whatever design gave
+    Eta, so rows on different designs share this one pass.
+    """
+    n = Eta.shape[1]
     Mu_raw = np.asarray(link.g_inv(Eta), dtype=float)
     M = np.empty((len(Phi), 2 * n + 1))
     Mu = M[:, :n]
     np.minimum(np.maximum(Mu_raw, MU_CLAMP), 1.0 - MU_CLAMP, out=Mu)
     clamped = (Mu != Mu_raw).any(axis=1)
-    del Eta, Mu_raw  # not needed past here; frees their (rows, n) blocks
+    del Mu_raw  # not needed past here; frees its (rows, n) block
     np.subtract(1.0, Mu, out=M[:, n : 2 * n])
     M[:, 2 * n] = 1.0
     ABP = M * Phi[:, None]

@@ -4,10 +4,10 @@ Replications draw beta responses on a fixed design, run the full test
 battery, and aggregate rejection rates, moments, and quantiles of the
 statistics.  Randomness is hierarchical: replication j consumes streams
 derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
-of _BLOCK consecutive indices: a block fits all its full models as one
-call to the batched scoring core, all its restricted models as another,
-and runs the test battery on all its rows through the path run_test
-takes, with every Bartlett factor from one batched pass.  The blocks do
+of _BLOCK consecutive indices: a block fits all its full and restricted
+models in one call to the batched scoring core and runs the test battery
+on all its rows through the path run_test takes, with every Bartlett
+factor from one batched pass.  The blocks do
 not depend on the worker count, so neither does any result;
 BETABART_THREADS only spreads the blocks over worker processes.
 """
@@ -182,12 +182,12 @@ def _replication_block(
     """Statistics of each replication in indices, or None where it failed.
 
     Replication j draws its responses on the (base_seed, j, 0) stream and
-    bootstraps on (base_seed, j, 1).  The block fits all its full models in
-    one call to the scoring core and all its restricted models in another,
-    then runs the test battery on every row at once.  A replication fails
-    on a rejected draw, a failure of its test or a non-finite statistic;
-    any other exception is a defect and propagates.  Each row is its own,
-    so a failure moves no other.
+    bootstraps on (base_seed, j, 1).  The block fits all its full and all
+    its restricted models in one call to the scoring core, then runs the
+    test battery on every row at once.  A replication fails on a rejected
+    draw, a failure of its test or a non-finite statistic; any other
+    exception is a defect and propagates.  Each row is its own, so a
+    failure moves no other.
     """
     X = design_matrix(config.n, config.p, config.covariate_seed)
     link = logit_link()
@@ -215,8 +215,9 @@ def _replication_block(
     if not datasets:
         return outcomes
     opts = FitOptions()
-    full, failed = _fit_rows(datasets, link, None, opts)
-    rest, rest_failed = _fit_rows(datasets, link, restriction, opts)
+    (full, failed), (rest, rest_failed) = _fit_rows(
+        datasets, link, (None, restriction), opts
+    )
     fits = full, rest, {**rest_failed, **failed}  # the full fit's error first
     reports, _ = _test_rows(
         datasets, link, restriction, config.methods, boot_opts, opts, fits
