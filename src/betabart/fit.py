@@ -35,7 +35,6 @@ from .model import (
     _rows_information,
     _rows_observed_information,
     _rows_score,
-    _rows_state,
 )
 
 __all__ = [
@@ -233,8 +232,8 @@ class _BatchFit(NamedTuple):
 
     Beta, Phi and LL are the last accepted iterate; K is the expected
     information there for CONVERGED and SINGULAR rows, zero elsewhere, or
-    None when the caller asked for no K.  On several designs Beta and K
-    are padded to the widest one (see _fisher_scoring_batch).
+    None when the caller asked for no K.  On designs of several widths
+    Beta and K are padded to the widest (see _fisher_scoring_batch).
     clamped flags a mean clamped at the start or at an accepted iterate.
     """
 
@@ -254,9 +253,9 @@ class _BatchFit(NamedTuple):
         """The rows (a slice) of a design of p columns, without padding."""
         K = self.K
         if K is not None:
-            K = np.ascontiguousarray(K[rows, : p + 1, : p + 1])
+            K = np.ascontiguousarray(K[rows, -p - 1 :, -p - 1 :])
         return _BatchFit(
-            self.Beta[rows, :p],
+            self.Beta[rows, -p:],
             self.Phi[rows],
             self.LL[rows],
             self.status[rows],
@@ -271,11 +270,11 @@ class _Active:
 
     def put(self, at, **fields):
         """Write fields to the rows at (an index array); a slice replaces them whole."""
+        if isinstance(at, slice):
+            self.__dict__.update(fields)
+            return
         for name, value in fields.items():
-            if isinstance(at, slice):
-                setattr(self, name, value)
-            else:
-                getattr(self, name)[at] = value
+            getattr(self, name)[at] = value
 
 
 def _solve(K, U):
@@ -299,24 +298,21 @@ def _inverse_rows(K):
     return _solve(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape))
 
 
-def _fisher_scoring_batch(
-    Y, X, offset, link, Beta0, Phi0, opts, keep_K=True, group=None
-):
+def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     """Newton steps, with scoring steps as the fallback, on a stack of
     response vectors; the only scoring loop.
 
-    Y has one response vector per row.  X and offset are the design and
-    linear-predictor offset every row shares, or, with group given,
-    sequences of them: row b is fitted on X[group[b]] with
-    offset[group[b]], and the rows come design by design (group does not
-    decrease).  Beta0 is a single vector broadcast to every row or one row
-    per response; Phi0 likewise a scalar or per-row vector.  Returns a
-    _BatchFit; with keep_K false its K is None and no retiring row's
-    information is built, for callers that read only the iterate and the
-    status.  Beta0 and the result's Beta and K are as wide as the widest
-    design: a row on a design of p columns keeps its coefficients in the
-    first p columns (the rest are zero) and its K in the leading
-    (p + 1)-square block.
+    Y has one response vector per row.  X and offset are a list of designs
+    and their linear-predictor offsets, or one design and its offset: the
+    rows of Y fall into as many equal blocks, in order, and block d is
+    fitted on X[d] with offset[d].  Beta0 is a single vector broadcast to
+    every row or one row per response; Phi0 likewise a scalar or per-row
+    vector.  Returns a _BatchFit; with keep_K false its K is None and no
+    retiring row's information is built, for callers that read only the
+    iterate and the status.  Beta0 and the result's Beta and K are as wide
+    as the widest design: a row on a design of p columns keeps its
+    coefficients in the last p columns (the rest are zero) and its K in
+    the trailing (p + 1)-square block.
 
     Each row takes the Newton step J^-1 U on its observed information J,
     or the scoring step K^-1 U on its expected information K where J is
@@ -332,7 +328,7 @@ def _fisher_scoring_batch(
     max_iterations for MAX_ITERATIONS).
 
     The linear predictor, the score, the information and the solves run
-    per design, each on its rows' slice of the state; everything else, the
+    per design, each on its block of the active rows; everything else, the
     model evaluation past the linear predictor (model._eta_state) at the
     start and at every trial scale included, runs once over the rows of
     all designs.  Every field of a row is bit for bit the same whichever
@@ -340,11 +336,13 @@ def _fisher_scoring_batch(
     batch of one included, because all arithmetic is row-local (see
     model._rows_state).
     """
-    if group is None:
+    if isinstance(X, np.ndarray):
         X, offset = [X], [offset]
     designs = [(np.ascontiguousarray(Xd.T), od) for Xd, od in zip(X, offset)]
     B, n = Y.shape
-    P = max(XT.shape[0] for XT, _ in designs)
+    if B % len(designs):
+        raise ValueError("the rows must split evenly over the designs")
+    P = max(len(XT) for XT, _ in designs)
     out = _BatchFit(
         Beta=np.empty((B, P)),
         Phi=np.empty(B),
@@ -354,49 +352,50 @@ def _fisher_scoring_batch(
         clamped=np.empty(B, dtype=bool),
         K=np.zeros((B, P + 1, P + 1)) if keep_K else None,
     )
+    # the active rows of design d are bounds[d]:bounds[d + 1]
+    bounds = [d * (B // len(designs)) for d in range(len(designs) + 1)]
+
+    def blocks(bounds):
+        """(XT, offset, rows) of each design with rows, rows being its
+        slice bounds[d]:bounds[d + 1]."""
+        return [
+            (XT, off, slice(lo, hi))
+            for (XT, off), lo, hi in zip(designs, bounds, bounds[1:])
+            if lo < hi
+        ]
+
+    spans = blocks(bounds)  # of the active rows; changes only when rows retire
+
+    def state(Beta, Phi, L, at=None):
+        """_rows_state of the active rows, or of those at (sorted positions
+        among them), at (Beta, Phi)."""
+        Eta = np.empty((len(Phi), n))
+        parts = spans if at is None else blocks(np.searchsorted(at, bounds).tolist())
+        for XT, off, rows in parts:
+            eta = Eta[rows]
+            np.einsum("bj,jn->bn", Beta[rows, P - len(XT) :], XT, out=eta)
+            eta += off
+        return _eta_state(Eta, Phi, link, L)
 
     s = _Active()
     s.rows = np.arange(B)
-    if len(designs) > 1:
-        s.group = np.asarray(group)
     s.L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
     s.Beta = np.zeros((B, P)) + Beta0
-
-    def parts(at=slice(None)):
-        """(XT, offset, rows) for each design of the active rows at (a slice
-        or a sorted index array), rows being their slice of at."""
-        if len(designs) == 1:
-            return [(*designs[0], slice(None))]
-        bounds = np.searchsorted(s.group[at], np.arange(len(designs) + 1)).tolist()
-        return [
-            (*design, slice(a, b))
-            for design, a, b in zip(designs, bounds, bounds[1:])
-            if a < b
-        ]
-
-    def state(Beta, Phi, L, at=slice(None)):
-        """_rows_state for the active rows at, evaluated at (Beta, Phi)."""
-        if len(designs) == 1:
-            return _rows_state(Beta, Phi, *designs[0], link, L)
-        Eta = np.empty((len(Phi), n))
-        for XT, off, rows in parts(at):
-            np.einsum("bj,jn->bn", Beta[rows, : len(XT)], XT, out=Eta[rows])
-            Eta[rows] += off
-        return _eta_state(Eta, Phi, link, L)
-
     s.Phi = np.zeros(B) + Phi0
     s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = state(s.Beta, s.Phi, s.L)
     # slack is the noise allowance _REL_LOGLIK_TOL * max(1, |l|); settled
     # marks rows whose last accepted step changed l by at most that much.
     s.slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(s.LL))
     s.settled = np.zeros(B, dtype=bool)
-    s.stalled = np.zeros(B, dtype=bool)  # no acceptable step on the last pass
 
-    def information(XT, rows, pick):
-        """Expected information at the current point of the rows[pick]."""
-        return _rows_information(
-            XT, s.Phi[rows][pick], s.M[rows][pick], s.T[rows][pick], s.Tri[rows][pick]
-        )
+    def views():
+        """Each design's rows of the state, as (XT, rows, Phi, M, T, Psi,
+        Tri, L)."""
+        return [
+            (XT, rows, s.Phi[rows], s.M[rows], s.T[rows], s.Psi[rows], s.Tri[rows],
+             s.L[rows])
+            for XT, _, rows in spans
+        ]
 
     def retire(mask, status, iterations, K=()):
         """Write the masked rows to out and drop them from the state; K
@@ -409,9 +408,15 @@ def _fisher_scoring_batch(
         if keep_K:
             for Kd in K:
                 k = Kd.shape[-1]
-                out.K[at[: len(Kd)], :k, :k] = Kd
+                out.K[at[: len(Kd)], -k:, -k:] = Kd
                 at = at[len(Kd) :]
-        s.put(slice(None), **{name: value[~mask] for name, value in vars(s).items()})
+        keep = np.flatnonzero(~mask)
+        if not keep.size:  # the loop ends: no state is read again
+            s.rows = keep
+            return
+        bounds[:] = np.searchsorted(keep, bounds).tolist()
+        spans[:] = blocks(bounds)
+        s.put(slice(None), **{name: value[keep] for name, value in vars(s).items()})
 
     def accept(at, good, Beta_t, Phi_t, trial):
         """Move the rows at[good] to their trial point; at=None moves every row."""
@@ -432,52 +437,56 @@ def _fisher_scoring_batch(
     if not np.isfinite(s.LL).all():
         retire(~np.isfinite(s.LL), ScoringStatus.NON_FINITE, 0)
     min_scale = 0.5**opts.step_halving_max
+    # stalled marks the rows that found no acceptable step on the last
+    # pass; False when every row took a step
+    stalled = False
     for iteration in range(1, opts.max_iterations + 1):
         if not len(s.rows):
             break
-        groups = parts()
-        U = [
-            _rows_score(XT, s.Phi[rows], s.M[rows], s.T[rows], s.Psi[rows], s.L[rows])
-            for XT, _, rows in groups
-        ]
+        parts = views()
+        U = [_rows_score(XT, Phi, M, T, Psi, L) for XT, _, Phi, M, T, Psi, _, L in parts]
         done = s.settled
         if done.any():
-            small = np.concatenate([np.abs(u).max(axis=1) for u in U])
+            small = np.empty(len(done))
+            for (_, rows, *_), u in zip(parts, U):
+                np.abs(u).max(axis=1, out=small[rows])
             small = small <= opts.gradient_tolerance
             conv = done & small
             # A row that found no acceptable step on the last pass is where
             # it was then.  Unless it converges now, it would repeat that
             # pass every time, so it leaves with the status and count the
             # iteration cap would give it.
-            stuck = s.stalled & ~small
+            stuck = stalled & ~small
             done = conv | stuck
-        if done.any():
-            if conv.any():
-                K = [
-                    information(XT, rows, conv[rows])
-                    for XT, _, rows in groups
-                    if keep_K and conv[rows].any()
-                ]
-                retire(conv, ScoringStatus.CONVERGED, iteration, K)
-            if stuck.any():
-                retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
-            if not len(s.rows):
-                break
-            U = [u[~done[rows]] for (_, _, rows), u in zip(groups, U)]
-            U = [u for u in U if len(u)]
-            groups = parts()
+            if done.any():
+                if conv.any():
+                    K = []
+                    for XT, rows, Phi, M, T, _, Tri, _ in parts:
+                        c = conv[rows]
+                        if keep_K and c.any():
+                            K.append(_rows_information(XT, Phi[c], M[c], T[c], Tri[c]))
+                    retire(conv, ScoringStatus.CONVERGED, iteration, K)
+                if stuck.any():
+                    retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
+                if not len(s.rows):
+                    break
+                U = [u[~done[rows]] for (_, rows, *_), u in zip(parts, U)]
+                U = [u for u in U if len(u)]
+                parts = views()
         # A row whose J is singular (zero step) or whose Newton step is not
-        # an ascent direction takes the scoring step K^-1 U instead.
-        steps, singular, K = [], None, []
-        for (XT, _, rows), u in zip(groups, U):
-            J = _rows_observed_information(
-                XT, s.Phi[rows], s.M[rows], s.T[rows], s.Psi[rows], s.Tri[rows],
-                s.L[rows], link,
-            )
+        # an ascent direction takes the scoring step K^-1 U instead.  Step
+        # holds each row's beta step in its design's columns, the last
+        # before P, and the phi step at column P.
+        Step = np.zeros((len(s.rows), P + 1))
+        singular, K = None, []
+        for (XT, rows, Phi, M, T, Psi, Tri, L), u in zip(parts, U):
+            J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)
             step = _solve(J, u[:, :, None])[0][:, :, 0]
             fallback = np.nonzero(~(np.einsum("bk,bk->b", u, step) > 0.0))[0]
             if fallback.size:
-                K_f = information(XT, rows, fallback)
+                K_f = _rows_information(
+                    XT, Phi[fallback], M[fallback], T[fallback], Tri[fallback]
+                )
                 step_K, bad = _solve(K_f, u[fallback, :, None])
                 step[fallback] = step_K[:, :, 0]
                 if bad is not None:
@@ -485,17 +494,8 @@ def _fisher_scoring_batch(
                         singular = np.zeros(len(s.rows), dtype=bool)
                     singular[rows][fallback[bad]] = True
                     K.append(K_f[bad])
-            steps.append(step)
-        del U, J  # freed before the trial evaluations
-        if len(designs) == 1:
-            Step = steps[0]
-        else:
-            # one row per active row: the beta step in the row's design
-            # columns and the phi step last, at column P
-            Step = np.zeros((len(s.rows), P + 1))
-            for (XT, _, rows), step in zip(groups, steps):
-                Step[rows, : len(XT)] = step[:, :-1]
-                Step[rows, P] = step[:, -1]
+            Step[rows, P - len(XT) :] = step
+        del parts, U, J  # freed before the trial evaluations
         if singular is not None:
             retire(singular, ScoringStatus.SINGULAR, iteration, K)
             if not len(s.rows):
@@ -509,17 +509,17 @@ def _fisher_scoring_batch(
             Beta_t = s.Beta + Step[:, :P]
             trial = state(Beta_t, Phi_t, s.L)
             good = trial[4] >= s.LL - s.slack
-            pending = ~good
             if good.all():
                 accept(None, good, Beta_t, Phi_t, trial)
-                s.stalled = pending
+                stalled = False
                 continue
             accept(np.arange(len(good)), good, Beta_t, Phi_t, trial)
+            stalled = ~good
             scale = 0.5
         else:
-            pending = np.ones(len(Phi_t), dtype=bool)
-        while scale >= min_scale and pending.any():
-            idx = np.nonzero(pending)[0]
+            stalled = np.ones(len(Phi_t), dtype=bool)
+        while scale >= min_scale and stalled.any():
+            idx = np.nonzero(stalled)[0]
             Phi_t = s.Phi[idx] + scale * Step[idx, P]
             pos = Phi_t > 0.0
             if pos.any():
@@ -528,12 +528,11 @@ def _fisher_scoring_batch(
                 trial = state(Beta_t, Phi_t[pos], s.L[at], at)
                 good = trial[4] >= s.LL[at] - s.slack[at]
                 accept(at, good, Beta_t, Phi_t[pos], trial)
-                pending[at[good]] = False
+                stalled[at[good]] = False
             scale *= 0.5
         # Rows with no acceptable step stay put; the gradient criterion
         # decides their fate on the next pass.
-        s.settled[pending] = True
-        s.stalled = pending
+        s.settled[stalled] = True
     if len(s.rows):
         retire(
             np.ones(len(s.rows), dtype=bool),
@@ -588,9 +587,11 @@ def _fit_rows(datasets, link, restrictions, opts, start=None):
     for g, (free, _, offset, _, Xg) in enumerate(splits):
         if start is None:
             for i, y in enumerate(Y, g * N):
-                Beta0[i, : free.size], Phi0[i] = _starting_point(y, Xg, offset, link)
+                Beta0[i, width - free.size :], Phi0[i] = _starting_point(
+                    y, Xg, offset, link
+                )
         else:
-            Beta0[g * N : (g + 1) * N, : free.size] = start.beta[free]
+            Beta0[g * N : (g + 1) * N, width - free.size :] = start.beta[free]
             Phi0[g * N : (g + 1) * N] = start.phi
     _, _, offsets, _, designs = zip(*splits)
     fit = _fisher_scoring_batch(
@@ -601,7 +602,6 @@ def _fit_rows(datasets, link, restrictions, opts, start=None):
         Beta0,
         Phi0,
         opts,
-        group=np.arange(len(splits)).repeat(N),
     )
 
     pairs = []

@@ -215,16 +215,16 @@ def test_stuck_rows_retire_at_once(food_reduced, link, monkeypatch, designs):
     Beta0 = np.vstack([start.beta, start.beta, fitted.theta_hat.beta])
     Phi0 = np.array([start.phi, start.phi, fitted.theta_hat.phi])
     stuck, optimum = [0, 1], 2
-    designs_args, group = (X, np.zeros(n)), None
+    designs_args = (X, np.zeros(n))
     if designs == 2:
-        # the reversed responses go last, on the first two columns with
-        # the third coefficient fixed at 0.1
-        order = [0, 2, 1]
+        # the reversed responses and a copy of the first go last, on the
+        # first two columns with the third coefficient fixed at 0.1; their
+        # coefficients sit in the last two columns
+        order = [0, 2, 1, 0]
         Y, Beta0, Phi0 = Y[order], Beta0[order], Phi0[order]
-        Beta0[2, 2] = 0.0
-        stuck, optimum = [0, 2], 1
+        Beta0[2:] = np.c_[np.zeros(2), Beta0[2:, :2]]
+        stuck, optimum = [0, 2, 3], 1
         designs_args = ([X, X[:, :2]], [np.zeros(n), 0.1 * X[:, 2]])
-        group = np.array([0, 0, 1])
     calls = []
 
     def rejecting(evaluate):
@@ -237,13 +237,9 @@ def test_stuck_rows_retire_at_once(food_reduced, link, monkeypatch, designs):
 
         return evaluated
 
-    # one design is evaluated by _rows_state, several by _eta_state
-    for name in ("_rows_state", "_eta_state"):
-        monkeypatch.setattr(fit_module, name, rejecting(getattr(fit_module, name)))
+    monkeypatch.setattr(fit_module, "_eta_state", rejecting(fit_module._eta_state))
     opts = FitOptions()
-    fit = _fisher_scoring_batch(
-        Y, *designs_args, link, Beta0, Phi0, opts, group=group
-    )
+    fit = _fisher_scoring_batch(Y, *designs_args, link, Beta0, Phi0, opts)
     # the start, then one full step and step_halving_max halvings
     assert len(calls) == 2 + opts.step_halving_max
     first = calls[0]
@@ -258,6 +254,28 @@ def test_stuck_rows_retire_at_once(food_reduced, link, monkeypatch, designs):
     assert fit.iterations[optimum] == 2
     assert np.array_equal(fit.Beta[optimum], fitted.theta_hat.beta)
     assert np.array_equal(fit.K[optimum], fitted.K)
+
+
+@pytest.mark.parametrize("designs", [1, 2])
+def test_empty_batch(food_reduced, link, designs):
+    # No rows, as when every restricted bootstrap fit failed, gives empty
+    # fields as wide as the widest design.
+    X, n = food_reduced.X, food_reduced.n
+    args = (X, np.zeros(n)) if designs == 1 else ([X, X[:, :2]], [0.0, X[:, 2]])
+    fit = _fisher_scoring_batch(
+        np.empty((0, n)), *args, link, np.zeros(3), 1.0, FitOptions()
+    )
+    assert fit.Beta.shape == (0, 3) and fit.K.shape == (0, 4, 4)
+    assert all(len(field) == 0 for field in fit)
+
+
+def test_rows_split_evenly_over_designs(food_reduced, link):
+    X, n = food_reduced.X, food_reduced.n
+    Y = np.vstack([food_reduced.y] * 3)
+    with pytest.raises(ValueError, match="evenly"):
+        _fisher_scoring_batch(
+            Y, [X, X[:, :2]], [0.0, X[:, 2]], link, np.zeros(3), 10.0, FitOptions()
+        )
 
 
 def test_replication_block_fits_both_hypotheses_in_one_call(monkeypatch):
