@@ -366,16 +366,21 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
 
     spans = blocks(bounds)  # of the active rows; changes only when rows retire
 
-    def state(Beta, Phi, L, at=None):
-        """_rows_state of the active rows, or of those at (sorted positions
-        among them), at (Beta, Phi)."""
-        Eta = np.empty((len(Phi), n))
+    def predictor(Beta, at):
+        """Linear predictors at Beta of the active rows, or of those at
+        (sorted positions among them)."""
+        Eta = np.empty((len(Beta), n))
         parts = spans if at is None else blocks(np.searchsorted(at, bounds).tolist())
         for XT, off, rows in parts:
             eta = Eta[rows]
             np.einsum("bj,jn->bn", Beta[rows, P - len(XT) :], XT, out=eta)
             eta += off
-        return _eta_state(Eta, Phi, link, L)
+        return Eta
+
+    def state(Beta, Phi, L, at=None):
+        """_rows_state of the active rows, or of those at, at (Beta, Phi)."""
+        # no reference is kept here, so _eta_state frees Eta once it is used
+        return _eta_state(predictor(Beta, at), Phi, link, L)
 
     s = _Active()
     s.rows = np.arange(B)
@@ -448,7 +453,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         done = s.settled
         if done.any():
             small = np.empty(len(done))
-            for (_, rows, *_), u in zip(parts, U):
+            for (_, _, rows), u in zip(spans, U):
                 np.abs(u).max(axis=1, out=small[rows])
             small = small <= opts.gradient_tolerance
             conv = done & small
@@ -460,11 +465,11 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             done = conv | stuck
             if done.any():
                 if conv.any():
-                    K = []
-                    for XT, rows, Phi, M, T, _, Tri, _ in parts:
-                        c = conv[rows]
-                        if keep_K and c.any():
-                            K.append(_rows_information(XT, Phi[c], M[c], T[c], Tri[c]))
+                    K = [
+                        _rows_information(XT, Phi[c], M[c], T[c], Tri[c])
+                        for XT, rows, Phi, M, T, _, Tri, _ in parts
+                        if keep_K and (c := conv[rows]).any()
+                    ]
                     retire(conv, ScoringStatus.CONVERGED, iteration, K)
                 if stuck.any():
                     retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
@@ -495,7 +500,9 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
                     singular[rows][fallback[bad]] = True
                     K.append(K_f[bad])
             Step[rows, P - len(XT) :] = step
-        del parts, U, J  # freed before the trial evaluations
+        # Freed before the trial evaluations; the views would also keep the
+        # replaced state arrays alive after an accept.
+        del parts, U, J, u, Phi, M, T, Psi, Tri, L
         if singular is not None:
             retire(singular, ScoringStatus.SINGULAR, iteration, K)
             if not len(s.rows):

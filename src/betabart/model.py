@@ -280,7 +280,7 @@ def _eta_state(Eta, Phi, link, L):
     Mu = M[:, :n]
     np.minimum(np.maximum(Mu_raw, MU_CLAMP), 1.0 - MU_CLAMP, out=Mu)
     clamped = (Mu != Mu_raw).any(axis=1)
-    del Mu_raw  # not needed past here; frees its (rows, n) block
+    del Eta, Mu_raw  # not needed past here; frees their (rows, n) blocks
     np.subtract(1.0, Mu, out=M[:, n : 2 * n])
     M[:, 2 * n] = 1.0
     ABP = M * Phi[:, None]
