@@ -3,12 +3,13 @@
 One scoring loop, _fisher_scoring_batch, fits a stack of response vectors,
 each row on one of a few designs: the bootstrap calls it with B rows on
 one design, and _fit_rows with one row per dataset and hypothesis, so that
-a Monte Carlo block fits every replication under both hypotheses in one
-call, and fit_mle and fit_restricted are one-row calls.  Each row steps on
-its observed information J, which converges quadratically near the
-optimum; a row whose J cannot be solved, or whose Newton step does not
-ascend, takes the Fisher scoring step on the expected information K
-instead.  Reported information matrices are always K.  The loop reports a
+every test, of run_test's one dataset or of a Monte Carlo block's
+replications, fits both hypotheses in one call, and fit_mle and
+fit_restricted are one-row calls.  Each row steps on its observed
+information J, which converges quadratically near the optimum; a row
+whose J cannot be solved, or whose Newton step does not ascend, takes
+the Fisher scoring step on the expected information K instead.
+Reported information matrices are always K.  The loop reports a
 ScoringStatus per row, from which _fit_rows records a NonConvergenceError
 or SingularInformationError for the row and the one-row fits raise it.  A
 row's result is bit for bit the same in any batch.  Restrictions fix

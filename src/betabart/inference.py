@@ -6,10 +6,10 @@ rescale LR by the correction factor c = 1 + x with x = (eps_full -
 eps_nuis) / q: LR / c, LR exp(-x), and LR (1 - x), equivalent to order
 1/n.  The bootstrap variant rescales by the mean of LR over parametric
 resamples drawn under the null at the restricted estimate.  One path,
-_test_rows, computes every requested statistic, the bootstrap one
-included, for a stack of datasets that share a design: run_test is a
-one-row call into it, and a Monte Carlo block calls it on all its
-replications at once.
+_test_rows, fits both hypotheses of a stack of datasets that share a
+design in one call to the scoring core and computes every requested
+statistic, the bootstrap one included: run_test is a one-row call into
+it, and a Monte Carlo block calls it on all its replications at once.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .fit import (
     NonConvergenceError,
     Restriction,
     _fisher_scoring_batch,
-    fit_mle,
-    fit_restricted,
+    _fit_rows,
+    fit_mle,  # noqa: F401  kept as a module attribute for span tracers
+    fit_restricted,  # noqa: F401  kept as a module attribute for span tracers
 )
 from .model import (
     MU_CLAMP,
@@ -325,20 +326,22 @@ def _bootstrap_mean(
     return mean, failures
 
 
-def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts, fits):
+def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
     """(reports, failed): the test battery on datasets that share one design.
 
-    fits = (full, rest, failed) maps each row to its full and restricted
-    FitResult, or to the error of the first of its fits that failed.  A row
-    then fails on a nesting error, failed cumulant tensors or a bootstrap
-    failure, in the order run_test raises them.  The Bartlett factors of
-    all rows come from one call to the batched core, and row i's bootstrap
-    runs with boot_opts[i]; each row's values are its own.  reports maps
-    every row that passed to its TestReport, without p-values, and failed
-    every other row to its error.
+    Every row is fitted under both hypotheses in one call to the scoring
+    core.  A row fails on the error of its full fit, else of its
+    restricted fit, then on a nesting error, failed cumulant tensors or a
+    bootstrap failure, in that order.  The Bartlett factors of all rows
+    come from one call to the batched core, and row i's bootstrap runs
+    with boot_opts[i]; each row's values are its own.  reports maps every
+    row that passed to its TestReport, without p-values, and failed every
+    other row to its error.
     """
-    full, rest, failed = fits
-    failed = dict(failed)
+    (full, failed), (rest, rest_failed) = _fit_rows(
+        datasets, link, (None, restriction), fit_opts
+    )
+    failed = {**rest_failed, **failed}  # the full fit's error first
     q = restriction.q
     lr = {}
     for i in full.keys() & rest.keys():
@@ -405,24 +408,18 @@ def run_test(
 ) -> TestReport:
     """Fit both hypotheses once and compute every requested statistic.
 
-    A one-row call into _test_rows, the path a Monte Carlo block takes;
-    the first error of the test is raised.  The two fits are separate
-    one-row calls to the scoring core, the full model's first, so a full
-    fit that fails raises before the restricted one runs; a block fits
-    both hypotheses of all its rows in one call instead.
+    A one-row call into _test_rows, the path a Monte Carlo block takes, so
+    both fits are one call to the scoring core.  The first error of the
+    test is raised: when both fits fail, the full fit's.
     """
     chosen = _check_methods(methods)
-    fit_opts = fit_opts or FitOptions()
-    full = fit_mle(data, link, fit_opts)
-    rest = fit_restricted(data, link, restriction, fit_opts)
     reports, failed = _test_rows(
         [data],
         link,
         restriction,
         chosen,
         [boot_opts or BootstrapOptions()],
-        fit_opts,
-        ({0: full}, {0: rest}, {}),
+        fit_opts or FitOptions(),
     )
     if failed:
         raise failed[0]

@@ -4,12 +4,12 @@ Replications draw beta responses on a fixed design, run the full test
 battery, and aggregate rejection rates, moments, and quantiles of the
 statistics.  Randomness is hierarchical: replication j consumes streams
 derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
-of _BLOCK consecutive indices: a block fits all its full and restricted
-models in one call to the batched scoring core and runs the test battery
-on all its rows through the path run_test takes, with every Bartlett
-factor from one batched pass.  The blocks do
-not depend on the worker count, so neither does any result;
-BETABART_THREADS only spreads the blocks over worker processes.
+of _BLOCK consecutive indices: a block runs the test battery on all its
+rows through _test_rows, the path run_test takes, which fits every full
+and restricted model in one call to the batched scoring core and takes
+every Bartlett factor from one batched pass.  The blocks do not depend
+on the worker count, so neither does any result; BETABART_THREADS only
+spreads the blocks over worker processes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitOptions, Restriction, _fit_rows
+from .fit import FitOptions, Restriction
 from .inference import (
     _METHODS,
     BootstrapOptions,
@@ -112,6 +112,12 @@ class SimConfig:
         if len(set(methods)) != len(methods):
             raise ValueError("methods must be distinct")
         object.__setattr__(self, "methods", methods)
+        mu = _generating_means(self)[1]
+        if not np.all((mu > 0.0) & (mu < 1.0)):
+            raise ValueError(
+                "beta_true, with delta added to the tested coefficients, puts a "
+                "generating mean at 0 or 1, where no beta response can be drawn"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,25 +182,31 @@ def design_matrix(n: int, p: int, covariate_seed: int) -> np.ndarray:
     return X
 
 
+def _generating_means(config: SimConfig):
+    """(X, mu): the study's design and the means its responses are drawn at,
+    with delta added to the tested coefficients of beta_true."""
+    X = design_matrix(config.n, config.p, config.covariate_seed)
+    beta = np.array(config.beta_true)
+    beta[config.restriction.split(X)[1]] += config.delta
+    return X, logit_link().g_inv(X @ beta)
+
+
 def _replication_block(
     config: SimConfig, indices: range
 ) -> dict[int, dict[str, float] | None]:
     """Statistics of each replication in indices, or None where it failed.
 
     Replication j draws its responses on the (base_seed, j, 0) stream and
-    bootstraps on (base_seed, j, 1).  The block fits all its full and all
-    its restricted models in one call to the scoring core, then runs the
-    test battery on every row at once.  A replication fails on a rejected
-    draw, a failure of its test or a non-finite statistic; any other
-    exception is a defect and propagates.  Each row is its own, so a
-    failure moves no other.
+    bootstraps on (base_seed, j, 1).  The block runs the test battery on
+    every row at once through _test_rows, which fits all its full and
+    restricted models in one call to the scoring core.  A replication
+    fails on a rejected draw, a failure of its test or a non-finite
+    statistic; any other exception is a defect and propagates.  Each row
+    is its own, so a failure moves no other.
     """
-    X = design_matrix(config.n, config.p, config.covariate_seed)
+    X, mu = _generating_means(config)
     link = logit_link()
     restriction = config.restriction
-    beta_gen = np.array(config.beta_true)
-    beta_gen[restriction.split(X)[1]] += config.delta
-    mu = link.g_inv(X @ beta_gen)
     drawn, datasets, boot_opts = [], [], []
     for j in indices:
         rng = np.random.default_rng(
@@ -203,8 +215,9 @@ def _replication_block(
         try:
             datasets.append(Dataset(gen_beta_sample(mu, config.phi_true, rng), X))
         except ValueError:
-            # the generator rejects means outside (0, 1), and Dataset a
-            # response outside it (NaN included); that draw is void
+            # SimConfig checked the means, but Dataset rejects a response
+            # outside (0, 1), such as the NaN of two underflowed gamma
+            # variates; that draw is void
             continue
         drawn.append(j)
         seed = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
@@ -214,13 +227,8 @@ def _replication_block(
     outcomes: dict[int, dict[str, float] | None] = dict.fromkeys(indices)
     if not datasets:
         return outcomes
-    opts = FitOptions()
-    (full, failed), (rest, rest_failed) = _fit_rows(
-        datasets, link, (None, restriction), opts
-    )
-    fits = full, rest, {**rest_failed, **failed}  # the full fit's error first
     reports, _ = _test_rows(
-        datasets, link, restriction, config.methods, boot_opts, opts, fits
+        datasets, link, restriction, config.methods, boot_opts, FitOptions()
     )
     for i, report in reports.items():
         values = {m: float(report.statistics[m]) for m in config.methods}

@@ -4,7 +4,8 @@ perfbench/tracing.py wraps functions at the module attributes listed in
 its TARGETS, and the workloads' probes call package functions by name.
 Both live outside the package, so a rename inside it would break a traced
 run or a probe without failing any other test.  These tests read those
-files, change nothing in them, and check every name against the package.
+files, change nothing in them, and check every name against the package,
+and every import the package keeps only for the tracer against its targets.
 """
 
 import ast
@@ -13,6 +14,7 @@ import importlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "betabart"
 MODULES = ("cli", "inference", "fit", "cumulants", "simulate", "specfun", "model")
 
 
@@ -56,6 +59,29 @@ def _probe_names(path):
         elif isinstance(owner, ast.Name) and owner.id in MODULES:
             names.add((owner.id, node.attr))
     return names
+
+
+# A name imported only so that the tracer can wrap it carries this comment.
+TRACER_ONLY = re.compile(
+    r"^\s*(\w+),\s*# noqa: F401\s+kept as a module attribute for span tracers"
+)
+
+
+def test_tracer_only_imports_are_targets(tracing):
+    # Each import kept for the tracer must still be one of its targets; once
+    # the tracer stops wrapping a name, this test names the import to drop.
+    marked = set()
+    for name in MODULES:
+        source = (SRC / f"{name}.py").read_text().splitlines()
+        marked.update((name, m[1]) for m in map(TRACER_ONLY.match, source) if m)
+    assert marked >= {
+        ("inference", "bartlett_factor"),
+        ("inference", "fit_mle"),
+        ("inference", "fit_restricted"),
+        ("simulate", "run_test"),
+    }
+    for module, attr in sorted(marked):
+        assert (module, attr) in tracing.TARGETS, f"{module}.{attr}"
 
 
 def test_tracing_targets_resolve(tracing):

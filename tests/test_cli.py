@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import betabart.cli as cli
+import betabart.fit as fit_module
 from betabart import __version__, food_data_path
 from betabart.cli import main
-import betabart.inference as inference
 from betabart.cumulants import NonFiniteCumulantError
 from betabart.fit import NonConvergenceError, Restriction, fit_mle
 from betabart.inference import BootstrapOptions, NestingError, run_test
@@ -265,18 +265,29 @@ class TestTestCommand:
         assert "lr" in out and "b3" in out
 
     def test_full_model_is_fitted_once(self, capsys, monkeypatch, food_reduced, link):
-        calls = []
+        # The full model is fitted once, together with the restricted one in
+        # one scoring call (full design first), and the printed estimates
+        # are that fit's: cmd_test does not refit it.
+        refits, designs = [], []
+        core = fit_module._fisher_scoring_batch
 
-        def counted(*args, **kwargs):
-            calls.append(args)
+        def counted_core(Y, X, *args, **kwargs):
+            designs.append(X)
+            return core(Y, X, *args, **kwargs)
+
+        def counted_fit(*args, **kwargs):
+            refits.append(args)
             return fit_mle(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "fit_mle", counted)
-        monkeypatch.setattr(inference, "fit_mle", counted)
+        monkeypatch.setattr(fit_module, "_fisher_scoring_batch", counted_core)
+        monkeypatch.setattr(cli, "fit_mle", counted_fit)
         code, out, _ = run_cli(
             capsys, "test", "--null", "persons", "--methods", "lr", "--format", "json"
         )
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and refits == [] and len(designs) == 1
+        full_design, restricted_design = designs[0]
+        assert np.array_equal(full_design, food_reduced.X)
+        assert restricted_design.shape == (food_reduced.n, food_reduced.p - 1)
         document = json.loads(out)
         result = fit_mle(food_reduced, link)
         assert document["estimates"]["income"]["value"] == result.theta_hat.beta[1]
@@ -560,6 +571,7 @@ class TestSimulateCommand:
             lambda d: d.update(restriction={"indices": 2}),
             lambda d: d.update(restriction={"indices": [2.5]}),
             lambda d: d.update(methods="lr"),
+            lambda d: d.update(beta_true=[40.0, 0.0, 0.0]),  # means at 1
         ],
     )
     def test_bad_config_exit_code_2(self, capsys, tmp_path, mutate):

@@ -16,7 +16,7 @@ from betabart.fit import (
     fit_mle,
     starting_values,
 )
-from betabart.inference import run_test
+from betabart.inference import BootstrapOptions, run_test
 from betabart.model import Dataset, ParamVector, logit_link
 from betabart.simulate import SimConfig, design_matrix, gen_beta_sample
 
@@ -278,9 +278,14 @@ def test_rows_split_evenly_over_designs(food_reduced, link):
         )
 
 
-def test_replication_block_fits_both_hypotheses_in_one_call(monkeypatch):
-    # One scoring call per block covers the full and the restricted fits
-    # of every replication: two designs, one row per replication each.
+@pytest.mark.parametrize("caller", ["_replication_block", "run_test"])
+def test_replication_block_fits_both_hypotheses_in_one_call(
+    monkeypatch, food_reduced, link, caller
+):
+    # One scoring call per block, or per run_test, covers the full and the
+    # restricted fits of every dataset: two designs, one row per dataset
+    # each.  The bootstrap's own calls go through inference's name for the
+    # core and are not counted.
     calls = []
     core = fit_module._fisher_scoring_batch
 
@@ -289,6 +294,15 @@ def test_replication_block_fits_both_hypotheses_in_one_call(monkeypatch):
         return core(Y, X, offset, *args, **kwargs)
 
     monkeypatch.setattr(fit_module, "_fisher_scoring_batch", counted)
+    methods = ("lr", "b3", "boot")
+    if caller == "run_test":
+        boot_opts = BootstrapOptions(B=20, seed=3)
+        report = run_test(
+            food_reduced, link, Restriction((2,), (0.0,)), methods, boot_opts
+        )
+        assert calls == [(2, 2)]
+        assert report.lr_boot is not None
+        return
     config = SimConfig(
         n=20,
         p=4,
@@ -296,7 +310,7 @@ def test_replication_block_fits_both_hypotheses_in_one_call(monkeypatch):
         beta_true=(1.0, 0.0, 0.5, -0.5),
         restriction=Restriction((2,), (0.0,)),
         reps=10,
-        methods=("lr", "b3", "boot"),
+        methods=methods,
         boot_B=20,
     )
     outcomes = simulate._replication_block(config, range(10))

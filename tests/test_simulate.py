@@ -64,6 +64,8 @@ class TestSimConfig:
             {"delta": math.nan},
             {"beta_true": (0.8, 0.0)},  # wrong length
             {"beta_true": (0.8, 0.0, math.nan)},
+            {"beta_true": (40.0, 0.0, 1.0)},  # every generating mean is 1
+            {"delta": 1e3},  # some generating means are 1
             {"restriction": (2,)},  # not a Restriction
             {"restriction": Restriction((4,), (0.0,))},  # index beyond p
             {"alpha_levels": ()},
