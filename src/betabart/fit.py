@@ -181,31 +181,34 @@ def _check_full_rank(data: Dataset):
         )
 
 
-def _starting_point(y, X, offset, link):
-    """Least-squares start on the link scale plus a moment start for phi."""
-    z = np.asarray(link.g(y), dtype=float) - offset
+def _starting_point(Y, X, offset, link):
+    """(Beta0, Phi0): least-squares starts on the link scale plus moment
+    starts for phi, one per row of Y.  Only the solve, X @ beta0 and the
+    residual sum of squares run per row, so a row starts as it would alone.
+    """
+    Z = np.asarray(link.g(Y), dtype=float) - offset
     # Full column rank: callers check the design, and X holds some of its columns.
-    beta0 = np.linalg.lstsq(X, z, rcond=None)[0]
-    resid = z - X @ beta0
+    Beta0 = np.array([np.linalg.lstsq(X, z, rcond=None)[0] for z in Z])
+    Eta = np.array([X @ beta0 for beta0 in Beta0])
+    rss = np.array([resid @ resid for resid in Z - Eta])
     # Guard against an exact fit: zero residual variance would send the
     # moment estimate of phi to infinity.
-    resid_var = max(float(resid @ resid) / max(X.shape[0] - X.shape[1], 1), 1e-12)
+    resid_var = np.maximum(rss / max(X.shape[0] - X.shape[1], 1), 1e-12)
     mu0 = np.clip(
-        np.asarray(link.g_inv(X @ beta0 + offset), dtype=float),
-        MU_CLAMP,
-        1.0 - MU_CLAMP,
+        np.asarray(link.g_inv(Eta + offset), dtype=float), MU_CLAMP, 1.0 - MU_CLAMP
     )
     gprime = np.asarray(link.deriv1(mu0), dtype=float)
-    sigma2 = resid_var / (gprime * gprime)
-    phi0 = max(1.0, float(np.mean(mu0 * (1.0 - mu0) / sigma2)) - 1.0)
-    return np.asarray(beta0, dtype=float), phi0
+    sigma2 = resid_var[:, None] / (gprime * gprime)
+    # fmax, like max(1.0, ...), picks 1.0 over a NaN
+    Phi0 = np.fmax(np.mean(mu0 * (1.0 - mu0) / sigma2, axis=1) - 1.0, 1.0)
+    return Beta0, Phi0
 
 
 def starting_values(data: Dataset, link: LinkFunction) -> ParamVector:
     """Starting point for the scoring loop on the unrestricted model."""
     _check_full_rank(data)
-    beta0, phi0 = _starting_point(data.y, data.X, np.zeros(data.n), link)
-    return ParamVector(beta0, phi0)
+    Beta0, Phi0 = _starting_point(data.y[None], data.X, np.zeros(data.n), link)
+    return ParamVector(Beta0[0], Phi0[0])
 
 
 class ScoringStatus(IntEnum):
@@ -565,8 +568,9 @@ def _fit_rows(datasets, link, restrictions, opts, start=None):
     scoring core.
 
     start, a full-space ParamVector, seeds every row; by default each row
-    starts from its own least-squares point (never a batched one, which
-    would move the iterates).  results maps each row that converged with
+    starts from its own least-squares point, all rows of a design from
+    one _starting_point call that runs only the solve and two reductions
+    per row.  results maps each row that converged with
     an invertible information to its FitResult, embedded in the full
     space; failed maps every other row to its FitError.  Each pair is bit
     for bit what a call with its restriction alone returns.
@@ -593,14 +597,14 @@ def _fit_rows(datasets, link, restrictions, opts, start=None):
     width = max(split[0].size for split in splits)
     Beta0, Phi0 = np.zeros((len(splits) * N, width)), np.empty(len(splits) * N)
     for g, (free, _, offset, _, Xg) in enumerate(splits):
+        rows = slice(g * N, (g + 1) * N)
         if start is None:
-            for i, y in enumerate(Y, g * N):
-                Beta0[i, width - free.size :], Phi0[i] = _starting_point(
-                    y, Xg, offset, link
-                )
+            Beta0[rows, width - free.size :], Phi0[rows] = _starting_point(
+                Y, Xg, offset, link
+            )
         else:
-            Beta0[g * N : (g + 1) * N, width - free.size :] = start.beta[free]
-            Phi0[g * N : (g + 1) * N] = start.phi
+            Beta0[rows, width - free.size :] = start.beta[free]
+            Phi0[rows] = start.phi
     _, _, offsets, _, designs = zip(*splits)
     fit = _fisher_scoring_batch(
         np.concatenate([Y] * len(splits)),

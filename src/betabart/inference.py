@@ -218,20 +218,19 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _resample_states(seed: int, B: int) -> list[dict]:
-    """The PCG64 state of default_rng(SeedSequence(seed, spawn_key=(b,)))
-    for every resample b < B, derived in one pass.
+def _spawn_state(seed: int, key, count: int) -> list:
+    """SeedSequence(seed, spawn_key=key).generate_state(count, np.uint64)
+    by numpy's mixing, for key words that are ints or uint64 arrays.
 
-    This is numpy's SeedSequence mixing and PCG64 seeding.  The entropy is
-    the seed's 32-bit words, zero-padded to the pool size of four, then
-    the spawn word b.  Every word but b is hashed into the pool once, on
-    ints; b is mixed in vectorised over np.arange(B), as are the eight
-    words of generate_state(4, np.uint64); PCG64's two seeding steps then
-    run per resample on Python ints.  b is always one 32-bit word: B >=
-    2**32 resamples would need 32 GiB for np.arange(B) alone, and at least
-    as much for each of the (B, n) response block and the scoring core's
-    (B, n) work arrays, more memory than a bootstrap can be given.
+    The entropy is the seed's 32-bit words, zero-padded to the pool size
+    of four, then the key's: seed words are hashed once, on ints, and an
+    array word is mixed in vectorised, as is every output word that
+    follows it.  numpy spreads a key entry of 2**32 or more over two
+    words, so such an entry is an error.
     """
+    for word in key:
+        if np.max(word, initial=0) > _MASK32:
+            raise ValueError("spawn key entries must be below 2**32")
     size = max(4, (seed.bit_length() + 31) // 32)
     words = [seed >> 32 * i & _MASK32 for i in range(size)]
     pool, const = [], _INIT_A
@@ -243,24 +242,39 @@ def _resample_states(seed: int, B: int) -> list[dict]:
             if src != dst:
                 word, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], word)
-    for word in (*words[4:], np.arange(B, dtype=np.uint64)):
+    for word in (*words[4:], *key):
         for dst in range(4):
             mixed, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], mixed)
     out, const = [], _INIT_B
-    for i in range(8):
+    for i in range(2 * count):
         word, const = _hashmix(pool[i % 4], const, _MULT_B)
         out.append(word)
-    # the eight words read as four little-endian uint64s: the 128-bit seed
-    # and stream, high word first; PCG64 then sets inc = 2 stream + 1 and
-    # takes two LCG steps from state 0, adding the seed between them
-    halves = (out[j] | out[j + 1] << 32 for j in range(0, 8, 2))
+    # each uint64 is two 32-bit words, little-endian
+    return [out[i] | out[i + 1] << 32 for i in range(0, 2 * count, 2)]
+
+
+def _pcg64_states(seed: int, key) -> list[dict]:
+    """The PCG64 state of default_rng(SeedSequence(seed, spawn_key=key))
+    for each entry of the key's array words.
+
+    The four uint64s of _spawn_state are the 128-bit seed and stream, high
+    word first; PCG64 sets inc = 2 stream + 1 and takes two LCG steps from
+    state 0, adding the seed between them.
+    """
+    halves = (h.tolist() for h in _spawn_state(seed, key, 4))
     states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(h.tolist() for h in halves)):
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
         states.append({**_PCG64_STATE, "state": {"state": state, "inc": inc}})
     return states
+
+
+def _resample_states(seed: int, B: int) -> list[dict]:
+    """The state of default_rng(SeedSequence(seed, spawn_key=(b,))) for
+    every resample b < B, derived in one pass."""
+    return _pcg64_states(seed, (np.arange(B, dtype=np.uint64),))
 
 
 def _bootstrap_mean(

@@ -4,9 +4,9 @@ Replications draw beta responses on a fixed design, run the full test
 battery, and aggregate rejection rates, moments, and quantiles of the
 statistics.  Randomness is hierarchical: replication j consumes streams
 derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
-of _BLOCK consecutive indices: a block runs the test battery on all its
-rows through _test_rows, the path run_test takes, which fits every full
-and restricted model in one call to the batched scoring core and takes
+of _BLOCK consecutive indices: a block derives its streams in one pass
+and runs the test battery on all its rows through _test_rows, the path
+run_test takes, which fits every full and restricted model in one call to the batched scoring core and takes
 every Bartlett factor from one batched pass.  The blocks do not depend
 on the worker count, so neither does any result; BETABART_THREADS only
 spreads the blocks over worker processes.
@@ -28,6 +28,8 @@ from .inference import (
     BootstrapOptions,
     _check_methods,
     _check_seed,
+    _pcg64_states,
+    _spawn_state,
     _test_rows,
     run_test,  # noqa: F401  kept as a module attribute for span tracers
 )
@@ -78,8 +80,8 @@ class SimConfig:
             raise ValueError("p must be at least 1")
         if self.n < self.p + 2:
             raise ValueError("n must be at least p + 2")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        if not 1 <= self.reps <= 2**32:
+            raise ValueError("reps must be at least 1 and at most 2**32")
         if self.boot_B < 1:
             raise ValueError("boot_B must be at least 1")
         beta = tuple(float(b) for b in self.beta_true)
@@ -196,22 +198,25 @@ def _replication_block(
 ) -> dict[int, dict[str, float] | None]:
     """Statistics of each replication in indices, or None where it failed.
 
-    Replication j draws its responses on the (base_seed, j, 0) stream and
-    bootstraps on (base_seed, j, 1).  The block runs the test battery on
-    every row at once through _test_rows, which fits all its full and
-    restricted models in one call to the scoring core.  A replication
-    fails on a rejected draw, a failure of its test or a non-finite
+    Replication j draws on SeedSequence(base_seed, spawn_key=(j, 0)) and
+    bootstraps with a seed from spawn_key (j, 1), bit for bit, though the
+    block builds neither: it derives all draw states in one pass, set in
+    turn on one generator, and, only when boot is requested, all seeds in
+    another.  The block runs the test battery on every row at once through
+    _test_rows, which fits all its full and restricted models in one call
+    to the scoring core.  A replication fails on a rejected draw, a failure of its test or a non-finite
     statistic; any other exception is a defect and propagates.  Each row
     is its own, so a failure moves no other.
     """
     X, mu = _generating_means(config)
     link = logit_link()
     restriction = config.restriction
-    drawn, datasets, boot_opts = [], [], []
-    for j in indices:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
-        )
+    key = (np.array(indices, dtype=np.uint64), 0)
+    states = _pcg64_states(config.base_seed, key)
+    rng = np.random.default_rng(0)  # its state is replaced before every draw
+    drawn, datasets = [], []
+    for j, state in zip(indices, states):
+        rng.bit_generator.state = state
         try:
             datasets.append(Dataset(gen_beta_sample(mu, config.phi_true, rng), X))
         except ValueError:
@@ -220,13 +225,15 @@ def _replication_block(
             # variates; that draw is void
             continue
         drawn.append(j)
-        seed = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
-        boot_seed = int(seed.generate_state(1, dtype=np.uint64)[0])
-        boot_opts.append(BootstrapOptions(B=config.boot_B, seed=boot_seed))
 
     outcomes: dict[int, dict[str, float] | None] = dict.fromkeys(indices)
     if not datasets:
         return outcomes
+    boot_opts = [None] * len(drawn)
+    if "boot" in config.methods:
+        key = (np.array(drawn, dtype=np.uint64), 1)
+        seeds = _spawn_state(config.base_seed, key, 1)[0].tolist()
+        boot_opts = [BootstrapOptions(B=config.boot_B, seed=seed) for seed in seeds]
     reports, _ = _test_rows(
         datasets, link, restriction, config.methods, boot_opts, FitOptions()
     )

@@ -565,6 +565,7 @@ class TestSimulateCommand:
             lambda d: d.update(restriction=[2]),
             lambda d: d.update(restriction={"indices": [2], "other": 1}),
             lambda d: d.update(reps=0),
+            lambda d: d.update(reps=2**32 + 1),
             lambda d: d.update(methods=["wald"]),
             lambda d: d.update(beta_true=5),
             lambda d: d.update(alpha_levels=0.1),

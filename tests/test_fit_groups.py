@@ -316,3 +316,74 @@ def test_replication_block_fits_both_hypotheses_in_one_call(
     outcomes = simulate._replication_block(config, range(10))
     assert calls == [(20, 2)]
     assert all(values is not None for values in outcomes.values())
+
+
+def _starting_point_per_row(y, X, offset, link):
+    """The one-row start, as _starting_point computed it before it took a
+    stack of responses: the reference its rows must equal bit for bit."""
+    z = np.asarray(link.g(y), dtype=float) - offset
+    beta0 = np.linalg.lstsq(X, z, rcond=None)[0]
+    resid = z - X @ beta0
+    resid_var = max(float(resid @ resid) / max(X.shape[0] - X.shape[1], 1), 1e-12)
+    mu0 = np.clip(
+        np.asarray(link.g_inv(X @ beta0 + offset), dtype=float),
+        fit_module.MU_CLAMP,
+        1.0 - fit_module.MU_CLAMP,
+    )
+    gprime = np.asarray(link.deriv1(mu0), dtype=float)
+    sigma2 = resid_var / (gprime * gprime)
+    phi0 = max(1.0, float(np.mean(mu0 * (1.0 - mu0) / sigma2)) - 1.0)
+    return np.asarray(beta0, dtype=float), phi0
+
+
+@st.composite
+def start_problems(draw):
+    """A response stack of 1 to 64 rows on one design, and the free columns
+    and offset of the full model or of a restriction with nonzero values."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p + 2, 40))
+    X = design_matrix(n, p, draw(st.integers(0, 50)))
+    beta = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)))
+    phi = draw(st.floats(0.5, 1e4))
+    rows = draw(st.sampled_from([1, 2, 7, 64]))
+    mu = logit_link().g_inv(X @ beta)
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    Y = np.array([gen_beta_sample(mu, phi, rng) for _ in range(rows)])
+    if p == 1 or draw(st.booleans()):
+        return Y, X, np.zeros(n)
+    indices = draw(
+        st.lists(st.integers(1, p), min_size=1, max_size=p - 1, unique=True)
+    )
+    values = draw(
+        st.lists(
+            st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+            min_size=len(indices),
+            max_size=len(indices),
+        )
+    )
+    free, _, offset = Restriction(tuple(sorted(indices)), tuple(values)).split(X)
+    return Y, X[:, free], offset
+
+
+@settings(max_examples=80)
+@given(start_problems())
+def test_batched_starts_equal_per_row_starts(problem):
+    # The link, the clip and the moment start run once over the stack; each
+    # row's start is bit for bit the one-row computation's.
+    Y, X, offset = problem
+    link = logit_link()
+    Beta0, Phi0 = fit_module._starting_point(Y, X, offset, link)
+    assert Beta0.shape == (len(Y), X.shape[1]) and Phi0.shape == (len(Y),)
+    for i, y in enumerate(Y):
+        beta0, phi0 = _starting_point_per_row(y, X, offset, link)
+        assert np.array_equal(Beta0[i], beta0)
+        assert Phi0[i] == phi0
+
+
+def test_starting_values_is_the_one_row_start(food_reduced, link):
+    start = starting_values(food_reduced, link)
+    beta0, phi0 = _starting_point_per_row(
+        food_reduced.y, food_reduced.X, np.zeros(food_reduced.n), link
+    )
+    assert np.array_equal(start.beta, beta0)
+    assert start.phi == phi0

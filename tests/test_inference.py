@@ -268,6 +268,34 @@ class TestResampleStreams:
             assert np.array_equal(drawn, spawned.standard_gamma(shapes))
             assert rng.random(4).tolist() == spawned.random(4).tolist()
 
+    # more than four entropy words from 2**130 on
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, 2**130])
+    def test_replication_streams_are_the_spawned_sequences(self, seed):
+        # A Monte Carlo replication j draws on the spawn key (j, 0) and
+        # bootstraps with a seed from (j, 1); the key's words are an array
+        # of replication indices or ints.
+        js = [0, 63, 2**32 - 1]
+        states = inference._pcg64_states(seed, (np.array(js, dtype=np.uint64), 0))
+        (boot,) = inference._spawn_state(seed, (np.array(js, dtype=np.uint64), 1), 1)
+        assert len(states) == len(boot) == len(js)
+        for j, state, boot_seed in zip(js, states, boot.tolist()):
+            draws = np.random.SeedSequence(seed, spawn_key=(j, 0))
+            assert state == np.random.default_rng(draws).bit_generator.state
+            sequence = np.random.SeedSequence(seed, spawn_key=(j, 1))
+            assert boot_seed == sequence.generate_state(1, np.uint64)[0]
+            assert inference._spawn_state(seed, (j, 1), 3) == (
+                sequence.generate_state(3, np.uint64).tolist()
+            )
+
+    @pytest.mark.parametrize(
+        "key",
+        [(2**32, 0), (5, 2**32), (np.array([0, 2**32], dtype=np.uint64), 1), (2**70,)],
+    )
+    def test_spawn_key_words_must_fit_32_bits(self, key):
+        # numpy spreads a key entry of 2**32 or more over two words
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            inference._spawn_state(0, key, 1)
+
     @pytest.mark.parametrize("seed", [3, 2**70 + 1, 2**200 + 12345])
     def test_mean_matches_one_generator_per_resample(
         self, food_five, link, monkeypatch, seed

@@ -58,6 +58,8 @@ class TestSimConfig:
             {"n": 4},  # below p + 2
             {"p": 0},
             {"reps": 0},
+            # replication indices are one 32-bit spawn-key word each
+            {"reps": 2**32 + 1},
             {"boot_B": 0},
             {"phi_true": 0.0},
             {"phi_true": math.inf},
@@ -81,6 +83,9 @@ class TestSimConfig:
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             small_config(**overrides)
+
+    def test_reps_up_to_2_to_the_32(self):
+        assert small_config(reps=2**32).reps == 2**32
 
     def test_coercions(self):
         config = small_config(phi_true=40, alpha_levels=[0.1], beta_true=[0.8, 0, 1])
@@ -298,6 +303,70 @@ class TestBlocks:
 
     def config(self):
         return small_config(reps=2 * simulate._BLOCK + 9, methods=("lr", "b1", "b2", "b3"))
+
+    def spy_draws(self, monkeypatch):
+        """The responses of every gen_beta_sample call, in call order."""
+        draws = []
+
+        def spy(mu, phi, rng):
+            draws.append(gen_beta_sample(mu, phi, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(simulate, "gen_beta_sample", spy)
+        return draws
+
+    def spy_derivations(self, monkeypatch):
+        """The arguments of every _spawn_state call of a block."""
+        calls = []
+        derive = simulate._spawn_state
+
+        def spy(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(simulate, "_spawn_state", spy)
+        return calls
+
+    def test_block_draws_are_the_per_replication_streams(self, monkeypatch):
+        # Each block derives its generator states in one pass and draws
+        # through one generator; every draw is the (base_seed, (j, 0))
+        # sequence's, and with no boot among the methods no bootstrap seed
+        # is derived.
+        config = small_config(reps=simulate._BLOCK + 9, methods=("lr", "b3"))
+        draws = self.spy_draws(monkeypatch)
+        derivations = self.spy_derivations(monkeypatch)
+        assert size_study(config).failures == 0
+        assert not derivations
+        assert len(draws) == config.reps
+        _, mu = simulate._generating_means(config)
+        for j, y in enumerate(draws):
+            sequence = np.random.SeedSequence(config.base_seed, spawn_key=(j, 0))
+            want = gen_beta_sample(mu, config.phi_true, np.random.default_rng(sequence))
+            assert np.array_equal(y, want)
+
+    def test_block_boot_seeds_are_the_per_replication_seeds(self, monkeypatch):
+        # With boot, each block derives its (base_seed, (j, 1)) bootstrap
+        # seeds in one pass, for the replications whose draw stood.  The
+        # test battery is replaced by a recorder: only the seeds matter.
+        config = small_config(reps=simulate._BLOCK + 9, methods=("lr", "boot"))
+        draws = self.spy_draws(monkeypatch)
+        derivations = self.spy_derivations(monkeypatch)
+        boot_opts = []
+
+        def recorder(datasets, link, restriction, chosen, opts, fit_opts):
+            boot_opts.extend(opts)
+            return {}, {}
+
+        monkeypatch.setattr(simulate, "_test_rows", recorder)
+        for start in range(0, config.reps, simulate._BLOCK):
+            stop = min(start + simulate._BLOCK, config.reps)
+            simulate._replication_block(config, range(start, stop))
+        assert len(derivations) == 2 and len(draws) == config.reps
+        for j, opts in enumerate(boot_opts):
+            sequence = np.random.SeedSequence(config.base_seed, spawn_key=(j, 1))
+            assert opts.seed == sequence.generate_state(1, np.uint64)[0]
+            assert opts.B == config.boot_B
+        assert len(boot_opts) == config.reps
 
     def test_block_values_match_one_row_tests(self):
         config = self.config()
