@@ -6,10 +6,11 @@ statistics.  Randomness is hierarchical: replication j consumes streams
 derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
 of _BLOCK consecutive indices: a block derives its streams in one pass
 and runs the test battery on all its rows through _test_rows, the path
-run_test takes, which fits every full and restricted model in one call to the batched scoring core and takes
-every Bartlett factor from one batched pass.  The blocks do not depend
-on the worker count, so neither does any result; BETABART_THREADS only
-spreads the blocks over worker processes.
+run_test takes, which fits every full and restricted model in one call
+to the batched scoring core and takes every Bartlett factor from one
+batched pass.  The blocks do not depend on the worker count, so neither
+does any result; BETABART_THREADS only spreads the blocks over worker
+processes.
 """
 
 from __future__ import annotations
@@ -204,9 +205,10 @@ def _replication_block(
     turn on one generator, and, only when boot is requested, all seeds in
     another.  The block runs the test battery on every row at once through
     _test_rows, which fits all its full and restricted models in one call
-    to the scoring core.  A replication fails on a rejected draw, a failure of its test or a non-finite
-    statistic; any other exception is a defect and propagates.  Each row
-    is its own, so a failure moves no other.
+    to the scoring core.  A replication fails on a rejected draw, a
+    failure of its test or a non-finite statistic; any other exception is
+    a defect and propagates.  Each row is its own, so a failure moves no
+    other.
     """
     X, mu = _generating_means(config)
     link = logit_link()
