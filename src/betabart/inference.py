@@ -5,11 +5,14 @@ to a chi-squared law with q degrees of freedom.  Three analytic variants
 rescale LR by the correction factor c = 1 + x with x = (eps_full -
 eps_nuis) / q: LR / c, LR exp(-x), and LR (1 - x), equivalent to order
 1/n.  The bootstrap variant rescales by the mean of LR over parametric
-resamples drawn under the null at the restricted estimate.  One path,
-_test_rows, fits both hypotheses of a stack of datasets that share a
-design in one call to the scoring core and computes every requested
-statistic, the bootstrap one included: run_test is a one-row call into
-it, and a Monte Carlo block calls it on all its replications at once.
+resamples drawn under the null at the restricted estimate.  Each
+statistic is one entry of the table _METHODS, the quantity it reads and
+its formula, so a new statistic is one entry (and its quantity, if new).
+Every p-value comes from one rule, _p_value.  One path, _test_rows,
+fits both hypotheses of a stack of datasets that share a design in one
+call to the scoring core and fills every report from the table,
+computing each quantity once: run_test is a one-row call into it, and a
+Monte Carlo block calls it on all its replications at once.
 """
 
 from __future__ import annotations
@@ -55,7 +58,15 @@ __all__ = [
     "run_test",
 ]
 
-_METHODS = ("lr", "b1", "b2", "b3", "boot")
+# Each statistic, in output order: the quantity it reads beyond LR (x, the
+# Bartlett x; boot, the mean resample LR) and its value from (lr, q, that).
+_METHODS = {
+    "lr": (None, lambda lr, q, _: lr),
+    "b1": ("x", lambda lr, q, x: lr / (1.0 + x) if 1.0 + x > 0.0 else math.nan),
+    "b2": ("x", lambda lr, q, x: lr * math.exp(-x)),
+    "b3": ("x", lambda lr, q, x: lr * (1.0 - x)),
+    "boot": ("boot", lambda lr, q, mean: lr * q / mean),
+}
 
 # A tiny negative LR is pure round-off from two near-identical optima and
 # is floored; anything more negative means the models are not nested.
@@ -90,11 +101,18 @@ def _check_methods(methods) -> tuple[str, ...]:
     return chosen
 
 
-def _check_seed(value: int, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _check_seed(value: int, name: str) -> int:
+    """The seed as a Python int; numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
+    return int(value)
+
+
+def _p_value(stat, q: int):
+    """The chi-squared(q) tail at stat floored at 0, for scalars or arrays."""
+    return chisq_sf(np.maximum(stat, 0.0), q)
 
 
 @dataclass(frozen=True)
@@ -109,7 +127,7 @@ class BootstrapOptions:
         B = self.B
         if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
             raise ValueError("B must be a positive integer")
-        _check_seed(self.seed, "seed")
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
         if not 0.0 <= self.max_failure_fraction < 1.0:
             raise ValueError("max_failure_fraction must lie in [0, 1)")
 
@@ -118,23 +136,26 @@ class BootstrapOptions:
 class TestReport:
     """Everything one restriction test produced.
 
-    Statistics not requested are None; statistics holds lr and each
-    computed one by method name.  p_values maps each requested, finite
-    statistic's name to chisq_sf(max(stat, 0), q).  full_fit is the
-    unrestricted fit behind lr, kept so callers need not refit it.
+    statistics maps lr, always, then each requested method to its value,
+    in the order of the table _METHODS; lr, lr_b1, lr_b2, lr_b3 and
+    lr_boot are views of it, None when not requested.  p_values maps
+    each requested, finite statistic's name to its _p_value.  full_fit is
+    the unrestricted fit behind lr, kept so callers need not refit it.
     """
 
-    lr: float
     q: int
+    statistics: dict[str, float]
     eps_diff_over_q: Optional[float]
-    lr_b1: Optional[float]
-    lr_b2: Optional[float]
-    lr_b3: Optional[float]
-    lr_boot: Optional[float]
     boot_mean: Optional[float]
     boot_failures: int
-    p_values: dict
+    p_values: dict = field(default_factory=dict)
     full_fit: Optional[FitResult] = field(default=None, compare=False, repr=False)
+    lr = property(lambda self: self.statistics["lr"])
+    lr_b1 = property(lambda self: self.statistics.get("b1"))
+    lr_b2 = property(lambda self: self.statistics.get("b2"))
+    lr_b3 = property(lambda self: self.statistics.get("b3"))
+    lr_boot = property(lambda self: self.statistics.get("boot"))
+    df = property(lambda self: self.q)
 
     def __post_init__(self):
         if self.lr < 0.0:
@@ -142,16 +163,6 @@ class TestReport:
         for name, prob in self.p_values.items():
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"p-value for {name} is outside [0, 1]")
-
-    @property
-    def df(self) -> int:
-        return self.q
-
-    @property
-    def statistics(self) -> dict[str, float]:
-        """lr and each computed statistic, keyed by method name."""
-        values = (self.lr, self.lr_b1, self.lr_b2, self.lr_b3, self.lr_boot)
-        return {m: v for m, v in zip(_METHODS, values) if v is not None}
 
 
 def lr_statistic(full: FitResult, restricted: FitResult) -> float:
@@ -176,7 +187,7 @@ def lr_statistic(full: FitResult, restricted: FitResult) -> float:
 
 
 def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
-    """The three corrected statistics (LR/c, LR exp(-x), LR (1-x)).
+    """The table's b1, b2 and b3: LR/c, LR exp(-x) and LR (1-x).
 
     x = eps_diff_over_q and c = 1 + x.  When c <= 0 the division form is
     meaningless and lr_b1 is returned as NaN.
@@ -186,11 +197,7 @@ def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
     if q < 1:
         raise ValueError("q must be a positive integer")
     x = float(eps_diff_over_q)
-    c = 1.0 + x
-    lr_b1 = lr / c if c > 0.0 else math.nan
-    lr_b2 = lr * math.exp(-x)
-    lr_b3 = lr * (1.0 - x)
-    return lr_b1, lr_b2, lr_b3
+    return tuple(_METHODS[name][1](lr, q, x) for name in ("b1", "b2", "b3"))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -364,9 +371,11 @@ def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
         except NestingError as exc:
             failed[i] = exc
     rows = sorted(lr)
+    methods = {m: _METHODS[m] for m in _METHODS if m == "lr" or m in chosen}
+    reads = {need for need, _ in methods.values()}
 
     x = {}
-    if rows and any(name in chosen for name in ("b1", "b2", "b3")):
+    if rows and "x" in reads:
         X = datasets[0].X
         Beta = np.array([rest[i].theta_hat.beta for i in rows])
         Phi = np.array([rest[i].theta_hat.phi for i in rows])
@@ -380,33 +389,23 @@ def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
     for i in rows:
         if i in failed:
             continue
-        boot = None
-        if "boot" in chosen:
+        boot_mean, boot_failures = None, 0
+        if "boot" in reads:
             theta = rest[i].theta_hat
             try:
-                boot = _bootstrap_mean(
+                boot_mean, boot_failures = _bootstrap_mean(
                     datasets[i], link, restriction, theta, boot_opts[i], fit_opts
                 )
             except BootstrapFailureError as exc:
                 failed[i] = exc
                 continue
-        corrected = bartlett_corrected(lr[i], x[i], q) if i in x else (None,) * 3
-        lr_b1, lr_b2, lr_b3 = (
-            value if name in chosen else None
-            for name, value in zip(("b1", "b2", "b3"), corrected)
-        )
-        boot_mean, boot_failures = boot or (None, 0)
+        read = {None: None, "x": x.get(i), "boot": boot_mean}
         reports[i] = TestReport(
-            lr=lr[i],
             q=q,
+            statistics={m: f(lr[i], q, read[need]) for m, (need, f) in methods.items()},
             eps_diff_over_q=x.get(i),
-            lr_b1=lr_b1,
-            lr_b2=lr_b2,
-            lr_b3=lr_b3,
-            lr_boot=None if boot is None else lr[i] * q / boot_mean,
             boot_mean=boot_mean,
             boot_failures=boot_failures,
-            p_values={},
             full_fit=full[i],
         )
     return reports, failed
@@ -416,7 +415,7 @@ def run_test(
     data: Dataset,
     link: LinkFunction,
     restriction: Restriction,
-    methods=_METHODS,
+    methods=tuple(_METHODS),
     boot_opts: Optional[BootstrapOptions] = None,
     fit_opts: Optional[FitOptions] = None,
 ) -> TestReport:
@@ -439,7 +438,7 @@ def run_test(
         raise failed[0]
     report = reports[0]
     p_values = {
-        name: chisq_sf(max(value, 0.0), restriction.q)
+        name: _p_value(value, restriction.q)
         for name, value in report.statistics.items()
         if name in chosen and math.isfinite(value)
     }

@@ -29,6 +29,7 @@ from .inference import (
     BootstrapOptions,
     _check_methods,
     _check_seed,
+    _p_value,
     _pcg64_states,
     _spawn_state,
     _test_rows,
@@ -70,7 +71,7 @@ class SimConfig:
     alpha_levels: tuple[float, ...] = (0.10, 0.05, 0.01)
     base_seed: int = 0
     covariate_seed: int = 0
-    methods: tuple[str, ...] = _METHODS
+    methods: tuple[str, ...] = tuple(_METHODS)
 
     def __post_init__(self) -> None:
         for name in ("n", "p", "reps", "boot_B"):
@@ -109,8 +110,8 @@ class SimConfig:
         if len(set(alphas)) != len(alphas):
             raise ValueError("alpha_levels must be distinct")
         object.__setattr__(self, "alpha_levels", alphas)
-        _check_seed(self.base_seed, "base_seed")
-        _check_seed(self.covariate_seed, "covariate_seed")
+        for name in ("base_seed", "covariate_seed"):
+            object.__setattr__(self, name, _check_seed(getattr(self, name), name))
         methods = _check_methods(self.methods)
         if len(set(methods)) != len(methods):
             raise ValueError("methods must be distinct")
@@ -301,13 +302,12 @@ def _run_study(config: SimConfig) -> SimResult:
     archive = {
         m: np.array([outcomes[j][m] for j in survivors]) for m in config.methods
     }
-    q = len(config.restriction.indices)
     rates: dict[tuple[str, float], float] = {}
     moments: dict[str, StatMoments] = {}
     quantiles: dict[str, StatQuantiles] = {}
     for m in config.methods:
         values = archive[m]
-        p_values = chisq_sf(np.maximum(values, 0.0), q)
+        p_values = _p_value(values, config.restriction.q)
         for alpha in config.alpha_levels:
             rates[(m, alpha)] = float(np.mean(p_values <= alpha))
         moments[m], quantiles[m] = _summarize(values)

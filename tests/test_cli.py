@@ -264,6 +264,13 @@ class TestTestCommand:
         assert "H0: persons" in out and "[df = 1]" in out
         assert "lr" in out and "b3" in out
 
+    def test_statistics_print_in_table_order(self, capsys):
+        # the order of --methods does not set the order of the output
+        code, out, _ = run_cli(capsys, "test", "--null", "persons", "--methods", "b3,b1")
+        assert code == 0
+        names = [line.split()[0] for line in out.splitlines()[4:]]
+        assert names == ["b1", "b3"]
+
     def test_full_model_is_fitted_once(self, capsys, monkeypatch, food_reduced, link):
         # The full model is fitted once, together with the restricted one in
         # one scoring call (full design first), and the printed estimates

@@ -125,24 +125,21 @@ class TestReportValidation:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
             Report(
-                lr=-1.0, q=1, eps_diff_over_q=None, lr_b1=None, lr_b2=None,
-                lr_b3=None, lr_boot=None, boot_mean=None, boot_failures=0,
-                p_values={},
+                q=1, statistics={"lr": -1.0}, eps_diff_over_q=None,
+                boot_mean=None, boot_failures=0,
             )
 
     def test_bad_p_value_rejected(self):
         with pytest.raises(ValueError):
             Report(
-                lr=1.0, q=1, eps_diff_over_q=None, lr_b1=None, lr_b2=None,
-                lr_b3=None, lr_boot=None, boot_mean=None, boot_failures=0,
-                p_values={"lr": 1.5},
+                q=1, statistics={"lr": 1.0}, eps_diff_over_q=None,
+                boot_mean=None, boot_failures=0, p_values={"lr": 1.5},
             )
 
     def test_df_property(self):
         report = Report(
-            lr=1.0, q=3, eps_diff_over_q=None, lr_b1=None, lr_b2=None,
-            lr_b3=None, lr_boot=None, boot_mean=None, boot_failures=0,
-            p_values={},
+            q=3, statistics={"lr": 1.0}, eps_diff_over_q=None,
+            boot_mean=None, boot_failures=0,
         )
         assert report.df == 3
 
@@ -167,8 +164,9 @@ class TestBootstrapOptions:
             BootstrapOptions(**kwargs)
 
     def test_numpy_integer_accepted(self):
-        opts = BootstrapOptions(B=np.int64(7))
+        opts = BootstrapOptions(B=np.int64(7), seed=np.int64(3))
         assert opts.B == 7
+        assert opts.seed == 3 and type(opts.seed) is int
 
 
 def _boot(data, link, restriction, opts):
@@ -407,7 +405,9 @@ class TestRunTest:
             )
 
     @pytest.mark.parametrize(
-        "methods", [("lr",), ("b3",), ("b1", "boot"), ("lr", "b1", "b2", "b3", "boot")]
+        "methods",
+        [("lr",), ("b3",), ("b1", "boot"), ("lr", "b1", "b2", "b3", "boot")]
+        + [(name,) for name in inference._METHODS],
     )
     def test_statistics_are_lr_and_the_requested(self, food_five, link, methods):
         report = run_test(
@@ -423,6 +423,17 @@ class TestRunTest:
         for name in methods:
             if name != "lr":
                 assert report.statistics[name] == getattr(report, attrs[name])
+
+    def test_statistics_in_table_order(self, food_five, link):
+        report = run_test(
+            food_five,
+            link,
+            Restriction((4,), (0.0,)),
+            methods=("boot", "b3", "lr"),
+            boot_opts=BootstrapOptions(B=10, seed=5),
+        )
+        assert list(report.statistics) == ["lr", "b3", "boot"]
+        assert list(report.p_values) == ["lr", "b3", "boot"]
 
     def test_p_values_are_chisq_tails(self, food_five, link):
         report = run_test(

@@ -93,6 +93,11 @@ class TestSimConfig:
         assert config.alpha_levels == (0.1,)
         assert config.beta_true == (0.8, 0.0, 1.0)
 
+    def test_numpy_integer_seeds_stored_as_int(self):
+        config = small_config(base_seed=np.int64(4), covariate_seed=np.uint32(4))
+        assert type(config.base_seed) is int and type(config.covariate_seed) is int
+        assert config == small_config()
+
 
 class TestGenBetaSample:
     def test_moments(self):
