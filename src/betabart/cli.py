@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -33,6 +34,7 @@ from .simulate import (
     write_archive_csv,
     write_rates_csv,
 )
+from .specfun import _sequence
 
 _POSITIONAL_NAME = re.compile(r"^x([1-9][0-9]*)$")
 
@@ -48,11 +50,12 @@ class DataError(RuntimeError):
 def parse_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Read a comma-separated file with a header row into named columns.
 
-    All cells must be decimal-point numbers.  Errors carry the offending
-    line number, counting the header as line 1.
+    All cells must be decimal-point numbers; a UTF-8 byte-order mark before
+    the header is dropped.  Errors carry the offending line number,
+    counting the header as line 1.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -100,11 +103,16 @@ def _check_response(y: np.ndarray, path: str) -> None:
 
 
 def _build_terms(
-    columns: dict[str, np.ndarray], spec: str | None
+    columns: dict[str, np.ndarray], spec: str | None, response: str
 ) -> tuple[list[str], list[np.ndarray]]:
-    """Resolve a covariate list with `a*b` products and `a^2` squares."""
+    """Resolve a covariate list with `a*b` products and `a^2` squares.
+
+    Each term is the product of its factor columns: one for a plain term,
+    two for a product, the same column twice for a square.  No term may
+    read the response column.
+    """
     if spec is None:
-        tokens = list(columns)
+        tokens = [name for name in columns if name != response]
     else:
         tokens = [token.strip() for token in spec.split(",")]
     names: list[str] = []
@@ -113,34 +121,31 @@ def _build_terms(
         if not token:
             raise CLIConfigError("empty covariate term")
         if "*" in token:
-            parts = [part.strip() for part in token.split("*")]
-            if len(parts) != 2 or not all(parts):
+            factors = [part.strip() for part in token.split("*")]
+            if len(factors) != 2 or not all(factors):
                 raise CLIConfigError(f"bad product term {token!r}; use a*b")
-            for part in parts:
-                if part not in columns:
-                    raise CLIConfigError(f"unknown column {part!r}")
-            name = f"{parts[0]}*{parts[1]}"
-            # An overflow becomes inf, which the caller reports as a
-            # non-finite covariate on its line.
-            with np.errstate(over="ignore", invalid="ignore"):
-                array = columns[parts[0]] * columns[parts[1]]
+            name = "*".join(factors)
         elif "^" in token:
             base, _, power = token.partition("^")
-            base = base.strip()
-            if power.strip() != "2" or not base:
+            factors = [base.strip()] * 2
+            if power.strip() != "2" or not factors[0]:
                 raise CLIConfigError(f"bad power term {token!r}; only a^2 is supported")
-            if base not in columns:
-                raise CLIConfigError(f"unknown column {base!r}")
-            name = f"{base}^2"
-            with np.errstate(over="ignore", invalid="ignore"):
-                array = columns[base] ** 2
+            name = f"{factors[0]}^2"
         else:
-            if token not in columns:
-                raise CLIConfigError(f"unknown column {token!r}")
-            name = token
-            array = columns[token]
+            factors, name = [token], token
+        for factor in factors:
+            if factor == response:
+                raise CLIConfigError(
+                    f"covariate term {token!r} reads the response column {response!r}"
+                )
+            if factor not in columns:
+                raise CLIConfigError(f"unknown column {factor!r}")
         if name in names:
             raise CLIConfigError(f"duplicate covariate term {name!r}")
+        # An overflow becomes inf, which the caller reports as a non-finite
+        # covariate on its line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = functools.reduce(np.multiply, [columns[f] for f in factors])
         names.append(name)
         arrays.append(array)
     if not names:
@@ -197,13 +202,7 @@ def _load_model(args: argparse.Namespace):
         raise CLIConfigError(f"unknown response column {response!r}")
     y = columns[response]
     _check_response(y, args.data)
-    term_spec = args.covariates
-    names, arrays = _build_terms(
-        {k: v for k, v in columns.items() if k != response}
-        if term_spec is None
-        else columns,
-        term_spec,
-    )
+    names, arrays = _build_terms(columns, args.covariates, response)
     X = np.column_stack([np.ones(len(y))] + arrays)
     bad = np.nonzero(~np.all(np.isfinite(X), axis=1))[0]
     if bad.size:
@@ -398,18 +397,12 @@ def _load_sim_config(path: str) -> SimConfig:
         raise CLIConfigError(
             f"{path}: restriction must be an object with indices and optional values"
         )
-    # Sequence fields must be JSON arrays: a string would be split into
-    # letters and a number would not convert at all.
-    lists = {f.name: document.get(f.name, []) for f in fields if "tuple" in f.type}
-    lists.update((f"restriction.{k}", v) for k, v in restriction_doc.items())
-    for name, value in lists.items():
-        if not isinstance(value, list):
-            raise CLIConfigError(f"{path}: {name} must be a list")
     indices = restriction_doc["indices"]
-    values = restriction_doc.get("values", [0.0] * len(indices))
     try:
-        return SimConfig(restriction=Restriction(indices, values), **document)
-    except (TypeError, ValueError) as exc:
+        zeros = [0.0] * len(_sequence(indices, "restriction indices"))
+        restriction = Restriction(indices, restriction_doc.get("values", zeros))
+        return SimConfig(restriction=restriction, **document)
+    except ValueError as exc:
         raise CLIConfigError(f"{path}: {exc}") from None
 
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fit import FitError, Restriction, _index, _inverse_rows, _singular_error
+from .fit import FitError, Restriction, _inverse_rows, _singular_error
 from .model import (
     Dataset,
     LinkFunction,
@@ -47,7 +47,7 @@ from .model import (
     _theta_rows,
     obs_state,
 )
-from .specfun import _gamma_series
+from .specfun import _gamma_series, _integer, _sequence
 
 __all__ = [
     "ObsQuantities",
@@ -350,7 +350,7 @@ def loglik_derivative_tensors(
     fourth derivative.  These are the raw, response-dependent derivatives;
     their expectations are the cumulant tensors.
     """
-    if order not in (2, 3, 4):
+    if _integer(order, "order", 2) > 4:
         raise ValueError("order must be 2, 3, or 4")
     q = obs_quantities(theta, data, link)
     if order == 4 and q.t3 is None:
@@ -552,12 +552,13 @@ def cumulant_tensors(
     if subset is None:
         positions = tuple(range(p + 1))
     else:
-        positions = tuple(sorted(_index(i, "subset positions") for i in subset))
+        subset = _sequence(subset, "subset")
+        positions = tuple(sorted(_integer(i, "subset position", 0) for i in subset))
         if not positions:
             raise ValueError("subset must be nonempty")
         if len(set(positions)) != len(positions):
             raise ValueError("subset positions must be distinct")
-        if positions[0] < 0 or positions[-1] > p:
+        if positions[-1] > p:
             raise ValueError(f"subset positions must lie in 0..{p}")
     dense = _dense_rows(data.X, link, theta.beta[None], np.array([theta.phi]))
     tensors, failed = _subset_tensors(dense, positions)

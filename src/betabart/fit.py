@@ -37,6 +37,7 @@ from .model import (
     _rows_observed_information,
     _rows_score,
 )
+from .specfun import _integer, _real, _reals, _sequence
 
 __all__ = [
     "FitError",
@@ -60,7 +61,12 @@ class FitError(RuntimeError):
 
 
 class NonConvergenceError(FitError):
-    """Scoring ran out of iterations; carries the log-likelihood trace."""
+    """A fit did not reach an optimum.
+
+    Scoring ran out of iterations, or the log-likelihood was not finite at
+    the starting point.  trace holds the last accepted log-likelihood, and
+    is empty when lr_statistic raises this for a fit that did not converge.
+    """
 
     def __init__(self, trace, message: str | None = None):
         self.trace = list(trace)
@@ -78,13 +84,6 @@ class SingularInformationError(FitError):
         super().__init__(message)
 
 
-def _index(i, what):
-    """i as an int; a bool, a float or any other non-integer is an error."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise ValueError(f"{what} must be integers, not {i!r}")
-    return int(i)
-
-
 @dataclass(frozen=True)
 class Restriction:
     """Null hypothesis fixing q coefficients at given values.
@@ -98,18 +97,17 @@ class Restriction:
     values: tuple
 
     def __post_init__(self):
-        idx = tuple(_index(i, "restriction indices") for i in self.indices)
-        vals = tuple(float(v) for v in self.values)
+        idx = tuple(
+            _integer(i, "restriction index", 1)
+            for i in _sequence(self.indices, "restriction indices")
+        )
+        vals = _reals(self.values, "restriction values")
         if not idx or len(idx) != len(vals):
             raise ValueError("indices and values must be nonempty and equal length")
         if len(set(idx)) != len(idx):
             raise ValueError("restriction indices must be distinct")
         if list(idx) != sorted(idx):
             raise ValueError("restriction indices must be sorted ascending")
-        if idx[0] < 1:
-            raise ValueError("restriction indices are 1-based coefficient positions")
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("restriction values must be finite")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
 
@@ -141,15 +139,9 @@ class FitOptions:
 
     def __post_init__(self):
         for name in ("max_iterations", "step_halving_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not 0.0 < self.gradient_tolerance < np.inf:
-            raise ValueError("gradient_tolerance must be positive and finite")
-        if self.step_halving_max < 1:
-            raise ValueError("step_halving_max must be positive")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        tolerance = _real(self.gradient_tolerance, "gradient_tolerance", positive=True)
+        object.__setattr__(self, "gradient_tolerance", tolerance)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .model import (
     _beta_shapes,
     obs_state,
 )
-from .specfun import chisq_sf
+from .specfun import _integer, _real, _sequence, chisq_sf
 
 __all__ = [
     "NestingError",
@@ -88,26 +88,15 @@ _TEST_FAILURES = (FitError, BootstrapFailureError, NestingError)
 
 def _check_methods(methods) -> tuple[str, ...]:
     """The requested statistic names as a tuple, each one of _METHODS."""
-    if isinstance(methods, str):
-        raise ValueError("methods must be a sequence of names, not a string")
-    chosen = tuple(methods)
+    chosen = _sequence(methods, "methods")
     if not chosen:
         raise ValueError("methods must name at least one statistic")
     for name in chosen:
-        if name not in _METHODS:
+        if not isinstance(name, str) or name not in _METHODS:
             raise ValueError(
                 f"unknown method {name!r} in methods; choose from {', '.join(_METHODS)}"
             )
     return chosen
-
-
-def _check_seed(value: int, name: str) -> int:
-    """The seed as a Python int; numpy integers are accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return int(value)
 
 
 def _p_value(stat, q: int):
@@ -124,12 +113,12 @@ class BootstrapOptions:
     max_failure_fraction: float = 0.02
 
     def __post_init__(self):
-        B = self.B
-        if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
-            raise ValueError("B must be a positive integer")
-        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
-        if not 0.0 <= self.max_failure_fraction < 1.0:
+        object.__setattr__(self, "B", _integer(self.B, "B", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        fraction = _real(self.max_failure_fraction, "max_failure_fraction")
+        if not 0.0 <= fraction < 1.0:
             raise ValueError("max_failure_fraction must lie in [0, 1)")
+        object.__setattr__(self, "max_failure_fraction", fraction)
 
 
 @dataclass(frozen=True)
@@ -194,8 +183,7 @@ def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
     """
     if lr < 0.0:
         raise ValueError("lr must be nonnegative")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
+    q = _integer(q, "q", 1)
     x = float(eps_diff_over_q)
     return tuple(_METHODS[name][1](lr, q, x) for name in ("b1", "b2", "b3"))
 

@@ -13,14 +13,13 @@ object refers to phi.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import _gamma_series
+from .specfun import _gamma_series, _real
 
 __all__ = [
     "MU_CLAMP",
@@ -49,9 +48,7 @@ def _beta_shapes(mu, phi):
         raise ValueError("mu must be a nonempty vector")
     if not np.all((mu > 0.0) & (mu < 1.0)):
         raise ValueError("mu must lie strictly inside (0, 1)")
-    phi = float(phi)
-    if not math.isfinite(phi) or phi <= 0.0:
-        raise ValueError("phi must be positive and finite")
+    phi = _real(phi, "phi", positive=True)
     return mu * phi, (1.0 - mu) * phi
 
 
@@ -154,9 +151,7 @@ class ParamVector:
             raise ValueError("beta must be a nonempty vector")
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta must be finite")
-        phi = float(self.phi)
-        if not np.isfinite(phi) or phi <= 0.0:
-            raise ValueError("phi must be a positive real")
+        phi = _real(self.phi, "phi", positive=True)
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "phi", phi)

@@ -28,7 +28,6 @@ from .inference import (
     _METHODS,
     BootstrapOptions,
     _check_methods,
-    _check_seed,
     _p_value,
     _pcg64_states,
     _spawn_state,
@@ -36,7 +35,7 @@ from .inference import (
     run_test,  # noqa: F401  kept as a module attribute for span tracers
 )
 from .model import Dataset, gen_beta_sample, logit_link
-from .specfun import chisq_sf
+from .specfun import _integer, _real, _reals, chisq_sf
 
 _FAILURE_BUDGET = 0.01
 
@@ -57,7 +56,8 @@ class SimConfig:
     p - 1 covariates drawn once from Uniform(-0.5, 0.5) using
     ``covariate_seed``, then held fixed across replications.  ``delta``
     is added to the tested coefficients in the generator only; the
-    hypothesis under test keeps the values stored in ``restriction``.
+    hypothesis under test keeps the values stored in ``restriction``, which
+    ``beta_true`` must equal at the tested positions.
     """
 
     n: int
@@ -74,49 +74,45 @@ class SimConfig:
     methods: tuple[str, ...] = tuple(_METHODS)
 
     def __post_init__(self) -> None:
-        for name in ("n", "p", "reps", "boot_B"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
-        if self.n < self.p + 2:
-            raise ValueError("n must be at least p + 2")
-        if not 1 <= self.reps <= 2**32:
+        def store(name, check, *args, **kwargs):
+            value = check(getattr(self, name), name, *args, **kwargs)
+            object.__setattr__(self, name, value)
+
+        store("p", _integer, 1)
+        store("n", _integer, self.p + 2)
+        store("reps", _integer, 1)
+        if self.reps > 2**32:
             raise ValueError("reps must be at least 1 and at most 2**32")
-        if self.boot_B < 1:
-            raise ValueError("boot_B must be at least 1")
-        beta = tuple(float(b) for b in self.beta_true)
-        if len(beta) != self.p or not all(math.isfinite(b) for b in beta):
-            raise ValueError("beta_true must be p finite values")
-        object.__setattr__(self, "beta_true", beta)
-        phi = float(self.phi_true)
-        if not math.isfinite(phi) or phi <= 0.0:
-            raise ValueError("phi_true must be positive and finite")
-        object.__setattr__(self, "phi_true", phi)
-        delta = float(self.delta)
-        if not math.isfinite(delta):
-            raise ValueError("delta must be finite")
-        object.__setattr__(self, "delta", delta)
-        if not isinstance(self.restriction, Restriction):
-            raise ValueError("restriction must be a Restriction")
-        if max(self.restriction.indices) > self.p:
-            raise ValueError("restriction index exceeds p")
-        if self.restriction.q >= self.p:
-            raise ValueError("restriction must leave at least one free coefficient")
-        alphas = tuple(float(a) for a in self.alpha_levels)
-        if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
+        store("boot_B", _integer, 1)
+        store("base_seed", _integer, 0)
+        store("covariate_seed", _integer, 0)
+        store("beta_true", _reals)
+        if len(self.beta_true) != self.p:
+            raise ValueError("beta_true must hold p values")
+        store("phi_true", _real, positive=True)
+        store("delta", _real)
+        store("alpha_levels", _reals)
+        if not self.alpha_levels or any(not 0.0 < a < 1.0 for a in self.alpha_levels):
             raise ValueError("alpha_levels must lie strictly inside (0, 1)")
-        if len(set(alphas)) != len(alphas):
+        if len(set(self.alpha_levels)) != len(self.alpha_levels):
             raise ValueError("alpha_levels must be distinct")
-        object.__setattr__(self, "alpha_levels", alphas)
-        for name in ("base_seed", "covariate_seed"):
-            object.__setattr__(self, name, _check_seed(getattr(self, name), name))
+        # run_test de-duplicates its methods; a study's must be distinct
         methods = _check_methods(self.methods)
         if len(set(methods)) != len(methods):
             raise ValueError("methods must be distinct")
         object.__setattr__(self, "methods", methods)
+        restriction = self.restriction
+        if not isinstance(restriction, Restriction):
+            raise ValueError("restriction must be a Restriction")
+        if restriction.q >= self.p:
+            raise ValueError("restriction must leave at least one free coefficient")
+        # restriction.split, run here, checks the indices against p
         mu = _generating_means(self)[1]
+        for index, value in zip(restriction.indices, restriction.values):
+            if self.beta_true[index - 1] != value:
+                raise ValueError(
+                    "beta_true must equal the restriction values at tested positions"
+                )
         if not np.all((mu > 0.0) & (mu < 1.0)):
             raise ValueError(
                 "beta_true, with delta added to the tested coefficients, puts a "
@@ -173,11 +169,8 @@ def design_matrix(n: int, p: int, covariate_seed: int) -> np.ndarray:
     The draw depends only on ``covariate_seed``, so a study's design is
     frozen across replications, worker processes, and reruns.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError("p must be a positive integer")
-    _check_seed(covariate_seed, "covariate_seed")
+    n, p = _integer(n, "n", 1), _integer(p, "p", 1)
+    covariate_seed = _integer(covariate_seed, "covariate_seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(covariate_seed))
     X = np.empty((n, p))
     X[:, 0] = 1.0
@@ -255,8 +248,7 @@ def _worker_count() -> int:
         count = int(raw)
     except ValueError:
         raise ValueError(f"BETABART_THREADS must be an integer, got {raw!r}") from None
-    if count < 0:
-        raise ValueError("BETABART_THREADS must be nonnegative")
+    count = _integer(count, "BETABART_THREADS", 0)
     return count if count > 0 else os.cpu_count() or 1
 
 
@@ -314,20 +306,10 @@ def _run_study(config: SimConfig) -> SimResult:
     return SimResult(rates, archive, moments, quantiles, failures, survivors)
 
 
-def _require_null_design(config: SimConfig) -> None:
-    restriction = config.restriction
-    for idx, value in zip(restriction.indices, restriction.values):
-        if config.beta_true[idx - 1] != value:
-            raise ValueError(
-                "beta_true must equal the restriction values at tested positions"
-            )
-
-
 def size_study(config: SimConfig) -> SimResult:
     """Null rejection rates: generate under the hypothesis and test it."""
     if config.delta != 0.0:
         raise ValueError("size_study requires delta = 0")
-    _require_null_design(config)
     return _run_study(config)
 
 
@@ -335,7 +317,6 @@ def power_study(config: SimConfig) -> SimResult:
     """Nonnull rejection rates: tested coefficients are shifted by delta
     in the generator while the hypothesis still tests the stored values.
     With delta = 0 this reduces to the size study."""
-    _require_null_design(config)
     return _run_study(config)
 
 
@@ -360,7 +341,6 @@ def null_moments(config: SimConfig) -> MomentTable:
     with an analytic chi-squared reference row keyed `chisq`."""
     if config.delta != 0.0:
         raise ValueError("null_moments requires delta = 0")
-    _require_null_design(config)
     result = _run_study(config)
     moments = dict(result.moments)
     quantiles = dict(result.quantiles)

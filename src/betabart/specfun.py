@@ -22,6 +22,7 @@ scalars come back as plain floats.  Supported polygamma orders are 0..3
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -85,6 +86,53 @@ def _prepare(x, name):
     if np.any(arr <= 0.0):
         raise ValueError(f"{name} must be positive")
     return arr
+
+
+# The package's input rules, one definition each; every public entry point
+# checks its integer, number and sequence inputs through these.
+
+
+def _integer(value, name, low):
+    """value as an int of at least low: a Python or numpy integer, never a
+    bool; anything else is a ValueError naming the input."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, not {value}")
+    return int(value)
+
+
+def _real(value, name, positive=False):
+    """value as a finite float, positive if asked: any real number, but
+    never a bool or a string; anything else is a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if positive and value <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
+def _sequence(values, name):
+    """values as a tuple: any iterable except a string, which would be
+    taken letter by letter."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence, not a string")
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, not {values!r}") from None
+
+
+def _reals(values, name):
+    """values as a tuple of finite floats, each checked by _real."""
+    return tuple(_real(v, name) for v in _sequence(values, name))
 
 
 def _gamma_series(z, top):
@@ -167,7 +215,8 @@ def polygamma(m, x):
     Order 0 is the digamma function, order 1 the trigamma, and so on.
     Relative accuracy is about 1e-13 over [1e-4, 1e6].
     """
-    if isinstance(m, bool) or m not in (0, 1, 2, 3):
+    m = _integer(m, "polygamma order", 0)
+    if m > 3:
         raise ValueError("polygamma order must be one of 0, 1, 2, 3")
     z = _prepare(x, "x")
     out = _gamma_series(z, m)[m + 1]
@@ -190,8 +239,7 @@ def chisq_sf(x, df):
     positive, so the result is accurate relatively, to about 1e-12 over the
     whole tail that does not underflow, and is exactly 1.0 at x = 0.
     """
-    if isinstance(df, bool) or not isinstance(df, (int, np.integer)) or df < 1:
-        raise ValueError("df must be a positive integer")
+    df = _integer(df, "df", 1)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")

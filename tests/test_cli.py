@@ -52,6 +52,17 @@ def test_readme_fit_block(capsys):
     assert out == block
 
 
+def test_byte_order_mark_is_not_part_of_the_header(capsys, tmp_path):
+    # Spreadsheet tools often save UTF-8 with a byte-order mark in front.
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(food_data_path()).read_bytes())
+    test_argv, _ = readme_example("test")
+    for argv in (["fit"], ["fit", "--format", "json", "--response", "y"], test_argv):
+        plain = run_cli(capsys, *argv, "--data", food_data_path())
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--data", str(marked)) == plain
+
+
 # `betabart simulate` on the criterion-6 cell (the benchmark's moments-cell
 # design), 76 replications in two blocks, as the program printed it.
 MOMENTS_CELL_SUMMARY = """\
@@ -346,6 +357,12 @@ class TestConfigErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("terms", ["y,income", "income*y", "y^2"])
+    def test_response_is_not_a_covariate(self, capsys, terms):
+        code, out, err = run_cli(capsys, "fit", "--covariates", terms)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "response column 'y'" in err
 
     def test_missing_null_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

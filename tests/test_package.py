@@ -1,6 +1,11 @@
-"""The package namespace."""
+"""The package namespace and the package-wide input rules."""
+
+import ast
+from pathlib import Path
 
 import betabart
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "betabart"
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +15,35 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from betabart import *", namespace)
     assert namespace["logit_link"] is betabart.logit_link
+
+
+def _type_checks(type_names):
+    """(module, function) of every isinstance call in the package whose
+    class argument names one of type_names, once per call."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (scope[0], node.name)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {
+                getattr(part, "id", None) or getattr(part, "attr", None)
+                for part in ast.walk(node.args[-1])
+            }
+            if named & type_names:
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem, "<module>"))
+    return sorted(found)
+
+
+def test_integer_rule_has_one_home():
+    # specfun._integer is the one integer check: a Python or numpy integer,
+    # never a bool.  Every entry point calls it; a type test against an
+    # integer type anywhere else forks the rule.  A bool is an int to
+    # Python, so _real, the one number check, refuses it too.
+    assert _type_checks({"int", "integer", "Integral"}) == [("specfun", "_integer")]
+    assert _type_checks({"bool"}) == [("specfun", "_integer"), ("specfun", "_real")]
