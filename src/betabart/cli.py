@@ -372,10 +372,12 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def _load_sim_config(path: str) -> SimConfig:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             document = json.load(handle)
     except OSError as exc:
         raise CLIConfigError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise CLIConfigError(f"{path}: not valid UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise CLIConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(document, dict):

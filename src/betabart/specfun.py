@@ -7,16 +7,14 @@ upward with the exact recurrence until the asymptotic (Bernoulli) series is
 accurate, then evaluate the series.  The shifts are a (steps, entries)
 block with x + k in row k, so each recurrence term is one ufunc call and
 the terms are summed row by row in step order; all the tails share one
-Horner pass, one log z and one 1/z.  The series is written in place, into
-the output rows and a few scratch vectors that the call allocates once and
-reuses for every chunk; each floating-point operation keeps the operands
-and the order of the plain expression, so the values are those of the
-expression form.  Each output element depends on its
-own input element alone, bit for bit, which is what makes the row-batched
-scoring independent of how rows are grouped, and an order's values do not
-depend on top.  The chi-square survival function, whose df is always an
-integer, is the closed-form finite sum of its upper tail; its only other
-special function is the standard library's math.erfc.
+Horner pass, one log z and one 1/z, written in place into the output and
+per-call scratch vectors with no operation reordered.  Each output
+element depends on its own input element alone, bit for bit, which is
+what makes the row-batched scoring independent of how rows are grouped,
+and an order's values do not depend on top.  The chi-square survival
+function, whose df is always an integer, is the closed-form finite sum of
+its upper tail; its only other special function is the standard library's
+math.erfc.
 
 All functions accept scalars or numpy arrays and preserve the input shape;
 scalars come back as plain floats.  Supported polygamma orders are 0..3

@@ -617,6 +617,24 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 2 and "invalid JSON" in err
 
+    def test_byte_order_mark_is_read_as_utf8(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BETABART_THREADS", "1")
+        plain = self.write_config(tmp_path, self.config_document())
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        for path, out in ((plain, "plain"), (str(marked), "bom")):
+            code, _, err = run_cli(capsys, "simulate", path, "--out", str(tmp_path / out))
+            assert code == 0 and err == ""
+        rates = [(tmp_path / out / "rates.csv").read_bytes() for out in ("plain", "bom")]
+        assert rates[0] == rates[1]
+
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_bytes(b'{"n": 20, "p": "\xff"}')
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2 and err.startswith("error:")
+        assert f"{path}: not valid UTF-8 text" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/nonexistent/study.json")
         assert code == 2

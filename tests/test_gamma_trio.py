@@ -1,9 +1,20 @@
 """The log-gamma/polygamma kernel behind the scoring loops and the cumulants."""
 
 import numpy as np
+import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betabart.specfun import _ASYMPTOTIC_MIN, _CHUNK, _gamma_series
+from betabart.specfun import (
+    _ASYMPTOTIC_MIN,
+    _CHUNK,
+    _FACTORIAL,
+    _HALF_LOG_TWO_PI,
+    _HORNER,
+    _STEP_SCALE,
+    _gamma_series,
+)
 from test_specfun import GRID
 
 # The kernel's two callers: the scoring loops need orders up to 1, the
@@ -60,3 +71,97 @@ def test_low_orders_do_not_depend_on_top():
 def test_scalar_and_empty_shapes():
     assert _gamma_series(np.float64(2.5), 3).shape == (5,)
     assert _gamma_series(np.empty((0, 4)), 1).shape == (3, 0, 4)
+
+
+# The kernel as it was before it wrote its series in place, kept verbatim
+# (with its 4096-element chunk) as the oracle the in-place kernel must
+# equal bit for bit.
+_REFERENCE_CHUNK = 4096
+
+
+def _reference_series(z, top):
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    rows = top + 2
+    out = np.empty((rows, flat.size))
+    for start in range(0, flat.size, _REFERENCE_CHUNK):
+        x = flat[start : start + _REFERENCE_CHUNK]
+        res = out[:, start : start + _REFERENCE_CHUNK]
+        small = np.nonzero(x < _ASYMPTOTIC_MIN)[0]
+        if small.size:
+            w = x[small]
+            depth = int(_ASYMPTOTIC_MIN - w.min()) + 1
+            block = w + np.arange(depth, dtype=float)[:, None]
+            live = block < _ASYMPTOTIC_MIN
+            terms = np.empty((rows,) + block.shape)
+            np.log(block, out=terms[0])
+            inv = np.divide(1.0, block, out=terms[1])
+            for j in range(2, rows):
+                np.multiply(terms[j - 1], inv, out=terms[j])
+            terms *= live
+            shift = np.zeros((rows, small.size))
+            for k in range(depth):
+                shift += terms[:, k]
+            shift *= _STEP_SCALE[:rows]
+            x = x.copy()
+            x[small] = w + live.sum(axis=0)
+        log_x = np.log(x)
+        inv = 1.0 / x
+        inv_sq = inv * inv
+        tails = np.empty((rows,) + x.shape)
+        tails[:] = _HORNER[0, :rows]
+        for coef in _HORNER[1:, :rows]:
+            tails *= inv_sq
+            tails += coef
+        res[0] = (x - 0.5) * log_x - x + _HALF_LOG_TWO_PI + tails[0] * inv
+        res[1] = log_x - 0.5 * inv - tails[1] * inv_sq
+        lead = inv
+        for m in range(1, rows - 1):
+            res[m + 1] = lead * (
+                _FACTORIAL[m - 1] + 0.5 * _FACTORIAL[m] * inv + tails[m + 1] * inv_sq
+            )
+            lead = -lead * inv
+        if small.size:
+            res[:, small] += shift
+    return out.reshape((rows,) + z.shape)
+
+
+# The shift threshold, the float just below it, and two zeros of log Gamma.
+_EDGES = (_ASYMPTOTIC_MIN, np.nextafter(_ASYMPTOTIC_MIN, 0.0), 1.0, 2.0)
+_SIZES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 123)
+
+
+@st.composite
+def kernel_values(draw, size):
+    """size values, log-uniform over [1e-4, 1e6], with every edge value
+    (where the size allows) and a few drawn values at drawn positions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.exp(rng.uniform(np.log(1e-4), np.log(1e6), size))
+    if size:
+        spots = rng.choice(size, min(size, 4 * len(_EDGES)), replace=False)
+        z[spots] = np.resize(_EDGES, spots.size)
+        spot = st.tuples(st.integers(0, size - 1), st.floats(1e-4, 1e6))
+        for i, v in draw(st.lists(spot, max_size=4)):
+            z[i] = v
+    return z
+
+
+def _two_dimensional(size):
+    """A (rows, n) shape of size elements with more than one row when the
+    size has a divisor for it."""
+    if size == 0:
+        return (3, 0)
+    rows = max(d for d in range(1, 65) if size % d == 0)
+    return (rows, size // rows) if rows > 1 else (size, 1)
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "rows"])
+@pytest.mark.parametrize("size", _SIZES)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_kernel_equals_reference(size, flat, data):
+    z = data.draw(kernel_values(size))
+    if not flat:
+        z = z.reshape(_two_dimensional(size))
+    for top in range(4):
+        assert np.array_equal(_gamma_series(z, top), _reference_series(z, top))
