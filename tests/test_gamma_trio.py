@@ -89,6 +89,12 @@ def _reference_series(z, top):
         res = out[:, start : start + _REFERENCE_CHUNK]
         small = np.nonzero(x < _ASYMPTOTIC_MIN)[0]
         if small.size:
+            # Row k of the block is w + k.  Rows past an entry's threshold
+            # are zeroed, so each entry takes exactly its own steps, and
+            # the rows are added one by one: a sum over the block axis may
+            # regroup the additions depending on the block's width.  log
+            # Gamma's shift stays a sum of logs; the log of the product
+            # misses log_gamma(1) = 0 by 1.8e-15.
             w = x[small]
             depth = int(_ASYMPTOTIC_MIN - w.min()) + 1
             block = w + np.arange(depth, dtype=float)[:, None]
@@ -115,6 +121,7 @@ def _reference_series(z, top):
             tails += coef
         res[0] = (x - 0.5) * log_x - x + _HALF_LOG_TWO_PI + tails[0] * inv
         res[1] = log_x - 0.5 * inv - tails[1] * inv_sq
+        # psi^(m)(z) = (-1)^(m+1) z^-m [(m-1)! + m!/(2z) + sum_j c_j z^-2j]
         lead = inv
         for m in range(1, rows - 1):
             res[m + 1] = lead * (
