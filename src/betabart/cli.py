@@ -470,6 +470,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# Built once per process: every in-process caller of main (tests, notebooks,
+# benchmarks) would otherwise pay for it per call.  parse_args keeps no state
+# between calls; each returns a fresh namespace.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betabart",

@@ -35,6 +35,7 @@ from .model import (
     _eta_state,
     _rows_information,
     _rows_observed_information,
+    _rows_residuals,
     _rows_score,
 )
 from .specfun import _integer, _real, _reals, _sequence
@@ -327,9 +328,16 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     per design, each on its block of the active rows; everything else, the
     model evaluation past the linear predictor (model._eta_state) at the
     start and at every trial scale included, runs once over the rows of
-    all designs.  Every field of a row is bit for bit the same whichever
-    rows share its batch, on whatever designs and in whatever order, a
-    batch of one included, because all arithmetic is row-local (see
+    all designs.  When every row starts at one point (a single Beta0
+    vector and a scalar Phi0, as in the bootstrap's restricted fits), the
+    start is evaluated once per design and repeated over its rows; only
+    the log-likelihood, which reads y, is formed per row.  Each iteration
+    forms the residuals once (model._rows_residuals), for the score, and
+    hands them to the observed information, sliced to the rows that stay
+    after the convergence test.  Every field of a row is bit for bit the
+    same whichever rows share its batch, on whatever designs and in
+    whatever order, a batch of one included, and whether its start is
+    shared or its own, because all arithmetic is row-local (see
     model._rows_state).
     """
     if isinstance(X, np.ndarray):
@@ -362,11 +370,9 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
 
     spans = blocks(bounds)  # of the active rows; changes only when rows retire
 
-    def predictor(Beta, at):
-        """Linear predictors at Beta of the active rows, or of those at
-        (sorted positions among them)."""
+    def predictor(Beta, parts):
+        """Linear predictors at Beta of the rows of parts, blocks() output."""
         Eta = np.empty((len(Beta), n))
-        parts = spans if at is None else blocks(np.searchsorted(at, bounds).tolist())
         for XT, off, rows in parts:
             eta = Eta[rows]
             np.einsum("bj,jn->bn", Beta[rows, P - len(XT) :], XT, out=eta)
@@ -374,16 +380,27 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         return Eta
 
     def state(Beta, Phi, L, at=None):
-        """_rows_state of the active rows, or of those at, at (Beta, Phi)."""
+        """_rows_state of the active rows, or of those at (sorted positions
+        among them), at (Beta, Phi)."""
+        parts = spans if at is None else blocks(np.searchsorted(at, bounds).tolist())
         # no reference is kept here, so _eta_state frees Eta once it is used
-        return _eta_state(predictor(Beta, at), Phi, link, L)
+        return _eta_state(predictor(Beta, parts), Phi, link, L)
 
     s = _Active()
     s.rows = np.arange(B)
     s.L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
     s.Beta = np.zeros((B, P)) + Beta0
     s.Phi = np.zeros(B) + Phi0
-    s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = state(s.Beta, s.Phi, s.L)
+    if np.ndim(Beta0) == 1 and np.ndim(Phi0) == 0:
+        # Every row of a design starts at one point: the model is evaluated
+        # there once per design and its state repeated over the design's rows.
+        one = blocks(range(len(designs) + 1))
+        Eta = predictor(np.zeros((len(one), P)) + Beta0, one)
+        start = _eta_state(Eta, np.zeros(len(one)) + Phi0, link, s.L, B // len(designs))
+    else:
+        start = state(s.Beta, s.Phi, s.L)
+    s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = start
+    del start  # it would keep the start's state alive past the first step
     # slack is the noise allowance _REL_LOGLIK_TOL * max(1, |l|); settled
     # marks rows whose last accepted step changed l by at most that much.
     s.slack = _REL_LOGLIK_TOL * np.maximum(1.0, np.abs(s.LL))
@@ -445,11 +462,17 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         if not len(s.rows):
             break
         parts = views()
-        U = [_rows_score(XT, Phi, M, T, Psi, L) for XT, _, Phi, M, T, Psi, _, L in parts]
+        # (U, R, XR) of each design: the score, and the residuals that the
+        # observed information reads too (see model._rows_residuals)
+        scores = []
+        for XT, _, Phi, M, T, Psi, _, L in parts:
+            residuals = _rows_residuals(XT, T, Psi, L)
+            U = _rows_score(XT, Phi, M, T, Psi, L, residuals)
+            scores.append((U, *residuals[1:]))
         done = s.settled
         if done.any():
             small = np.empty(len(done))
-            for (_, _, rows), u in zip(spans, U):
+            for (_, _, rows), (u, _, _) in zip(spans, scores):
                 np.abs(u).max(axis=1, out=small[rows])
             small = small <= opts.gradient_tolerance
             conv = done & small
@@ -471,8 +494,11 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
                     retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
                 if not len(s.rows):
                     break
-                U = [u[~done[rows]] for (_, rows, *_), u in zip(parts, U)]
-                U = [u for u in U if len(u)]
+                scores = [
+                    tuple(v[~done[rows]] for v in score)
+                    for (_, rows, *_), score in zip(parts, scores)
+                ]
+                scores = [score for score in scores if len(score[0])]
                 parts = views()
         # A row whose J is singular (zero step) or whose Newton step is not
         # an ascent direction takes the scoring step K^-1 U instead.  Step
@@ -480,8 +506,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         # before P, and the phi step at column P.
         Step = np.zeros((len(s.rows), P + 1))
         singular, K = None, []
-        for (XT, rows, Phi, M, T, Psi, Tri, L), u in zip(parts, U):
-            J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)
+        for (XT, rows, Phi, M, T, Psi, Tri, L), (u, R, XR) in zip(parts, scores):
+            J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link, (R, XR))
             step = _solve(J, u[:, :, None])[0][:, :, 0]
             fallback = np.nonzero(~(np.einsum("bk,bk->b", u, step) > 0.0))[0]
             if fallback.size:
@@ -498,7 +524,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             Step[rows, P - len(XT) :] = step
         # Freed before the trial evaluations; the views would also keep the
         # replaced state arrays alive after an accept.
-        del parts, U, J, u, Phi, M, T, Psi, Tri, L
+        del parts, scores, residuals, U, J, u, R, XR, Phi, M, T, Psi, Tri, L
         if singular is not None:
             retire(singular, ScoringStatus.SINGULAR, iteration, K)
             if not len(s.rows):
@@ -623,8 +649,20 @@ def _results(fit, p, free, fixed, values, opts):
     if singular is not None:
         ok[np.nonzero(ok)[0][singular]] = False
 
-    k = p + 1
+    # every row's embedded estimates, standard errors and mask at once;
+    # only the objects are built per row
+    rows, k = len(fit.status), p + 1
     free_indices = np.append(free, p)
+    Beta = np.empty((rows, p))
+    Beta[:, free] = fit.Beta
+    Beta[:, fixed] = values
+    std_errors = np.zeros((rows, k))
+    std_errors[:, free_indices] = np.sqrt(np.diagonal(K_inv, axis1=1, axis2=2))
+    fixed_mask = np.zeros((rows, k), dtype=bool)
+    fixed_mask[:, fixed] = True
+    Phi, LL, iterations, clamped = (
+        v.tolist() for v in (fit.Phi, fit.LL, fit.iterations, fit.clamped)
+    )
     results, failed = {}, {}
     for i, status in enumerate(fit.status):
         if not ok[i]:
@@ -632,30 +670,23 @@ def _results(fit, p, free, fixed, values, opts):
                 failed[i] = _singular_error(fit.K[i])
             else:
                 failed[i] = NonConvergenceError(
-                    [float(fit.LL[i])],
+                    [LL[i]],
                     "log-likelihood is not finite at the starting point"
                     if status == ScoringStatus.NON_FINITE
                     else "scoring did not converge within "
                     f"{opts.max_iterations} iterations",
                 )
             continue
-        beta = np.empty(p)
-        beta[free] = fit.Beta[i]
-        beta[fixed] = values
-        std_errors = np.zeros(k)
-        std_errors[free_indices] = np.sqrt(np.diag(K_inv[i]))
-        fixed_mask = np.zeros(k, dtype=bool)
-        fixed_mask[fixed] = True
         results[i] = FitResult(
-            theta_hat=ParamVector(beta, float(fit.Phi[i])),
-            loglik=float(fit.LL[i]),
+            theta_hat=ParamVector(Beta[i], Phi[i]),
+            loglik=LL[i],
             K=fit.K[i],
             K_inv=K_inv[i],
-            std_errors=std_errors,
-            iterations=int(fit.iterations[i]),
+            std_errors=std_errors[i],
+            iterations=iterations[i],
             converged=True,
-            clamp_activated=bool(fit.clamped[i]),
-            fixed_mask=fixed_mask,
+            clamp_activated=clamped[i],
+            fixed_mask=fixed_mask[i],
             free_indices=free_indices,
         )
     return results, failed

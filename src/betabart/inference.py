@@ -42,7 +42,6 @@ from .model import (
     MU_CLAMP,
     Dataset,
     LinkFunction,
-    _beta_ratio,
     _beta_shapes,
     obs_state,
 )
@@ -272,6 +271,26 @@ def _resample_states(seed: int, B: int) -> list[dict]:
     return _pcg64_states(seed, (np.arange(B, dtype=np.uint64),))
 
 
+def _resample_draws(a, b, states):
+    """Unclamped beta draws with shapes a and b, one row per generator
+    state: row i is _beta_ratio(a, b, rng) with rng in states[i].
+
+    One generator serves every row.  The shapes are concatenated once,
+    and each row's gamma variates are written by one standard_gamma call
+    into its row of one (rows, 2n) array, so every ratio is formed in one
+    pass over the same numbers in the same order.
+    """
+    n = len(a)
+    shapes = np.concatenate((a, b))
+    G = np.empty((len(states), 2 * n))
+    rng = np.random.default_rng(0)  # its state is replaced before every draw
+    for g, state in zip(G, states):
+        rng.bit_generator.state = state
+        rng.standard_gamma(shapes, out=g)
+    Y = G[:, :n] + G[:, n:]
+    return np.divide(G[:, :n], Y, out=Y)
+
+
 def _bootstrap_mean(
     data: Dataset,
     link: LinkFunction,
@@ -282,34 +301,29 @@ def _bootstrap_mean(
 ):
     """Mean resample LR under the null at theta_tilde, with failure count.
 
-    Resample b is drawn by _beta_ratio, looked up in this module so a test
-    can install another draw, from default_rng(SeedSequence(seed,
+    Resample b is drawn from default_rng(SeedSequence(seed,
     spawn_key=(b,))), so the aggregate is independent of evaluation
-    order.  One generator serves every resample: _resample_states derives
-    all B of those generators' states in one pass, and each is set before
-    its resample's draw.  The shapes are
+    order: _resample_states derives all B of those generators' states in
+    one pass, and _resample_draws, looked up in this module so a test can
+    install another draw, draws every resample from them.  The shapes are
     checked and formed once and the B resamples clamped together, which
     gives gen_beta_sample's draws bit for bit.  Summation over the
     successful resamples is in fixed b-order.  The restricted fits of
-    all resamples are one call to the scoring core, warm-started
-    at the generating parameters, and the full fits of the rows that
-    converged are another, warm-started at each row's restricted
+    all resamples are one call to the scoring core, which evaluates their
+    shared start, the generating parameters, once; the full fits of the
+    rows that converged are another, warm-started at each row's restricted
     solution; a resample fails unless both of its rows end CONVERGED.
     The core's rows are bit for bit batch-independent, so each
     resample's fits, and hence the mean, do not depend on how resamples
     are grouped or ordered.
     """
     X = data.X
-    n, p = X.shape
+    p = X.shape[1]
     free_cols, fixed_cols, offset = restriction.split(X)
     beta_t, phi_t = theta_tilde.beta[free_cols], theta_tilde.phi
     shapes = _beta_shapes(obs_state(theta_tilde, data, link).mu, phi_t)
 
-    rng = np.random.default_rng(0)  # its state is replaced before every draw
-    Y = np.empty((opts.B, n))
-    for b, state in enumerate(_resample_states(opts.seed, opts.B)):
-        rng.bit_generator.state = state
-        Y[b] = _beta_ratio(*shapes, rng)
+    Y = _resample_draws(*shapes, _resample_states(opts.seed, opts.B))
     np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
 
     rest = _fisher_scoring_batch(

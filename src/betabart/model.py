@@ -252,9 +252,9 @@ def _rows_state(Beta, Phi, XT, offset, link, L):
     digamma and trigamma of (a, b, phi) = M phi from one special-function
     pass, LL is the log-likelihood and clamped flags clamped means.
 
-    Here and in _rows_score and _rows_information each row is computed on
-    its own: special functions act per element, and every sum over
-    observations is a 2-operand einsum or a per-row matmul, whose
+    Here and in _rows_residuals, _rows_score and _rows_information each row
+    is computed on its own: special functions act per element, and every
+    sum over observations is a 2-operand einsum or a per-row matmul, whose
     reduction order does not depend on the number of rows (a BLAS product
     of whole batches does not keep that promise).
     """
@@ -263,11 +263,15 @@ def _rows_state(Beta, Phi, XT, offset, link, L):
     return _eta_state(Eta, Phi, link, L)
 
 
-def _eta_state(Eta, Phi, link, L):
+def _eta_state(Eta, Phi, link, L, repeats=None):
     """_rows_state at the linear predictors Eta, one row per parameter point.
 
     Everything past the linear predictor is the same whatever design gave
-    Eta, so rows on different designs share this one pass.
+    Eta, so rows on different designs share this one pass.  With repeats,
+    point i serves the next repeats[i] rows of L: the model is evaluated
+    once per point and its state repeated over those rows, and only the
+    log-likelihood, which reads y, is formed per row.  All of it is
+    row-local, so each row gets the bits of its own evaluation.
     """
     n = Eta.shape[1]
     Mu_raw = np.asarray(link.g_inv(Eta), dtype=float)
@@ -281,35 +285,50 @@ def _eta_state(Eta, Phi, link, L):
     ABP = M * Phi[:, None]
     Lg, Psi, Tri = _gamma_series(ABP, 1)
     LL = n * Lg[:, 2 * n] - Lg[:, : 2 * n].sum(axis=1)
-    LL += np.einsum("bn,bn->b", ABP[:, : 2 * n] - 1.0, L)
     T = 1.0 / np.asarray(link.deriv1(Mu), dtype=float)
+    state = M, T, Psi, Tri, LL, clamped, ABP[:, : 2 * n] - 1.0
+    if repeats is not None:
+        state = [np.repeat(v, repeats, axis=0) for v in state]
+    M, T, Psi, Tri, LL, clamped, AB1 = state
+    LL += np.einsum("bn,bn->b", AB1, L)
     return M, T, Psi, Tri, LL, clamped
 
 
-def _rows_score(XT, Phi, M, T, Psi, L):
-    """Score vectors (rows, k) at _rows_state output.
-
-    With D = (log y - psi(a), log(1 - y) - psi(b)), the beta block is
-    phi X' T (y* - mu*), y* - mu* being the difference of D's halves, and
-    the phi component is sum (mu, 1 - mu) D + n psi(phi).
-    """
+def _rows_residuals(XT, T, Psi, L):
+    """(D, R, XR) at _rows_state output: D = (log y - psi(a), log(1 - y) -
+    psi(b)), the residuals R = y* - mu*, the difference of D's halves, and
+    XR = X' (T R), one row each per parameter point."""
     n = T.shape[1]
     D = L - Psi[:, : 2 * n]
-    Ub = np.einsum("bn,jn->bj", T * (D[:, :n] - D[:, n:]), XT)
-    Ub *= Phi[:, None]
+    R = D[:, :n] - D[:, n:]
+    return D, R, np.einsum("bn,jn->bj", T * R, XT)
+
+
+def _rows_score(XT, Phi, M, T, Psi, L, residuals=None):
+    """Score vectors (rows, k) at _rows_state output.
+
+    With D, R and XR of _rows_residuals, the beta block is phi X' T R and
+    the phi component is sum (mu, 1 - mu) D + n psi(phi).  residuals, if
+    given, are _rows_residuals at the same point, so that the scoring loop
+    forms them once for the score and the observed information.
+    """
+    n = T.shape[1]
+    D, _, XR = _rows_residuals(XT, T, Psi, L) if residuals is None else residuals
+    Ub = XR * Phi[:, None]
     Uphi = np.einsum("bn,bn->b", M[:, : 2 * n], D) + n * Psi[:, 2 * n]
     return np.concatenate((Ub, Uphi[:, None]), axis=1)
 
 
-def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None):
+def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None, XR=None):
     """Expected information matrices (rows, k, k) at _rows_state output.
 
     K_bb = X' diag(w) X with w = phi^2 [psi'(a) + psi'(b)] T^2, K_bphi =
     phi X' T [psi'(a) mu - psi'(b) (1 - mu)], and K_phiphi sums
     psi'(a) mu^2 + psi'(b) (1 - mu)^2 - psi'(phi) over observations.
 
-    Given the residuals R = y* - mu* and G2 = g''(mu), it returns the
-    observed information instead (see _rows_observed_information).
+    Given the residuals R = y* - mu*, XR = X' (T R) and G2 = g''(mu), it
+    returns the observed information instead (see
+    _rows_observed_information).
     """
     m, n = T.shape
     p = XT.shape[0]
@@ -323,25 +342,26 @@ def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None):
     kbp = np.einsum("bn,jn->bj", (TM[:, :n] - TM[:, n:]) * T, XT)
     kbp *= Phi[:, None]
     if R is not None:
-        kbp -= np.einsum("bn,jn->bj", T * R, XT)
+        kbp -= XR
     K[:, :p, p] = kbp
     K[:, p, :p] = kbp
     K[:, p, p] = np.einsum("bn,bn->b", TM, M[:, : 2 * n]) - n * Tri[:, 2 * n]
     return K
 
 
-def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link):
+def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
     """Observed information matrices J = -d^2 l (rows, k, k) at _rows_state output.
 
     In eta terms J differs from K in two blocks, through the residuals
-    r = y* - mu* (the score's difference of halves of L - Psi): J_bb adds
-    X' diag(phi r g''(mu) T^3) X and J_bphi subtracts X' (T r).  J_phiphi
-    equals K_phiphi.  E r = 0, so J averages to K.
+    r = y* - mu* of _rows_residuals: J_bb adds X' diag(phi r g''(mu) T^3) X
+    and J_bphi subtracts X' (T r).  J_phiphi equals K_phiphi.  E r = 0, so
+    J averages to K.  residuals, if given, are the (R, XR) that the score
+    at the same point formed; they are then not formed again.
     """
     n = T.shape[1]
-    D = L - Psi[:, : 2 * n]
+    R, XR = _rows_residuals(XT, T, Psi, L)[1:] if residuals is None else residuals
     G2 = np.asarray(link.deriv2(M[:, :n]), dtype=float)
-    return _rows_information(XT, Phi, M, T, Tri, D[:, :n] - D[:, n:], G2)
+    return _rows_information(XT, Phi, M, T, Tri, R, G2, XR)
 
 
 def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):

@@ -6,7 +6,7 @@ come from one pass of one kernel, _gamma_series: shift each small argument
 upward with the exact recurrence until the asymptotic (Bernoulli) series is
 accurate, then evaluate the series.  The shifts are a (steps, entries)
 block with x + k in row k, so each recurrence term is one ufunc call and
-the terms are summed row by row in step order; all the tails share one
+the terms are summed step by step in step order; all the tails share one
 Horner pass, one log z and one 1/z, written in place into the output and
 per-call scratch vectors with no operation reordered.  Each output
 element depends on its own input element alone, bit for bit, which is
@@ -158,6 +158,12 @@ def _gamma_series(z, top):
     has the operands and the order of the expression in the comment above
     it, so the bits are the expression's.  The scratch belongs to the call,
     not the module, so threads may call the kernel concurrently.
+
+    The upward recurrence, most of the kernel's time although only the
+    entries below _ASYMPTOTIC_MIN take it, keeps its terms step-major,
+    (steps, rows, entries), so each step's addition reads one contiguous
+    slab, and adds each output row's shift back with a 1-D scatter.  The
+    k-order of every sum is the plain one, step 0 first.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
@@ -176,23 +182,25 @@ def _gamma_series(z, top):
         if small.size:
             # Row k of the block is w + k.  Rows past an entry's threshold
             # are zeroed, so each entry takes exactly its own steps, and
-            # the rows are added one by one: a sum over the block axis may
+            # the steps are added one by one: a sum over the block axis may
             # regroup the additions depending on the block's width.  log
             # Gamma's shift stays a sum of logs; the log of the product
-            # misses log_gamma(1) = 0 by 1.8e-15.
+            # misses log_gamma(1) = 0 by 1.8e-15.  The terms are laid out
+            # step-major, (depth, rows, entries), so each step's addition
+            # reads one contiguous (rows, entries) slab.
             w = x[small]
             depth = int(_ASYMPTOTIC_MIN - w.min()) + 1
             block = w + np.arange(depth, dtype=float)[:, None]
             live = block < _ASYMPTOTIC_MIN
-            terms = np.empty((rows,) + block.shape)
-            np.log(block, out=terms[0])
-            step = np.divide(1.0, block, out=terms[1])
+            terms = np.empty((depth, rows, small.size))
+            np.log(block, out=terms[:, 0])
+            step = np.divide(1.0, block, out=terms[:, 1])
             for j in range(2, rows):
-                np.multiply(terms[j - 1], step, out=terms[j])
-            terms *= live
+                np.multiply(terms[:, j - 1], step, out=terms[:, j])
+            terms *= live[:, None]
             shift = np.zeros((rows, small.size))
-            for k in range(depth):
-                shift += terms[:, k]
+            for term in terms:
+                shift += term
             shift *= _STEP_SCALE[:rows]
             np.copyto(shifted, x)
             x = shifted
@@ -231,7 +239,9 @@ def _gamma_series(z, top):
             rm += tails[m + 1]
             rm *= lead
         if small.size:
-            res[:, small] += shift
+            # one 1-D scatter per output row is cheaper than a 2-D one
+            for r, sh in zip(res, shift):
+                r[small] += sh
     return out.reshape((rows,) + z.shape)
 
 

@@ -52,6 +52,26 @@ def test_readme_fit_block(capsys):
     assert out == block
 
 
+def test_back_to_back_calls_match_a_fresh_parser(capsys):
+    # main builds its parser once per process.  No default or namespace
+    # state may carry from one call into the next: each call prints what
+    # it prints with a parser built for it alone.
+    test_argv = ["test", "--covariates", "income,persons", "--null", "persons"]
+    test_argv += ["--methods", "lr,boot", "--boot-B", "40"]
+    calls = [[*test_argv, "--seed", "5"], test_argv, ["fit"]]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert all(code == 0 and err == "" for code, _, err in shared)
+    # the second call ran with the default seed 0, not the first call's 5
+    assert shared[0][1] != shared[1][1]
+    assert shared[1] == run_cli(capsys, *test_argv, "--seed", "0")
+
+
 def test_byte_order_mark_is_not_part_of_the_header(capsys, tmp_path):
     # Spreadsheet tools often save UTF-8 with a byte-order mark in front.
     marked = tmp_path / "bom.csv"

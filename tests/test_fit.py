@@ -310,8 +310,8 @@ def test_batch_rows_are_independent(restricted, link, monkeypatch):
     observed = fit_module._rows_observed_information
     marker = np.log(Y[5, 0])
 
-    def singular_for_row_5(XT, Phi, M, T, Psi, Tri, L, link):
-        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
+    def singular_for_row_5(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link, residuals)
         J[L[:, 0] == marker] = 0.0
         return J
 

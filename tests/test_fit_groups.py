@@ -101,8 +101,8 @@ def _make_row_singular(monkeypatch, datasets, row):
     # it, on the same design's rows, reads and clears it
     marked = []
 
-    def observed_marked(XT, Phi, M, T, Psi, Tri, L, link):
-        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
+    def observed_marked(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link, residuals)
         hit = L[:, 0] == marker
         J[hit] = 0.0
         marked[:] = Phi[hit]
@@ -276,6 +276,94 @@ def test_rows_split_evenly_over_designs(food_reduced, link):
         _fisher_scoring_batch(
             Y, [X, X[:, :2]], [0.0, X[:, 2]], link, np.zeros(3), 10.0, FitOptions()
         )
+
+
+def _perturbed(data, rows, seed):
+    """rows response vectors near data.y, kept inside (0, 1)."""
+    noise = np.random.default_rng(seed).normal(0.0, 0.02, (rows, data.n))
+    return np.clip(data.y + noise, 0.01, 0.99)
+
+
+@pytest.mark.parametrize("designs", [1, 2])
+@pytest.mark.parametrize("start", ["fitted", "least-squares", "clamped"])
+def test_shared_start_equals_tiled_start(
+    food_reduced, link, monkeypatch, designs, start
+):
+    # Rows that all start at one point (one Beta0 vector, a scalar Phi0)
+    # have the model evaluated there once per design; every field must
+    # equal that of the same call with the start tiled per row, which
+    # evaluates it row by row.  At the clamped start mu clamps on every row.
+    X, n = food_reduced.X, food_reduced.n
+    Y = _perturbed(food_reduced, 12, 3)
+    point = {
+        "fitted": fit_mle(food_reduced, link).theta_hat,
+        "least-squares": starting_values(food_reduced, link),
+        "clamped": ParamVector(np.array([40.0, 40.0, 0.0]), 30.0),
+    }[start]
+    args = (X, np.zeros(n)) if designs == 1 else ([X, X[:, :2]], [0.0, 0.1 * X[:, 2]])
+    repeats = []
+    state = fit_module._eta_state
+
+    def recording(Eta, Phi, link, L, repeats_=None):
+        repeats.append(repeats_)
+        return state(Eta, Phi, link, L, repeats_)
+
+    monkeypatch.setattr(fit_module, "_eta_state", recording)
+    shared = _fisher_scoring_batch(Y, *args, link, point.beta, point.phi, FitOptions())
+    assert repeats[0] == len(Y) // designs  # the shared evaluation ran
+    assert all(r is None for r in repeats[1:])
+    Beta0, Phi0 = np.tile(point.beta, (len(Y), 1)), np.full(len(Y), point.phi)
+    tiled = _fisher_scoring_batch(Y, *args, link, Beta0, Phi0, FitOptions())
+    assert repeats[-1] is None
+    for name, got, want in zip(shared._fields, shared, tiled):
+        assert np.array_equal(got, want), name
+    if start == "clamped":
+        assert shared.clamped.all()
+    else:
+        assert shared.ok.all()
+
+
+def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
+    # The core forms the residuals once per iteration, for the score, and
+    # hands them, sliced to the rows that stay after the convergence test,
+    # to the observed information.  Both must equal what the functions
+    # give from the state alone, bit for bit.
+    X, n = food_reduced.X, food_reduced.n
+    Y = _perturbed(food_reduced, 16, 5)
+    start = starting_values(food_reduced, link)
+    # rows that converge at different iterations, on two designs
+    Beta0 = np.tile(start.beta, (len(Y), 1)) * np.linspace(0.5, 1.5, len(Y))[:, None]
+    Beta0[len(Y) // 2 :, 0] = 0.0
+    Phi0 = np.full(len(Y), start.phi)
+    score, observed = fit_module._rows_score, fit_module._rows_observed_information
+    calls = {"score": [], "J": []}
+
+    def recording_score(XT, Phi, M, T, Psi, L, residuals=None):
+        U = score(XT, Phi, M, T, Psi, L, residuals)
+        calls["score"].append((residuals, U, score(XT, Phi, M, T, Psi, L)))
+        return U
+
+    def recording_J(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link, residuals)
+        own = observed(XT, Phi, M, T, Psi, Tri, L, link)
+        calls["J"].append((residuals, J, own))
+        return J
+
+    monkeypatch.setattr(fit_module, "_rows_score", recording_score)
+    monkeypatch.setattr(fit_module, "_rows_observed_information", recording_J)
+    fit = _fisher_scoring_batch(
+        Y, [X, X[:, :2]], [0.0, 0.1 * X[:, 2]], link, Beta0, Phi0, FitOptions()
+    )
+    assert fit.ok.all() and len(set(fit.iterations.tolist())) > 1
+    for name in ("score", "J"):
+        assert calls[name]
+        for residuals, got, own in calls[name]:
+            assert residuals is not None
+            assert np.array_equal(got, own)
+    # some J ran on fewer rows than the score before it, after rows retired
+    J_rows = [len(J) for _, J, _ in calls["J"]]
+    score_rows = [len(U) for _, U, _ in calls["score"]]
+    assert any(j < u for j, u in zip(J_rows, score_rows))
 
 
 @pytest.mark.parametrize("caller", ["_replication_block", "run_test"])

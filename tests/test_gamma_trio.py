@@ -133,16 +133,43 @@ def _reference_series(z, top):
     return out.reshape((rows,) + z.shape)
 
 
-# The shift threshold, the float just below it, and two zeros of log Gamma.
-_EDGES = (_ASYMPTOTIC_MIN, np.nextafter(_ASYMPTOTIC_MIN, 0.0), 1.0, 2.0)
-_SIZES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 123)
+# The shift threshold, the float just below it, and two zeros of log Gamma;
+# then 10 - k for k = 1..9, where the recurrence takes k steps (k + 1 just
+# below), with the floats on either side of each.
+_EDGES = (_ASYMPTOTIC_MIN, np.nextafter(_ASYMPTOTIC_MIN, 0.0), 1.0, 2.0) + tuple(
+    np.nextafter(_ASYMPTOTIC_MIN - k, toward)
+    for k in range(1, 10)
+    for toward in (-np.inf, _ASYMPTOTIC_MIN - k, np.inf)
+)
+# A bootstrap call's shape-parameter array: 500 resamples of the 38 food
+# observations, (a, b, phi) per row.
+_FOOD_SHAPE = (500, 77)
+_SIZES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 123, _FOOD_SHAPE)
+
+
+def _food_like(rng):
+    """(a, b, phi) rows of beta shapes like a bootstrap call's, with phi
+    rising tenfold down the rows, so that the kernel's chunks have
+    different minima and so take different numbers of steps."""
+    rows, n = _FOOD_SHAPE[0], _FOOD_SHAPE[1] // 2
+    mu = rng.uniform(0.05, 0.6, (rows, n))
+    phi = rng.uniform(1.0, 40.0) * 10.0 ** np.linspace(0.0, 1.0, rows)[:, None]
+    z = np.concatenate((mu * phi, (1.0 - mu) * phi, phi), axis=1)
+    chunks = np.split(z.ravel(), range(_CHUNK, z.size, _CHUNK))
+    minima = [chunk.min() for chunk in chunks]
+    assert len(set(minima)) == len(minima) > 1
+    return z
 
 
 @st.composite
 def kernel_values(draw, size):
     """size values, log-uniform over [1e-4, 1e6], with every edge value
-    (where the size allows) and a few drawn values at drawn positions."""
+    (where the size allows) and a few drawn values at drawn positions; the
+    food shape instead of a size gives _food_like values, with no edge
+    values, which would even out the chunks' minima."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if size == _FOOD_SHAPE:
+        return _food_like(rng)
     z = np.exp(rng.uniform(np.log(1e-4), np.log(1e6), size))
     if size:
         spots = rng.choice(size, min(size, 4 * len(_EDGES)), replace=False)
@@ -163,12 +190,16 @@ def _two_dimensional(size):
 
 
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "rows"])
-@pytest.mark.parametrize("size", _SIZES)
+@pytest.mark.parametrize(
+    "size", _SIZES, ids=lambda size: "food" if size == _FOOD_SHAPE else str(size)
+)
 @settings(max_examples=8)
 @given(data=st.data())
 def test_kernel_equals_reference(size, flat, data):
     z = data.draw(kernel_values(size))
-    if not flat:
+    if flat:
+        z = z.ravel()
+    elif z.ndim == 1:
         z = z.reshape(_two_dimensional(size))
     for top in range(4):
         assert np.array_equal(_gamma_series(z, top), _reference_series(z, top))

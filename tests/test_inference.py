@@ -27,7 +27,7 @@ from betabart.inference import (
     run_test,
 )
 from betabart.inference import TestReport as Report  # alias: not a test class
-from betabart.model import Dataset, ParamVector, _beta_ratio
+from betabart.model import Dataset, ParamVector
 from betabart.simulate import SimConfig
 from betabart.specfun import chisq_sf
 from conftest import random_instance
@@ -177,15 +177,14 @@ def _boot(data, link, restriction, opts):
 
 def _first_draw_fails(monkeypatch):
     """Make the first resample of the next bootstrap unfittable."""
-    state = {"calls": 0}
+    draws = inference._resample_draws
 
-    def sometimes_bad(a, b, rng):
-        state["calls"] += 1
-        if state["calls"] == 1:
-            return np.full(a.shape, np.nan)
-        return _beta_ratio(a, b, rng)
+    def first_bad(a, b, states):
+        Y = draws(a, b, states)
+        Y[0] = np.nan
+        return Y
 
-    monkeypatch.setattr(inference, "_beta_ratio", sometimes_bad)
+    monkeypatch.setattr(inference, "_resample_draws", first_bad)
 
 
 class TestBootstrapBartlett:
@@ -194,7 +193,9 @@ class TestBootstrapBartlett:
         # the corrected statistic collapses to the reference mean q
         restriction = Restriction((4, 5), (0.0, 0.0))
         monkeypatch.setattr(
-            inference, "_beta_ratio", lambda a, b, rng: food_five.y.copy()
+            inference,
+            "_resample_draws",
+            lambda a, b, states: np.tile(food_five.y, (len(states), 1)),
         )
         lr_boot, boot_mean, failures = _boot(
             food_five, link, restriction, BootstrapOptions(B=1, seed=0)
@@ -310,14 +311,17 @@ class TestResampleStreams:
         got = inference._bootstrap_mean(*args)
         resamples = iter(range(opts.B))
 
-        def own_generator(a, b, rng):
-            sequence = np.random.SeedSequence(seed, spawn_key=(next(resamples),))
-            own = np.random.default_rng(sequence)
-            g1 = own.standard_gamma(a)
-            g2 = own.standard_gamma(b)
-            return g1 / (g1 + g2)
+        def own_generators(a, b, states):
+            Y = np.empty((len(states), len(a)))
+            for y in Y:
+                sequence = np.random.SeedSequence(seed, spawn_key=(next(resamples),))
+                own = np.random.default_rng(sequence)
+                g1 = own.standard_gamma(a)
+                g2 = own.standard_gamma(b)
+                y[:] = g1 / (g1 + g2)
+            return Y
 
-        monkeypatch.setattr(inference, "_beta_ratio", own_generator)
+        monkeypatch.setattr(inference, "_resample_draws", own_generators)
         assert got == inference._bootstrap_mean(*args)
         assert next(resamples, None) is None
         assert got[1] > 0
