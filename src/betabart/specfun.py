@@ -185,9 +185,7 @@ def _gamma_series(z, top):
             # the steps are added one by one: a sum over the block axis may
             # regroup the additions depending on the block's width.  log
             # Gamma's shift stays a sum of logs; the log of the product
-            # misses log_gamma(1) = 0 by 1.8e-15.  The terms are laid out
-            # step-major, (depth, rows, entries), so each step's addition
-            # reads one contiguous (rows, entries) slab.
+            # misses log_gamma(1) = 0 by 1.8e-15.
             w = x[small]
             depth = int(_ASYMPTOTIC_MIN - w.min()) + 1
             block = w + np.arange(depth, dtype=float)[:, None]
