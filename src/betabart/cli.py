@@ -50,9 +50,10 @@ class DataError(RuntimeError):
 def parse_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Read a comma-separated file with a header row into named columns.
 
-    All cells must be decimal-point numbers; a UTF-8 byte-order mark before
-    the header is dropped.  Errors carry the offending line number,
-    counting the header as line 1.
+    Every cell must be a number that Python's float() accepts; a UTF-8
+    byte-order mark before the header is dropped.  Each record is
+    converted by one map(float, ...), which runs its loop in C.  Errors
+    carry the offending line number, counting the header as line 1.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -76,7 +77,7 @@ def parse_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
                         f"got {len(record)}"
                     )
                 try:
-                    rows.append([float(cell) for cell in record])
+                    rows.append([*map(float, record)])
                 except ValueError:
                     raise DataError(
                         f"{path}: line {lineno}: non-numeric value"

@@ -28,11 +28,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .model import (
-    MU_CLAMP,
     Dataset,
     LinkFunction,
     ParamVector,
     _eta_state,
+    _means,
     _rows_information,
     _rows_observed_information,
     _rows_residuals,
@@ -187,9 +187,7 @@ def _starting_point(Y, X, offset, link):
     # Guard against an exact fit: zero residual variance would send the
     # moment estimate of phi to infinity.
     resid_var = np.maximum(rss / max(X.shape[0] - X.shape[1], 1), 1e-12)
-    mu0 = np.clip(
-        np.asarray(link.g_inv(Eta + offset), dtype=float), MU_CLAMP, 1.0 - MU_CLAMP
-    )
+    mu0 = _means(Eta + offset, link)[0][:, : X.shape[0]]
     gprime = np.asarray(link.deriv1(mu0), dtype=float)
     sigma2 = resid_var[:, None] / (gprime * gprime)
     # fmax, like max(1.0, ...), picks 1.0 over a NaN

@@ -43,7 +43,7 @@ from .model import (
     Dataset,
     LinkFunction,
     _beta_shapes,
-    obs_state,
+    _means,
 )
 from .specfun import _integer, _real, _sequence, chisq_sf
 
@@ -321,7 +321,9 @@ def _bootstrap_mean(
     p = X.shape[1]
     free_cols, fixed_cols, offset = restriction.split(X)
     beta_t, phi_t = theta_tilde.beta[free_cols], theta_tilde.phi
-    shapes = _beta_shapes(obs_state(theta_tilde, data, link).mu, phi_t)
+    XT = np.ascontiguousarray(X.T)  # obs_state's layout, so mu is the fit's bit for bit
+    M = _means(np.einsum("bj,jn->bn", theta_tilde.beta[None], XT), link)[0]
+    shapes = _beta_shapes(M[0, : len(X)], phi_t)
 
     Y = _resample_draws(*shapes, _resample_states(opts.seed, opts.B))
     np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
@@ -425,7 +427,9 @@ def run_test(
 
     A one-row call into _test_rows, the path a Monte Carlo block takes, so
     both fits are one call to the scoring core.  The first error of the
-    test is raised: when both fits fail, the full fit's.
+    test is raised: when both fits fail, the full fit's.  The p-values of
+    the requested statistics that are finite come from one _p_value call
+    on an array, in the order of the statistics table.
     """
     chosen = _check_methods(methods)
     reports, failed = _test_rows(
@@ -439,9 +443,10 @@ def run_test(
     if failed:
         raise failed[0]
     report = reports[0]
-    p_values = {
-        name: _p_value(value, restriction.q)
+    finite = {
+        name: value
         for name, value in report.statistics.items()
         if name in chosen and math.isfinite(value)
     }
-    return replace(report, p_values=p_values)
+    p_values = _p_value(np.array([*finite.values()], dtype=float), restriction.q)
+    return replace(report, p_values=dict(zip(finite, p_values.tolist())))

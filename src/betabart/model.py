@@ -274,24 +274,37 @@ def _eta_state(Eta, Phi, link, L, repeats=None):
     row-local, so each row gets the bits of its own evaluation.
     """
     n = Eta.shape[1]
-    Mu_raw = np.asarray(link.g_inv(Eta), dtype=float)
-    M = np.empty((len(Phi), 2 * n + 1))
-    Mu = M[:, :n]
-    np.minimum(np.maximum(Mu_raw, MU_CLAMP), 1.0 - MU_CLAMP, out=Mu)
-    clamped = (Mu != Mu_raw).any(axis=1)
-    del Eta, Mu_raw  # not needed past here; frees their (rows, n) blocks
-    np.subtract(1.0, Mu, out=M[:, n : 2 * n])
-    M[:, 2 * n] = 1.0
+    M, clamped = _means(Eta, link)
+    del Eta  # not needed past here; frees its (rows, n) block
     ABP = M * Phi[:, None]
     Lg, Psi, Tri = _gamma_series(ABP, 1)
     LL = n * Lg[:, 2 * n] - Lg[:, : 2 * n].sum(axis=1)
-    T = 1.0 / np.asarray(link.deriv1(Mu), dtype=float)
+    T = 1.0 / np.asarray(link.deriv1(M[:, :n]), dtype=float)
     state = M, T, Psi, Tri, LL, clamped, ABP[:, : 2 * n] - 1.0
     if repeats is not None:
         state = [np.repeat(v, repeats, axis=0) for v in state]
     M, T, Psi, Tri, LL, clamped, AB1 = state
     LL += np.einsum("bn,bn->b", AB1, L)
     return M, T, Psi, Tri, LL, clamped
+
+
+def _means(Eta, link):
+    """(M, clamped) at the linear predictors Eta, one row per point.
+
+    M holds (mu, 1 - mu, 1) with mu = g^-1(Eta) clamped to [MU_CLAMP,
+    1 - MU_CLAMP]; clamped flags the rows where the clamp moved a mean.
+    This is the part of _eta_state before the special functions, for
+    callers that need only the means.
+    """
+    n = Eta.shape[1]
+    Mu_raw = np.asarray(link.g_inv(Eta), dtype=float)
+    M = np.empty((len(Eta), 2 * n + 1))
+    Mu = M[:, :n]
+    np.minimum(np.maximum(Mu_raw, MU_CLAMP), 1.0 - MU_CLAMP, out=Mu)
+    clamped = (Mu != Mu_raw).any(axis=1)
+    np.subtract(1.0, Mu, out=M[:, n : 2 * n])
+    M[:, 2 * n] = 1.0
+    return M, clamped
 
 
 def _rows_residuals(XT, T, Psi, L):

@@ -429,6 +429,12 @@ class TestDataErrors:
         code, _, err = run_cli(capsys, "fit", "--data", self.write(tmp_path, content))
         assert code == 3
         assert err.startswith("error:")
+        reason = {
+            "y,income\n0.5\n0.4,2.0\n": "line 2: expected 2 fields, got 1",
+            "y,income\n0.5,abc\n0.4,2.0\n": "line 2: non-numeric value",
+        }.get(content)
+        if reason is not None:
+            assert reason in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_covariate_with_line_number(self, capsys, tmp_path, cell):

@@ -442,12 +442,12 @@ class TestBartlettFactor:
         seen = []
 
         def recording(*args):
-            state = rows_state(*args)
+            state = means(*args)
             seen.append(state[0][0, : food_full.n].copy())
             return state
 
-        rows_state = cumulants._rows_state
-        monkeypatch.setattr(cumulants, "_rows_state", recording)
+        means = cumulants._means
+        monkeypatch.setattr(cumulants, "_means", recording)
         bartlett_factor(food_full, link, restriction, theta)
         assert len(seen) == 1
         assert np.array_equal(seen[0], obs_state(theta, food_full, link).mu)

@@ -17,7 +17,7 @@ from betabart.fit import (
     starting_values,
 )
 from betabart.inference import BootstrapOptions, run_test
-from betabart.model import Dataset, ParamVector, logit_link
+from betabart.model import MU_CLAMP, Dataset, ParamVector, logit_link
 from betabart.simulate import SimConfig, design_matrix, gen_beta_sample
 
 _FIELDS = (
@@ -415,8 +415,8 @@ def _starting_point_per_row(y, X, offset, link):
     resid_var = max(float(resid @ resid) / max(X.shape[0] - X.shape[1], 1), 1e-12)
     mu0 = np.clip(
         np.asarray(link.g_inv(X @ beta0 + offset), dtype=float),
-        fit_module.MU_CLAMP,
-        1.0 - fit_module.MU_CLAMP,
+        MU_CLAMP,
+        1.0 - MU_CLAMP,
     )
     gprime = np.asarray(link.deriv1(mu0), dtype=float)
     sigma2 = resid_var / (gprime * gprime)

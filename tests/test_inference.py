@@ -440,15 +440,38 @@ class TestRunTest:
         assert list(report.p_values) == ["lr", "b3", "boot"]
 
     def test_p_values_are_chisq_tails(self, food_five, link):
-        report = run_test(
-            food_five, link, Restriction((4, 5), (0.0, 0.0)), methods=("lr", "b3")
-        )
-        assert report.p_values["lr"] == pytest.approx(
-            chisq_sf(report.lr, 2), rel=1e-14
-        )
-        assert report.p_values["b3"] == pytest.approx(
-            chisq_sf(report.lr_b3, 2), rel=1e-14
-        )
+        # one p-value call on an array gives each statistic's scalar tail
+        # bit for bit; odd q goes through erfc
+        for indices in ((5,), (4, 5), (3, 4, 5)):
+            q = len(indices)
+            report = run_test(
+                food_five,
+                link,
+                Restriction(indices, (0.0,) * q),
+                boot_opts=BootstrapOptions(B=20, seed=5),
+            )
+            assert list(report.p_values) == list(inference._METHODS)
+            for name, value in report.statistics.items():
+                assert report.p_values[name] == chisq_sf(max(value, 0.0), q)
+
+    def test_nan_statistic_has_no_p_value(self, monkeypatch, food_five, link):
+        restriction = Restriction((4, 5), (0.0, 0.0))
+        methods = ("lr", "b1", "b2", "b3")
+        reference = run_test(food_five, link, restriction, methods=methods)
+        bartlett_rows = inference._bartlett_rows
+
+        def below_zero(*args):
+            # eps_nuis = eps_full + 2q puts x at -2, so c = 1 + x = -1
+            eps_full, _, failed = bartlett_rows(*args)
+            return eps_full, eps_full + 2.0 * restriction.q, failed
+
+        monkeypatch.setattr(inference, "_bartlett_rows", below_zero)
+        report = run_test(food_five, link, restriction, methods=methods)
+        assert math.isnan(report.lr_b1)
+        assert list(report.p_values) == ["lr", "b2", "b3"]
+        assert report.p_values["lr"] == reference.p_values["lr"]
+        for name in ("b2", "b3"):
+            assert report.p_values[name] == chisq_sf(report.statistics[name], 2)
 
     def test_report_is_frozen(self, food_five, link):
         report = run_test(food_five, link, Restriction((4,), (0.0,)), methods=("lr",))
