@@ -169,7 +169,7 @@ def obs_quantities(
 
 
 def _obs_rows(M, phi, link) -> ObsQuantities:
-    """ObsQuantities from the model pass's M = (mu, 1 - mu, 1), per row.
+    """ObsQuantities from the means M = (mu, 1 - mu, 1) of model._means, per row.
 
     M is (2n + 1,) with a scalar phi, or (rows, 2n + 1) with phi a (rows, 1)
     column; every field then has M's leading shape over n observations.
