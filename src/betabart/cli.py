@@ -290,12 +290,11 @@ def _render_fit_text(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_test_text(document: dict, null_spec: str) -> str:
+def _render_test_text(document: dict, null_spec: str, df: int) -> str:
     model = document["model"]
-    some_test = next(iter(document["tests"].values()))
     lines = [
         f"beta regression, {model['link']} link, n = {model['n']}",
-        f"H0: {null_spec}   [df = {some_test['df']}]",
+        f"H0: {null_spec}   [df = {df}]",
         "",
         f"{'statistic':<12}{'value':>14}{'p_value':>14}",
     ]
@@ -367,7 +366,8 @@ def cmd_test(args: argparse.Namespace) -> int:
             "version": __version__,
         },
     }
-    _emit(document, args, _render_test_csv, lambda d: _render_test_text(d, args.null))
+    render_text = functools.partial(_render_test_text, null_spec=args.null, df=report.q)
+    _emit(document, args, _render_test_csv, render_text)
     return 0
 
 

@@ -2,10 +2,10 @@
 
 One scoring loop, _fisher_scoring_batch, fits a stack of response vectors,
 each row on one of a few designs: the bootstrap calls it with B rows on
-one design, and _fit_rows with one row per dataset and hypothesis, so that
-every test, of run_test's one dataset or of a Monte Carlo block's
-replications, fits both hypotheses in one call, and fit_mle and
-fit_restricted are one-row calls.  Each row steps on its observed
+one design, and _fit_rows with one row per response vector and
+hypothesis, so that every test, of run_test's one dataset or of a Monte
+Carlo block's replications, fits both hypotheses in one call, and
+fit_mle and fit_restricted are one-row calls.  Each row steps on its observed
 information J, which converges quadratically near the optimum; a row
 whose J cannot be solved, or whose Newton step does not ascend, takes
 the Fisher scoring step on the expected information K instead.
@@ -577,11 +577,12 @@ def _singular_error(K):
     )
 
 
-def _fit_rows(datasets, link, restrictions, opts, start=None):
-    """[(results, failed)], one pair per entry of restrictions: datasets
-    that share one design, each fitted once per entry with that entry's
-    coefficients held fixed (none when it is None), all in one call to the
-    scoring core.
+def _fit_rows(data, Y, link, restrictions, opts, start=None):
+    """[(results, failed)], one pair per entry of restrictions: each row of
+    the responses Y (rows, n) fitted on the design of the Dataset data,
+    whose rank check, cached on data, serves every row, once per entry
+    with that entry's coefficients held fixed (none when it is None), all
+    in one call to the scoring core.
 
     start, a full-space ParamVector, seeds every row; by default each row
     starts from its own least-squares point, all rows of a design from
@@ -591,7 +592,7 @@ def _fit_rows(datasets, link, restrictions, opts, start=None):
     space; failed maps every other row to its FitError.  Each pair is bit
     for bit what a call with its restriction alone returns.
     """
-    X = datasets[0].X
+    X = data.X
     n, p = X.shape
     splits = []  # (free, fixed, offset, fixed values, design of the free columns)
     for restriction in restrictions:
@@ -603,12 +604,11 @@ def _fit_rows(datasets, link, restrictions, opts, start=None):
             raise ValueError("restriction must leave at least one free coefficient")
         splits.append((free, fixed, offset, restriction.values, X[:, free]))
     try:
-        _check_full_rank(datasets[0])
+        _check_full_rank(data)
     except SingularInformationError as exc:
-        return [({}, dict.fromkeys(range(len(datasets)), exc)) for _ in splits]
+        return [({}, dict.fromkeys(range(len(Y)), exc)) for _ in splits]
     if start is not None and start.beta.size != p:
         raise ValueError("starting point dimension does not match design")
-    Y = np.array([data.y for data in datasets])
     N = len(Y)
     width = max(split[0].size for split in splits)
     Beta0, Phi0 = np.zeros((len(splits) * N, width)), np.empty(len(splits) * N)
@@ -693,7 +693,7 @@ def _results(fit, p, free, fixed, values, opts):
 def _fit(data, link, restriction, opts, start):
     """One-row call into _fit_rows, raising the row's error."""
     opts = opts or FitOptions()
-    results, failed = _fit_rows([data], link, [restriction], opts, start)[0]
+    results, failed = _fit_rows(data, data.y[None], link, [restriction], opts, start)[0]
     if failed:
         raise failed[0]
     return results[0]

@@ -9,7 +9,7 @@ resamples drawn under the null at the restricted estimate.  Each
 statistic is one entry of the table _METHODS, the quantity it reads and
 its formula, so a new statistic is one entry (and its quantity, if new).
 Every p-value comes from one rule, _p_value.  One path, _test_rows,
-fits both hypotheses of a stack of datasets that share a design in one
+fits both hypotheses of a stack of response vectors on one design in one
 call to the scoring core and fills every report from the table,
 computing each quantity once: run_test is a one-row call into it, and a
 Monte Carlo block calls it on all its replications at once.
@@ -38,13 +38,7 @@ from .fit import (
     fit_mle,  # noqa: F401  kept as a module attribute for span tracers
     fit_restricted,  # noqa: F401  kept as a module attribute for span tracers
 )
-from .model import (
-    MU_CLAMP,
-    Dataset,
-    LinkFunction,
-    _beta_shapes,
-    _means,
-)
+from .model import Dataset, LinkFunction, _beta_rows, _means
 from .specfun import _integer, _real, _sequence, chisq_sf
 
 __all__ = [
@@ -265,32 +259,6 @@ def _pcg64_states(seed: int, key) -> list[dict]:
     return states
 
 
-def _resample_states(seed: int, B: int) -> list[dict]:
-    """The state of default_rng(SeedSequence(seed, spawn_key=(b,))) for
-    every resample b < B, derived in one pass."""
-    return _pcg64_states(seed, (np.arange(B, dtype=np.uint64),))
-
-
-def _resample_draws(a, b, states):
-    """Unclamped beta draws with shapes a and b, one row per generator
-    state: row i is _beta_ratio(a, b, rng) with rng in states[i].
-
-    One generator serves every row.  The shapes are concatenated once,
-    and each row's gamma variates are written by one standard_gamma call
-    into its row of one (rows, 2n) array, so every ratio is formed in one
-    pass over the same numbers in the same order.
-    """
-    n = len(a)
-    shapes = np.concatenate((a, b))
-    G = np.empty((len(states), 2 * n))
-    rng = np.random.default_rng(0)  # its state is replaced before every draw
-    for g, state in zip(G, states):
-        rng.bit_generator.state = state
-        rng.standard_gamma(shapes, out=g)
-    Y = G[:, :n] + G[:, n:]
-    return np.divide(G[:, :n], Y, out=Y)
-
-
 def _bootstrap_mean(
     data: Dataset,
     link: LinkFunction,
@@ -303,19 +271,18 @@ def _bootstrap_mean(
 
     Resample b is drawn from default_rng(SeedSequence(seed,
     spawn_key=(b,))), so the aggregate is independent of evaluation
-    order: _resample_states derives all B of those generators' states in
-    one pass, and _resample_draws, looked up in this module so a test can
-    install another draw, draws every resample from them.  The shapes are
-    checked and formed once and the B resamples clamped together, which
-    gives gen_beta_sample's draws bit for bit.  Summation over the
-    successful resamples is in fixed b-order.  The restricted fits of
-    all resamples are one call to the scoring core, which evaluates their
-    shared start, the generating parameters, once; the full fits of the
-    rows that converged are another, warm-started at each row's restricted
-    solution; a resample fails unless both of its rows end CONVERGED.
-    The core's rows are bit for bit batch-independent, so each
-    resample's fits, and hence the mean, do not depend on how resamples
-    are grouped or ordered.
+    order: _pcg64_states derives all B of those generators' states in one
+    pass, and _beta_rows, looked up in this module so a test can install
+    another draw, draws every resample from them, each gen_beta_sample's
+    draw bit for bit.  Summation over the successful resamples is in fixed
+    b-order.  The restricted fits of all resamples are one call to the
+    scoring core, which evaluates their shared start, the generating
+    parameters, once; the full fits of the rows that converged are
+    another, warm-started at each row's restricted solution; a resample
+    fails unless both of its rows end CONVERGED.  The core's rows are bit
+    for bit batch-independent, so each resample's fits, and hence the
+    mean, do not depend on how resamples are grouped or ordered.  Only
+    data's design is read.
     """
     X = data.X
     p = X.shape[1]
@@ -323,10 +290,8 @@ def _bootstrap_mean(
     beta_t, phi_t = theta_tilde.beta[free_cols], theta_tilde.phi
     XT = np.ascontiguousarray(X.T)  # obs_state's layout, so mu is the fit's bit for bit
     M = _means(np.einsum("bj,jn->bn", theta_tilde.beta[None], XT), link)[0]
-    shapes = _beta_shapes(M[0, : len(X)], phi_t)
-
-    Y = _resample_draws(*shapes, _resample_states(opts.seed, opts.B))
-    np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
+    states = _pcg64_states(opts.seed, (np.arange(opts.B, dtype=np.uint64),))
+    Y = _beta_rows(M[0, : len(X)], phi_t, states)
 
     rest = _fisher_scoring_batch(
         Y, X[:, free_cols], offset, link, beta_t, phi_t, fit_opts, keep_K=False
@@ -351,8 +316,10 @@ def _bootstrap_mean(
     return mean, failures
 
 
-def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
-    """(reports, failed): the test battery on datasets that share one design.
+def _test_rows(data, Y, link, restriction, chosen, boot_opts, fit_opts):
+    """(reports, failed): the test battery on each row of the responses Y
+    (rows, n), all on the design of the Dataset data, whose cached rank
+    every row shares.
 
     Every row is fitted under both hypotheses in one call to the scoring
     core.  A row fails on the error of its full fit, else of its
@@ -364,7 +331,7 @@ def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
     other row to its error.
     """
     (full, failed), (rest, rest_failed) = _fit_rows(
-        datasets, link, (None, restriction), fit_opts
+        data, Y, link, (None, restriction), fit_opts
     )
     failed = {**rest_failed, **failed}  # the full fit's error first
     q = restriction.q
@@ -380,7 +347,7 @@ def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
 
     x = {}
     if rows and "x" in reads:
-        X = datasets[0].X
+        X = data.X
         Beta = np.array([rest[i].theta_hat.beta for i in rows])
         Phi = np.array([rest[i].theta_hat.phi for i in rows])
         eps_full, eps_nuis, bad = _bartlett_rows(
@@ -398,7 +365,7 @@ def _test_rows(datasets, link, restriction, chosen, boot_opts, fit_opts):
             theta = rest[i].theta_hat
             try:
                 boot_mean, boot_failures = _bootstrap_mean(
-                    datasets[i], link, restriction, theta, boot_opts[i], fit_opts
+                    data, link, restriction, theta, boot_opts[i], fit_opts
                 )
             except BootstrapFailureError as exc:
                 failed[i] = exc
@@ -433,7 +400,8 @@ def run_test(
     """
     chosen = _check_methods(methods)
     reports, failed = _test_rows(
-        [data],
+        data,
+        data.y[None],
         link,
         restriction,
         chosen,

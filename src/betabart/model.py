@@ -40,27 +40,32 @@ __all__ = [
 MU_CLAMP = 1e-12
 
 
+def _in_unit_interval(a):
+    """Where a lies strictly inside (0, 1), NaN not: the one rule for
+    responses and means, of Dataset, the beta draws and a study's screen."""
+    return (a > 0.0) & (a < 1.0)
+
+
 def _beta_shapes(mu, phi):
-    """Shape parameters (mu phi, (1 - mu) phi) of a beta draw, after
-    checking that mu is a nonempty vector inside (0, 1) and phi > 0."""
+    """The shape parameters mu phi and then (1 - mu) phi of beta draws, in
+    one vector, after checking that mu is a nonempty vector inside (0, 1)
+    and phi > 0."""
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise ValueError("mu must be a nonempty vector")
-    if not np.all((mu > 0.0) & (mu < 1.0)):
+    if not np.all(_in_unit_interval(mu)):
         raise ValueError("mu must lie strictly inside (0, 1)")
     phi = _real(phi, "phi", positive=True)
-    return mu * phi, (1.0 - mu) * phi
+    return np.concatenate((mu, 1.0 - mu)) * phi
 
 
-def _beta_ratio(a, b, rng):
-    """Unclamped beta draws with shapes a and b, as a ratio of gamma variates.
-
-    One standard_gamma call on the concatenated shapes draws the same
-    numbers, in the same order, as one call on a and then one on b.
-    """
-    g = rng.standard_gamma(np.concatenate((a, b)))
-    g1, g2 = g[: len(a)], g[len(a) :]
-    return g1 / (g1 + g2)
+def _gamma_ratio(G):
+    """Beta draws from gamma variates G (..., 2n) at _beta_shapes: g1 / (g1
+    + g2) over G's two halves, clamped away from the interval endpoints."""
+    n = G.shape[-1] // 2
+    Y = G[..., :n] + G[..., n:]
+    np.divide(G[..., :n], Y, out=Y)
+    return np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
 
 
 def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.ndarray:
@@ -68,10 +73,27 @@ def gen_beta_sample(mu: np.ndarray, phi: float, rng: np.random.Generator) -> np.
 
     Each y_i follows a beta law with shape parameters (mu_i phi,
     (1 - mu_i) phi), realised as a ratio of gamma variates and clamped
-    away from the interval endpoints.
+    away from the interval endpoints.  One standard_gamma call on the
+    concatenated shapes draws the same numbers, in the same order, as one
+    call on the first shapes and then one on the second.
     """
-    a, b = _beta_shapes(mu, phi)
-    return np.clip(_beta_ratio(a, b, rng), MU_CLAMP, 1.0 - MU_CLAMP)
+    return _gamma_ratio(rng.standard_gamma(_beta_shapes(mu, phi)))
+
+
+def _beta_rows(mu, phi, states) -> np.ndarray:
+    """(rows, n): row i is gen_beta_sample(mu, phi, rng) with rng in states[i].
+
+    One generator serves every row, its state set before each row's gamma
+    variates are written into one (rows, 2n) array; the shapes, the ratio
+    and the clamp are formed once.
+    """
+    shapes = _beta_shapes(mu, phi)
+    G = np.empty((len(states), shapes.size))
+    rng = np.random.default_rng(0)  # its state is replaced before every row
+    for g, state in zip(G, states):
+        rng.bit_generator.state = state
+        rng.standard_gamma(shapes, out=g)
+    return _gamma_ratio(G)
 
 
 @dataclass(frozen=True)
@@ -96,7 +118,7 @@ class Dataset:
         n, p = X.shape
         if p < 1 or n <= p:
             raise ValueError(f"need n > p >= 1, got n={n}, p={p}")
-        if not np.all((y > 0.0) & (y < 1.0)):
+        if not np.all(_in_unit_interval(y)):
             raise ValueError("responses must lie strictly inside (0, 1)")
         if not np.all(np.isfinite(X)):
             raise ValueError("X must be finite")

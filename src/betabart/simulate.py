@@ -4,13 +4,14 @@ Replications draw beta responses on a fixed design, run the full test
 battery, and aggregate rejection rates, moments, and quantiles of the
 statistics.  Randomness is hierarchical: replication j consumes streams
 derived from ``(base_seed, j)`` only.  Replications run in fixed blocks
-of _BLOCK consecutive indices: a block derives its streams in one pass
-and runs the test battery on all its rows through _test_rows, the path
-run_test takes, which fits every full and restricted model in one call
-to the batched scoring core and takes every Bartlett factor from one
-batched pass.  The blocks do not depend on the worker count, so neither
-does any result; BETABART_THREADS only spreads the blocks over worker
-processes.
+of _BLOCK consecutive indices: a block derives its streams in one pass,
+draws all its responses through _beta_rows, the bootstrap's drawer, and
+runs the test battery on its one design and (rows, n) response array
+through _test_rows, the path run_test takes, which fits every full and
+restricted model in one call to the batched scoring core and takes every
+Bartlett factor from one batched pass.  The blocks do not depend on the
+worker count, so neither does any result; BETABART_THREADS only spreads
+the blocks over worker processes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .inference import (
     _test_rows,
     run_test,  # noqa: F401  kept as a module attribute for span tracers
 )
-from .model import Dataset, gen_beta_sample, logit_link
+from .model import (
+    Dataset,
+    _beta_rows,
+    _in_unit_interval,
+    gen_beta_sample,  # noqa: F401  kept as a module attribute for span tracers
+    logit_link,
+)
 from .specfun import _integer, _real, _reals, chisq_sf
 
 _FAILURE_BUDGET = 0.01
@@ -113,7 +120,7 @@ class SimConfig:
                 raise ValueError(
                     "beta_true must equal the restriction values at tested positions"
                 )
-        if not np.all((mu > 0.0) & (mu < 1.0)):
+        if not np.all(_in_unit_interval(mu)):
             raise ValueError(
                 "beta_true, with delta added to the tested coefficients, puts a "
                 "generating mean at 0 or 1, where no beta response can be drawn"
@@ -195,43 +202,35 @@ def _replication_block(
 
     Replication j draws on SeedSequence(base_seed, spawn_key=(j, 0)) and
     bootstraps with a seed from spawn_key (j, 1), bit for bit, though the
-    block builds neither: it derives all draw states in one pass, set in
-    turn on one generator, and, only when boot is requested, all seeds in
-    another.  The block runs the test battery on every row at once through
-    _test_rows, which fits all its full and restricted models in one call
-    to the scoring core.  A replication fails on a rejected draw, a
-    failure of its test or a non-finite statistic; any other exception is
-    a defect and propagates.  Each row is its own, so a failure moves no
-    other.
+    block builds neither: it derives all draw states in one pass for
+    _beta_rows and, only when boot is requested, all seeds in another.  A
+    row with a response outside (0, 1), such as the NaN of two underflowed
+    gamma variates, is a void draw, found by Dataset's response rule.  The
+    block runs the test battery on the other rows at once through
+    _test_rows, which fits all their full and restricted models in one
+    call to the scoring core.  A replication fails on a void draw, a
+    failure of its test or a non-finite statistic; any other exception,
+    a ValueError included, is a defect and propagates.  Each row is its
+    own, so a failure moves no other.
     """
     X, mu = _generating_means(config)
-    link = logit_link()
-    restriction = config.restriction
     key = (np.array(indices, dtype=np.uint64), 0)
-    states = _pcg64_states(config.base_seed, key)
-    rng = np.random.default_rng(0)  # its state is replaced before every draw
-    drawn, datasets = [], []
-    for j, state in zip(indices, states):
-        rng.bit_generator.state = state
-        try:
-            datasets.append(Dataset(gen_beta_sample(mu, config.phi_true, rng), X))
-        except ValueError:
-            # SimConfig checked the means, but Dataset rejects a response
-            # outside (0, 1), such as the NaN of two underflowed gamma
-            # variates; that draw is void
-            continue
-        drawn.append(j)
+    Y = _beta_rows(mu, config.phi_true, _pcg64_states(config.base_seed, key))
+    kept = _in_unit_interval(Y).all(axis=1)
+    drawn = [j for j, ok in zip(indices, kept.tolist()) if ok]
 
     outcomes: dict[int, dict[str, float] | None] = dict.fromkeys(indices)
-    if not datasets:
+    if not drawn:
         return outcomes
+    Y = Y[kept]
     boot_opts = [None] * len(drawn)
     if "boot" in config.methods:
         key = (np.array(drawn, dtype=np.uint64), 1)
         seeds = _spawn_state(config.base_seed, key, 1)[0].tolist()
         boot_opts = [BootstrapOptions(B=config.boot_B, seed=seed) for seed in seeds]
+    data, link = Dataset(Y[0], X), logit_link()
     reports, _ = _test_rows(
-        datasets, link, restriction, config.methods, boot_opts, FitOptions()
+        data, Y, link, config.restriction, config.methods, boot_opts, FitOptions()
     )
     for i, report in reports.items():
         values = {m: float(report.statistics[m]) for m in config.methods}

@@ -79,6 +79,7 @@ def test_tracer_only_imports_are_targets(tracing):
         ("inference", "fit_mle"),
         ("inference", "fit_restricted"),
         ("simulate", "run_test"),
+        ("simulate", "gen_beta_sample"),
     }
     for module, attr in sorted(marked):
         assert (module, attr) in tracing.TARGETS, f"{module}.{attr}"

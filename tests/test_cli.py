@@ -10,6 +10,7 @@ import pytest
 
 import betabart.cli as cli
 import betabart.fit as fit_module
+import betabart.inference as inference
 from betabart import __version__, food_data_path
 from betabart.cli import main
 from betabart.cumulants import NonFiniteCumulantError
@@ -346,6 +347,31 @@ class TestTestCommand:
             capsys, "test", "--null", "persons", "--methods", "lr,b3", "--format", "json"
         )
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_no_finite_statistic(self, capsys, monkeypatch, fmt):
+        # c <= 0 makes b1 NaN, so with b1 alone no statistic is reported;
+        # the header still carries df, and no format raises.
+        bartlett_rows = inference._bartlett_rows
+
+        def negative_c(*args):
+            eps_full, eps_nuis, bad = bartlett_rows(*args)
+            return eps_nuis - 2.0, eps_nuis, bad
+
+        monkeypatch.setattr(inference, "_bartlett_rows", negative_c)
+        code, out, err = run_cli(
+            capsys, "test", "--null", "persons", "--methods", "b1", "--format", fmt
+        )
+        assert code == 0 and err == ""
+        if fmt == "text":
+            lines = out.splitlines()
+            assert lines[1] == "H0: persons   [df = 1]"
+            assert lines[3].split() == ["statistic", "value", "p_value"]
+            assert lines[4:] == []
+        elif fmt == "json":
+            assert json.loads(out)["tests"] == {}
+        else:
+            assert out == "statistic,value,df,p_value\n"
 
     def test_no_boot_meta_is_null(self, capsys):
         code, out, _ = run_cli(

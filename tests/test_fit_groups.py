@@ -56,8 +56,8 @@ def assert_same_fits(got, want):
 
 @st.composite
 def grouped_problems(draw):
-    """Datasets on one design, restrictions with nonzero values, and options
-    that make some rows end NON_FINITE, SINGULAR or MAX_ITERATIONS."""
+    """A response stack on one design, restrictions with nonzero values, and
+    options that make some rows end NON_FINITE, SINGULAR or MAX_ITERATIONS."""
     p = draw(st.integers(2, 5))
     n = draw(st.integers(p + 3, 30))
     X = design_matrix(n, p, draw(st.integers(0, 50)))
@@ -67,7 +67,7 @@ def grouped_problems(draw):
     seed = draw(st.integers(0, 2**20))
     mu = logit_link().g_inv(X @ beta)
     rng = np.random.default_rng(seed)
-    datasets = [Dataset(gen_beta_sample(mu, phi, rng), X) for _ in range(rows)]
+    Y = np.array([gen_beta_sample(mu, phi, rng) for _ in range(rows)])
     restrictions = [None]
     for _ in range(draw(st.integers(1, 3))):
         indices = draw(
@@ -88,13 +88,13 @@ def grouped_problems(draw):
         start_phi = draw(st.sampled_from([40.0, 1.0, 1e306]))
         start = ParamVector(np.zeros(p), start_phi)
     singular_row = draw(st.sampled_from([None, *range(rows)]))
-    return datasets, restrictions, opts, start, singular_row
+    return Dataset(Y[0], X), Y, restrictions, opts, start, singular_row
 
 
-def _make_row_singular(monkeypatch, datasets, row):
-    """Zero J and the fallback K of every fit of dataset row, so that each
+def _make_row_singular(monkeypatch, Y, row):
+    """Zero J and the fallback K of every fit of response row, so that each
     of its fits ends SINGULAR at its first iteration."""
-    marker = np.log(datasets[row].y[0])
+    marker = np.log(Y[row, 0])
     observed = fit_module._rows_observed_information
     expected = fit_module._rows_information
     # phi of the marked rows at the last J; the fallback K that follows
@@ -118,7 +118,7 @@ def _make_row_singular(monkeypatch, datasets, row):
     monkeypatch.setattr(fit_module, "_rows_information", expected_marked)
 
 
-def _check_one_call(datasets, restrictions, opts, start, singular_row):
+def _check_one_call(data, Y, restrictions, opts, start, singular_row):
     """Fit every restriction in one call and each alone; compare them all.
     Returns the statuses the merged call ended with."""
     link = logit_link()
@@ -135,12 +135,12 @@ def _check_one_call(datasets, restrictions, opts, start, singular_row):
         over="ignore", invalid="ignore"
     ):
         if singular_row is not None:
-            _make_row_singular(monkeypatch, datasets, singular_row)
+            _make_row_singular(monkeypatch, Y, singular_row)
         monkeypatch.setattr(fit_module, "_fisher_scoring_batch", recording)
-        merged = _fit_rows(datasets, link, restrictions, opts, start)
+        merged = _fit_rows(data, Y, link, restrictions, opts, start)
         merged_statuses = set(statuses)
         separate = [
-            _fit_rows(datasets, link, [restriction], opts, start)[0]
+            _fit_rows(data, Y, link, [restriction], opts, start)[0]
             for restriction in restrictions
         ]
     assert len(merged) == len(restrictions)
@@ -161,9 +161,9 @@ def _problem(seed, rows=3):
     X = design_matrix(22, 4, 3)
     mu = logit_link().g_inv(X @ np.array([0.8, -1.0, 0.6, 1.2]))
     rng = np.random.default_rng(seed)
-    datasets = [Dataset(gen_beta_sample(mu, 25.0, rng), X) for _ in range(rows)]
+    Y = np.array([gen_beta_sample(mu, 25.0, rng) for _ in range(rows)])
     restrictions = [None, Restriction((2, 4), (-0.9, 1.1)), Restriction((3,), (0.5,))]
-    return datasets, restrictions
+    return Dataset(Y[0], X), Y, restrictions
 
 
 @pytest.mark.parametrize(
@@ -185,20 +185,20 @@ def test_one_call_equals_separate_calls_per_status(
     status, opts, start, singular_row, rows
 ):
     # Each way a row can end, in a one-row batch and in larger ones.
-    datasets, restrictions = _problem(5, rows)
-    statuses = _check_one_call(datasets, restrictions, opts, start, singular_row)
+    data, Y, restrictions = _problem(5, rows)
+    statuses = _check_one_call(data, Y, restrictions, opts, start, singular_row)
     assert status in statuses
 
 
 def test_run_test_raises_the_full_fit_error_first():
     # Both fits fail; the error raised is the full fit's.
-    datasets, restrictions = _problem(9, 1)
+    data, Y, restrictions = _problem(9, 1)
     opts = FitOptions(max_iterations=1)
     link = logit_link()
-    (_, failed), (_, rest_failed) = _fit_rows(datasets, link, restrictions[:2], opts)
+    (_, failed), (_, rest_failed) = _fit_rows(data, Y, link, restrictions[:2], opts)
     assert failed[0].trace != rest_failed[0].trace
     with pytest.raises(fit_module.NonConvergenceError) as caught:
-        run_test(datasets[0], link, restrictions[1], ("lr",), fit_opts=opts)
+        run_test(data, link, restrictions[1], ("lr",), fit_opts=opts)
     assert caught.value.trace == failed[0].trace
 
 

@@ -27,7 +27,7 @@ from betabart.inference import (
     run_test,
 )
 from betabart.inference import TestReport as Report  # alias: not a test class
-from betabart.model import Dataset, ParamVector
+from betabart.model import MU_CLAMP, Dataset, ParamVector
 from betabart.simulate import SimConfig
 from betabart.specfun import chisq_sf
 from conftest import random_instance
@@ -177,14 +177,14 @@ def _boot(data, link, restriction, opts):
 
 def _first_draw_fails(monkeypatch):
     """Make the first resample of the next bootstrap unfittable."""
-    draws = inference._resample_draws
+    draws = inference._beta_rows
 
-    def first_bad(a, b, states):
-        Y = draws(a, b, states)
+    def first_bad(mu, phi, states):
+        Y = draws(mu, phi, states)
         Y[0] = np.nan
         return Y
 
-    monkeypatch.setattr(inference, "_resample_draws", first_bad)
+    monkeypatch.setattr(inference, "_beta_rows", first_bad)
 
 
 class TestBootstrapBartlett:
@@ -194,8 +194,8 @@ class TestBootstrapBartlett:
         restriction = Restriction((4, 5), (0.0, 0.0))
         monkeypatch.setattr(
             inference,
-            "_resample_draws",
-            lambda a, b, states: np.tile(food_five.y, (len(states), 1)),
+            "_beta_rows",
+            lambda mu, phi, states: np.tile(food_five.y, (len(states), 1)),
         )
         lr_boot, boot_mean, failures = _boot(
             food_five, link, restriction, BootstrapOptions(B=1, seed=0)
@@ -254,7 +254,7 @@ class TestResampleStreams:
     @pytest.mark.parametrize("B", [1, 2, 500, 1100])
     @pytest.mark.parametrize("seed", _STREAM_SEEDS)
     def test_states_are_the_spawned_generators(self, seed, B):
-        states = inference._resample_states(seed, B)
+        states = inference._pcg64_states(seed, (np.arange(B, dtype=np.uint64),))
         assert len(states) == B
         rng = np.random.default_rng(0)
         for b in sorted({0, min(1, B - 1), B - 1}):
@@ -311,17 +311,17 @@ class TestResampleStreams:
         got = inference._bootstrap_mean(*args)
         resamples = iter(range(opts.B))
 
-        def own_generators(a, b, states):
-            Y = np.empty((len(states), len(a)))
+        def own_generators(mu, phi, states):
+            Y = np.empty((len(states), len(mu)))
             for y in Y:
                 sequence = np.random.SeedSequence(seed, spawn_key=(next(resamples),))
                 own = np.random.default_rng(sequence)
-                g1 = own.standard_gamma(a)
-                g2 = own.standard_gamma(b)
-                y[:] = g1 / (g1 + g2)
+                g1 = own.standard_gamma(mu * phi)
+                g2 = own.standard_gamma((1.0 - mu) * phi)
+                y[:] = np.clip(g1 / (g1 + g2), MU_CLAMP, 1.0 - MU_CLAMP)
             return Y
 
-        monkeypatch.setattr(inference, "_resample_draws", own_generators)
+        monkeypatch.setattr(inference, "_beta_rows", own_generators)
         assert got == inference._bootstrap_mean(*args)
         assert next(resamples, None) is None
         assert got[1] > 0

@@ -9,9 +9,10 @@ import scipy.stats
 from betabart.cumulants import loglik_derivative_tensors
 from betabart.fit import Restriction, fit_mle, fit_restricted
 from betabart.model import (
+    MU_CLAMP,
     Dataset,
     ParamVector,
-    _beta_ratio,
+    _beta_rows,
     _rows_information,
     _rows_observed_information,
     _rows_state,
@@ -19,8 +20,10 @@ from betabart.model import (
     log_likelihood,
     logit_link,
     obs_state,
+    gen_beta_sample,
     score,
 )
+from betabart.inference import _pcg64_states
 from conftest import central_diff, food_dataset, random_instance, rel_err
 
 
@@ -207,9 +210,10 @@ def test_score_zero_mean_monte_carlo(link):
 
 
 def test_beta_ratio_is_the_two_call_draw():
-    # One standard_gamma call on the concatenated shapes draws what a call
-    # on a and then one on b draw, shapes below 1 included, and leaves the
-    # generator where the two calls leave it.
+    # gen_beta_sample's one standard_gamma call on the concatenated shapes
+    # draws what a call on a and then one on b draw, shapes below 1
+    # included, and leaves the generator where the two calls leave it; the
+    # draw is the clamped ratio of the two.
     rng = np.random.default_rng(29)
     for n, phi in ((1, 0.3), (15, 100.0), (38, 7.5), (200, 2.0e4)):
         mu = rng.uniform(0.01, 0.99, n)
@@ -217,8 +221,26 @@ def test_beta_ratio_is_the_two_call_draw():
         one, two = np.random.default_rng(n), np.random.default_rng(n)
         g1 = two.standard_gamma(a)
         g2 = two.standard_gamma(b)
-        assert np.array_equal(_beta_ratio(a, b, one), g1 / (g1 + g2))
+        want = np.clip(g1 / (g1 + g2), MU_CLAMP, 1.0 - MU_CLAMP)
+        assert np.array_equal(gen_beta_sample(mu, phi, one), want)
         assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_beta_rows_are_gen_beta_sample_per_state(rows):
+    # Row i of the drawer is gen_beta_sample from a generator in states[i],
+    # bit for bit, whatever the number of rows; phi = 0.05 puts shapes far
+    # below 1, where draws reach the clamp.
+    rng = np.random.default_rng(rows)
+    for n, phi in ((1, 0.05), (15, 100.0), (40, 3.0e3)):
+        mu = rng.uniform(0.01, 0.99, n)
+        states = _pcg64_states(rows + n, (np.arange(rows, dtype=np.uint64), 0))
+        Y = _beta_rows(mu, phi, states)
+        assert Y.shape == (rows, n)
+        for y, state in zip(Y, states):
+            own = np.random.default_rng(0)
+            own.bit_generator.state = state
+            assert np.array_equal(y, gen_beta_sample(mu, phi, own))
 
 
 def _one_row(beta, phi, X, offset, link, L):

@@ -1,6 +1,7 @@
 """The package namespace and the package-wide input rules."""
 
 import ast
+import re
 from pathlib import Path
 
 import betabart
@@ -47,3 +48,41 @@ def test_integer_rule_has_one_home():
     # Python, so _real, the one number check, refuses it too.
     assert _type_checks({"int", "integer", "Integral"}) == [("specfun", "_integer")]
     assert _type_checks({"bool"}) == [("specfun", "_integer"), ("specfun", "_real")]
+
+
+# "# noqa: F401" followed by a reason, on the line of the imported name
+_KEPT_IMPORT = re.compile(r"#\s*noqa:\s*F401\s+\S")
+
+
+def _unused_imports(path):
+    """(line, name) of every name the module at path imports but never
+    reads, does not list in __all__ and does not mark with "# noqa: F401"
+    and a reason."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = [
+        (alias.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in {
+            getattr(target, "id", None) for target in node.targets
+        }:
+            used.update(ast.literal_eval(node.value))
+    return [
+        (line, name)
+        for line, name in imported
+        if name not in used and not _KEPT_IMPORT.search(lines[line - 1])
+    ]
+
+
+def test_every_import_is_used():
+    # The unused-import check (F401) of a linter, which the toolchain lacks:
+    # a name kept for another reader, such as a tracer, says why.
+    unused = {path.name: _unused_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -44,6 +44,24 @@ def small_config(**overrides):
     return SimConfig(**base)
 
 
+def spoil_draws(monkeypatch, replications, bad):
+    """Put bad into one response of each of the replications, rows of the
+    block drawer's calls counted in call order: in a serial study, the
+    replication indices."""
+    draw = simulate._beta_rows
+    seen = [0]
+
+    def spoiled(mu, phi, states):
+        Y = draw(mu, phi, states)
+        for j in replications:
+            if 0 <= j - seen[0] < len(Y):
+                Y[j - seen[0], 3] = bad
+        seen[0] += len(Y)
+        return Y
+
+    monkeypatch.setattr(simulate, "_beta_rows", spoiled)
+
+
 @pytest.fixture(autouse=True)
 def serial_mode(monkeypatch):
     """Keep study tests single-process unless a test overrides it."""
@@ -256,41 +274,36 @@ class TestStudies:
 
     def test_failure_budget(self, monkeypatch):
         config = small_config(reps=100, methods=("lr",))
-        calls = {"count": 0}
-        real = gen_beta_sample
-
-        def flaky(mu, phi, rng, limit):
-            calls["count"] += 1
-            if calls["count"] <= limit:
-                raise ValueError("synthetic generation failure")
-            return real(mu, phi, rng)
 
         # two failures out of 100 exceed the 1% budget
-        monkeypatch.setattr(
-            simulate, "gen_beta_sample", lambda mu, phi, rng: flaky(mu, phi, rng, 2)
-        )
+        spoil_draws(monkeypatch, (0, 1), math.nan)
         with pytest.raises(SimulationError, match="budget"):
             size_study(config)
 
         # one failure is tolerated, recorded, and dropped from the archive
-        calls["count"] = 0
-        monkeypatch.setattr(
-            simulate, "gen_beta_sample", lambda mu, phi, rng: flaky(mu, phi, rng, 1)
-        )
+        spoil_draws(monkeypatch, (0,), math.nan)
         result = size_study(config)
         assert result.failures == 1
         assert 0 not in result.archive_reps
         assert len(result.archive_reps) == 99
 
-    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    # the batched Bartlett core is what the test path of a block calls; the
+    # block drawer raising a ValueError is a defect too, not a void draw
+    @pytest.mark.parametrize(
+        "module, name, error",
+        [
+            pytest.param(inference, "_bartlett_rows", TypeError, id="TypeError"),
+            pytest.param(inference, "_bartlett_rows", ValueError, id="ValueError"),
+            pytest.param(simulate, "_beta_rows", ValueError, id="drawer-ValueError"),
+        ],
+    )
     def test_defects_propagate_instead_of_counting_as_failures(
-        self, monkeypatch, error
+        self, monkeypatch, module, name, error
     ):
         def broken(*args, **kwargs):
             raise error("synthetic defect")
 
-        # the batched Bartlett core is what the test path of a block calls
-        monkeypatch.setattr(inference, "_bartlett_rows", broken)
+        monkeypatch.setattr(module, name, broken)
         with pytest.raises(error, match="synthetic defect"):
             power_study(small_config(reps=5))
 
@@ -310,14 +323,16 @@ class TestBlocks:
         return small_config(reps=2 * simulate._BLOCK + 9, methods=("lr", "b1", "b2", "b3"))
 
     def spy_draws(self, monkeypatch):
-        """The responses of every gen_beta_sample call, in call order."""
+        """The responses of every row the block drawer draws, in call order."""
         draws = []
+        draw = simulate._beta_rows
 
-        def spy(mu, phi, rng):
-            draws.append(gen_beta_sample(mu, phi, rng))
-            return draws[-1]
+        def spy(mu, phi, states):
+            Y = draw(mu, phi, states)
+            draws.extend(Y.copy())
+            return Y
 
-        monkeypatch.setattr(simulate, "gen_beta_sample", spy)
+        monkeypatch.setattr(simulate, "_beta_rows", spy)
         return draws
 
     def spy_derivations(self, monkeypatch):
@@ -334,7 +349,7 @@ class TestBlocks:
 
     def test_block_draws_are_the_per_replication_streams(self, monkeypatch):
         # Each block derives its generator states in one pass and draws
-        # through one generator; every draw is the (base_seed, (j, 0))
+        # through one generator, in one drawer call; every draw is the (base_seed, (j, 0))
         # sequence's, and with no boot among the methods no bootstrap seed
         # is derived.
         config = small_config(reps=simulate._BLOCK + 9, methods=("lr", "b3"))
@@ -358,7 +373,7 @@ class TestBlocks:
         derivations = self.spy_derivations(monkeypatch)
         boot_opts = []
 
-        def recorder(datasets, link, restriction, chosen, opts, fit_opts):
+        def recorder(data, Y, link, restriction, chosen, opts, fit_opts):
             boot_opts.extend(opts)
             return {}, {}
 
@@ -390,27 +405,6 @@ class TestBlocks:
                 want = report.statistics[m]
                 assert result.statistic_archive[m][i] == pytest.approx(want, rel=1e-12)
 
-    def test_rejected_draw_voids_only_its_replication(self, monkeypatch):
-        config = self.config()
-        reference = size_study(config)
-        calls = {"count": 0}
-
-        def reject_one(mu, phi, rng):
-            calls["count"] += 1
-            if calls["count"] == 31:  # replication 30, inside the first block
-                raise ValueError("synthetic generation failure")
-            return gen_beta_sample(mu, phi, rng)
-
-        monkeypatch.setattr(simulate, "gen_beta_sample", reject_one)
-        result = size_study(config)
-        assert result.failures == 1
-        assert result.archive_reps == tuple(j for j in reference.archive_reps if j != 30)
-        keep = np.array(reference.archive_reps) != 30
-        for m in config.methods:
-            assert np.array_equal(
-                result.statistic_archive[m], reference.statistic_archive[m][keep]
-            )
-
     # NaN is what the generator returns when both gamma variates underflow
     @pytest.mark.parametrize("bad", [math.nan, 1.0])
     def test_response_outside_unit_interval_voids_only_its_replication(
@@ -418,16 +412,7 @@ class TestBlocks:
     ):
         config = self.config()
         reference = size_study(config)
-        calls = {"count": 0}
-
-        def spoil_one(mu, phi, rng):
-            calls["count"] += 1
-            y = gen_beta_sample(mu, phi, rng)
-            if calls["count"] == 71:  # replication 70, inside the second block
-                y[3] = bad
-            return y
-
-        monkeypatch.setattr(simulate, "gen_beta_sample", spoil_one)
+        spoil_draws(monkeypatch, (70,), bad)  # inside the second block
         result = size_study(config)
         assert result.failures == 1
         assert result.archive_reps == tuple(j for j in reference.archive_reps if j != 70)
