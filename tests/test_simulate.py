@@ -349,9 +349,9 @@ class TestBlocks:
 
     def test_block_draws_are_the_per_replication_streams(self, monkeypatch):
         # Each block derives its generator states in one pass and draws
-        # through one generator, in one drawer call; every draw is the (base_seed, (j, 0))
-        # sequence's, and with no boot among the methods no bootstrap seed
-        # is derived.
+        # through one generator, in one drawer call; every draw is the
+        # (base_seed, (j, 0)) sequence's, and with no boot among the
+        # methods no bootstrap seed is derived.
         config = small_config(reps=simulate._BLOCK + 9, methods=("lr", "b3"))
         draws = self.spy_draws(monkeypatch)
         derivations = self.spy_derivations(monkeypatch)
