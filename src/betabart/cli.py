@@ -26,7 +26,7 @@ from .inference import (
     TestReport,
     run_test,
 )
-from .model import Dataset, LinkFunction, logit_link
+from .model import Dataset, LinkFunction, _in_unit_interval, logit_link
 from .simulate import (
     SimConfig,
     SimulationError,
@@ -94,7 +94,7 @@ def parse_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
 
 def _check_response(y: np.ndarray, path: str) -> None:
     """The response must lie strictly inside (0, 1); name the bad row."""
-    bad = np.nonzero(~((y > 0.0) & (y < 1.0)))[0]
+    bad = np.nonzero(~_in_unit_interval(y))[0]
     if bad.size:
         i = int(bad[0])
         raise DataError(

@@ -513,33 +513,25 @@ def _subset_tensors(dense, positions):
 
     Returns (tensors, failed): CumulantTensors whose fields keep the row
     axis, and a dict mapping each failed row to its error, a singular
-    information or else a non-finite tensor.  No row raises; a failed
-    row's fields are 0.  The full set's P, Q and A are the dense tensors
-    themselves, copied only to zero a failed row, so dense is never
-    written.
+    information or else a non-finite tensor.  No row raises, and a failed
+    row's fields are left as they came out.  The full set's P, Q and A are
+    the dense tensors themselves; nothing here writes them.
     """
     idx = np.array(positions, dtype=int)
     full = idx.size == dense[0].shape[-1]  # every position: no slicing, no copy
     K2, P, Q, A = dense if full else (
         T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense
     )
-    K_inv, singular = _inverse_rows(-K2)
-    parts = dict(K=-K2, K_inv=K_inv, P=P, Q=Q, A=A)
+    K = -K2
+    K_inv, singular = _inverse_rows(K)
     bad = np.nonzero(singular)[0] if singular is not None else ()
-    failed = {int(i): _singular_error(parts["K"][i]) for i in bad}
-    for name in ("K", "P", "Q", "A"):
-        T = parts[name]
+    failed = {int(i): _singular_error(K[i]) for i in bad}
+    for name, T in (("K", K), ("P", P), ("Q", Q), ("A", A)):
         for i in np.nonzero(~np.isfinite(T).all(axis=tuple(range(1, T.ndim))))[0]:
             failed.setdefault(
                 int(i), NonFiniteCumulantError(f"cumulant tensor {name} is not finite")
             )
-    if failed and full:
-        # P, Q and A are then the dense tensors, which other subsets read;
-        # the copies keep their layout
-        parts.update(P=P.copy("K"), Q=Q.copy("K"), A=A.copy("K"))
-    for T in parts.values():
-        T[list(failed)] = 0.0
-    return CumulantTensors(subset=positions, **parts), failed
+    return CumulantTensors(positions, K, K_inv, P, Q, A), failed
 
 
 def cumulant_tensors(
@@ -657,7 +649,8 @@ def _bartlett_rows(X, link, free, Beta, Phi):
     One dense pass gives both terms: the full-set one over all k
     positions, the nuisance one over the free coefficient positions plus
     the precision.  failed is as in _subset_tensors; a failed row's
-    epsilons are NaN.
+    epsilons are NaN, whatever its tensors held, and the floating-point
+    warnings they raise on the way are silenced.
 
     Unlike the scoring core, this pass is not bit for bit independent of
     how rows are grouped: a row's epsilons in a block can differ from a
@@ -671,7 +664,8 @@ def _bartlett_rows(X, link, free, Beta, Phi):
     dense = _dense_rows(X, link, Beta, Phi)
     subsets = (tuple(range(p + 1)), (*free.tolist(), p))
     sets = [_subset_tensors(dense, positions) for positions in subsets]
-    eps = np.array([epsilon_matrix(tensors) for tensors, _ in sets])
+    with np.errstate(invalid="ignore", over="ignore"):
+        eps = np.array([epsilon_matrix(tensors) for tensors, _ in sets])
     failed = {**sets[1][1], **sets[0][1]}
     eps[:, list(failed)] = np.nan
     return eps[0], eps[1], failed

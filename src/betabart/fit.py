@@ -35,7 +35,6 @@ from .model import (
     _means,
     _rows_information,
     _rows_observed_information,
-    _rows_residuals,
     _rows_score,
 )
 from .specfun import _integer, _real, _reals, _sequence
@@ -329,14 +328,11 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     all designs.  When every row starts at one point (a single Beta0
     vector and a scalar Phi0, as in the bootstrap's restricted fits), the
     start is evaluated once per design and repeated over its rows; only
-    the log-likelihood, which reads y, is formed per row.  Each iteration
-    forms the residuals once (model._rows_residuals), for the score, and
-    hands them to the observed information, sliced to the rows that stay
-    after the convergence test.  Every field of a row is bit for bit the
-    same whichever rows share its batch, on whatever designs and in
-    whatever order, a batch of one included, and whether its start is
-    shared or its own, because all arithmetic is row-local (see
-    model._rows_state).
+    the log-likelihood, which reads y, is formed per row.  Every field of
+    a row is bit for bit the same whichever rows share its batch, on
+    whatever designs and in whatever order, a batch of one included, and
+    whether its start is shared or its own, because all arithmetic is
+    row-local (see model._rows_state).
     """
     if isinstance(X, np.ndarray):
         X, offset = [X], [offset]
@@ -460,17 +456,13 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         if not len(s.rows):
             break
         parts = views()
-        # (U, R, XR) of each design: the score, and the residuals that the
-        # observed information reads too (see model._rows_residuals)
-        scores = []
-        for XT, _, Phi, M, T, Psi, _, L in parts:
-            residuals = _rows_residuals(XT, T, Psi, L)
-            U = _rows_score(XT, Phi, M, T, Psi, L, residuals)
-            scores.append((U, *residuals[1:]))
+        scores = [
+            _rows_score(XT, Phi, M, T, Psi, L) for XT, _, Phi, M, T, Psi, _, L in parts
+        ]
         done = s.settled
         if done.any():
             small = np.empty(len(done))
-            for (_, _, rows), (u, _, _) in zip(spans, scores):
+            for (_, _, rows), u in zip(spans, scores):
                 np.abs(u).max(axis=1, out=small[rows])
             small = small <= opts.gradient_tolerance
             conv = done & small
@@ -492,11 +484,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
                     retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
                 if not len(s.rows):
                     break
-                scores = [
-                    tuple(v[~done[rows]] for v in score)
-                    for (_, rows, *_), score in zip(parts, scores)
-                ]
-                scores = [score for score in scores if len(score[0])]
+                scores = [u[~done[rows]] for (_, rows, *_), u in zip(parts, scores)]
+                scores = [u for u in scores if len(u)]
                 parts = views()
         # A row whose J is singular (zero step) or whose Newton step is not
         # an ascent direction takes the scoring step K^-1 U instead.  Step
@@ -504,8 +493,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         # before P, and the phi step at column P.
         Step = np.zeros((len(s.rows), P + 1))
         singular, K = None, []
-        for (XT, rows, Phi, M, T, Psi, Tri, L), (u, R, XR) in zip(parts, scores):
-            J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link, (R, XR))
+        for (XT, rows, Phi, M, T, Psi, Tri, L), u in zip(parts, scores):
+            J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)
             step = _solve(J, u[:, :, None])[0][:, :, 0]
             fallback = np.nonzero(~(np.einsum("bk,bk->b", u, step) > 0.0))[0]
             if fallback.size:
@@ -522,7 +511,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             Step[rows, P - len(XT) :] = step
         # Freed before the trial evaluations; the views would also keep the
         # replaced state arrays alive after an accept.
-        del parts, scores, residuals, U, J, u, R, XR, Phi, M, T, Psi, Tri, L
+        del parts, scores, J, u, Phi, M, T, Psi, Tri, L
         if singular is not None:
             retire(singular, ScoringStatus.SINGULAR, iteration, K)
             if not len(s.rows):

@@ -279,10 +279,12 @@ def _bootstrap_mean(
     scoring core, which evaluates their shared start, the generating
     parameters, once; the full fits of the rows that converged are
     another, warm-started at each row's restricted solution; a resample
-    fails unless both of its rows end CONVERGED.  The core's rows are bit
-    for bit batch-independent, so each resample's fits, and hence the
-    mean, do not depend on how resamples are grouped or ordered.  Only
-    data's design is read.
+    fails unless both of its rows end CONVERGED and its LR passes the
+    nesting rule of lr_statistic: an LR below -_LR_ROUNDOFF fails, and
+    round-off above it is floored at 0.  The core's rows are bit for bit
+    batch-independent, so each resample's fits, and hence the mean, do
+    not depend on how resamples are grouped or ordered.  Only data's
+    design is read.
     """
     X = data.X
     p = X.shape[1]
@@ -303,7 +305,8 @@ def _bootstrap_mean(
     full = _fisher_scoring_batch(
         Y[rows], X, 0.0, link, beta_full0, rest.Phi[rows], fit_opts, keep_K=False
     )
-    lr_ok = np.maximum(2.0 * (full.LL[full.ok] - rest.LL[rows][full.ok]), 0.0)
+    lr = 2.0 * (full.LL[full.ok] - rest.LL[rows][full.ok])
+    lr_ok = np.maximum(lr[lr >= -_LR_ROUNDOFF], 0.0)
     failures = opts.B - len(lr_ok)
     if failures > opts.max_failure_fraction * opts.B:
         raise BootstrapFailureError(

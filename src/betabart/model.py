@@ -209,6 +209,9 @@ class ObsState:
 
 
 def _check_open_unit(mu):
+    """mu as an array, refused unless inside (0, 1); NaN passes, unlike
+    _in_unit_interval, so that a NaN trial point rejects a scoring step
+    instead of raising a ValueError, which a Monte Carlo block propagates."""
     arr = np.asarray(mu, dtype=float)
     if (arr <= 0.0).any() or (arr >= 1.0).any():
         raise ValueError("argument must lie strictly inside (0, 1)")
@@ -339,16 +342,14 @@ def _rows_residuals(XT, T, Psi, L):
     return D, R, np.einsum("bn,jn->bj", T * R, XT)
 
 
-def _rows_score(XT, Phi, M, T, Psi, L, residuals=None):
+def _rows_score(XT, Phi, M, T, Psi, L):
     """Score vectors (rows, k) at _rows_state output.
 
     With D, R and XR of _rows_residuals, the beta block is phi X' T R and
-    the phi component is sum (mu, 1 - mu) D + n psi(phi).  residuals, if
-    given, are _rows_residuals at the same point, so that the scoring loop
-    forms them once for the score and the observed information.
+    the phi component is sum (mu, 1 - mu) D + n psi(phi).
     """
     n = T.shape[1]
-    D, _, XR = _rows_residuals(XT, T, Psi, L) if residuals is None else residuals
+    D, _, XR = _rows_residuals(XT, T, Psi, L)
     Ub = XR * Phi[:, None]
     Uphi = np.einsum("bn,bn->b", M[:, : 2 * n], D) + n * Psi[:, 2 * n]
     return np.concatenate((Ub, Uphi[:, None]), axis=1)
@@ -384,17 +385,16 @@ def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None, XR=None):
     return K
 
 
-def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
+def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link):
     """Observed information matrices J = -d^2 l (rows, k, k) at _rows_state output.
 
     In eta terms J differs from K in two blocks, through the residuals
     r = y* - mu* of _rows_residuals: J_bb adds X' diag(phi r g''(mu) T^3) X
     and J_bphi subtracts X' (T r).  J_phiphi equals K_phiphi.  E r = 0, so
-    J averages to K.  residuals, if given, are the (R, XR) that the score
-    at the same point formed; they are then not formed again.
+    J averages to K.
     """
     n = T.shape[1]
-    R, XR = _rows_residuals(XT, T, Psi, L)[1:] if residuals is None else residuals
+    _, R, XR = _rows_residuals(XT, T, Psi, L)
     G2 = np.asarray(link.deriv2(M[:, :n]), dtype=float)
     return _rows_information(XT, Phi, M, T, Tri, R, G2, XR)
 

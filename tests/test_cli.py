@@ -53,6 +53,22 @@ def test_readme_fit_block(capsys):
     assert out == block
 
 
+def test_readme_library_snippet(food_reduced, link):
+    # The Library snippet runs as printed, reading the bundled data where
+    # it names "food.csv".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```python\n") + len("```python\n")
+    snippet = readme[start : readme.index("```", start)]
+    assert snippet.count('"food.csv"') == 1
+    namespace = {}
+    exec(snippet.replace('"food.csv"', repr(food_data_path())), namespace)
+    result, report = namespace["result"], namespace["report"]
+    assert result.converged
+    assert np.array_equal(result.theta_hat.beta, fit_mle(food_reduced, link).theta_hat.beta)
+    assert list(report.statistics) == ["lr", "b3", "boot"]
+    assert list(report.p_values) == ["lr", "b3", "boot"]
+
+
 def test_back_to_back_calls_match_a_fresh_parser(capsys):
     # main builds its parser once per process.  No default or namespace
     # state may carry from one call into the next: each call prints what
@@ -372,6 +388,23 @@ class TestTestCommand:
             assert json.loads(out)["tests"] == {}
         else:
             assert out == "statistic,value,df,p_value\n"
+
+    def test_csv_rows_are_the_json_statistics(self, capsys):
+        # Each CSV row holds the JSON output's statistic, df and p-value
+        # under repr, in the order of the statistics table.
+        argv = ["test", "--covariates", "income,persons,income*persons"]
+        argv += ["--null", "income*persons", "--boot-B", "100", "--seed", "3"]
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        code, document, _ = run_cli(capsys, *argv, "--format", "json")
+        tests = json.loads(document)["tests"]
+        assert code == 0 and list(tests) == list(inference._METHODS)
+        lines = out.splitlines()
+        assert lines[0] == "statistic,value,df,p_value"
+        assert [line.split(",") for line in lines[1:]] == [
+            [name, repr(cell["statistic"]), repr(cell["df"]), repr(cell["p_value"])]
+            for name, cell in tests.items()
+        ]
 
     def test_no_boot_meta_is_null(self, capsys):
         code, out, _ = run_cli(

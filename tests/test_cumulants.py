@@ -380,8 +380,8 @@ class TestBartlettRows:
 
     def test_full_set_failure_leaves_dense_intact(self):
         # The full set's P, Q and A are the dense tensors themselves.
-        # Zeroing a row that fails there must not reach the dense tensors,
-        # which the nuisance set slices next, nor move any other row's
+        # A row that fails there must leave the dense tensors, which the
+        # nuisance set slices next, as they were, and move no other row's
         # epsilon.
         data, link, restriction, Beta, Phi = self._rows()
         dense = cumulants._dense_rows(data.X, link, Beta, Phi)
@@ -394,7 +394,6 @@ class TestBartlettRows:
         assert isinstance(failed[4], SingularInformationError)
         for T, before in zip(dense, saved):
             assert np.array_equal(T, before)
-        assert not tensors.A[4].any()
         rest = np.arange(12) != 4
         assert np.array_equal(epsilon_matrix(tensors)[rest], eps_ref[rest])
 
@@ -451,6 +450,30 @@ class TestBartlettFactor:
         bartlett_factor(food_full, link, restriction, theta)
         assert len(seen) == 1
         assert np.array_equal(seen[0], obs_state(theta, food_full, link).mu)
+
+    @pytest.mark.parametrize(
+        "tensor, error", [(0, SingularInformationError), (3, NonFiniteCumulantError)]
+    )
+    def test_failed_row_raises(self, monkeypatch, food_five, link, tensor, error):
+        # A singular information (K2 zeroed) or an infinite order-4 tensor
+        # A fails the one row, and bartlett_factor raises that row's error;
+        # the infinities, which make inf - inf in the epsilon products,
+        # raise no warning on the way.
+        restriction = Restriction((4, 5), (0.0, 0.0))
+        theta = fit_restricted(food_five, link, restriction).theta_hat
+        dense_rows = cumulants._dense_rows
+
+        def spoiled(*args):
+            dense = dense_rows(*args)
+            if tensor == 0:
+                dense[0][0] = 0.0
+            else:
+                dense[3][0] = np.inf
+            return dense
+
+        monkeypatch.setattr(cumulants, "_dense_rows", spoiled)
+        with pytest.raises(error):
+            bartlett_factor(food_five, link, restriction, theta)
 
     def test_restriction_index_out_of_range(self, food_reduced, link):
         theta = ParamVector([0.0, 0.0, 0.0], 10.0)

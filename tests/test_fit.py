@@ -310,8 +310,8 @@ def test_batch_rows_are_independent(restricted, link, monkeypatch):
     observed = fit_module._rows_observed_information
     marker = np.log(Y[5, 0])
 
-    def singular_for_row_5(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
-        J = observed(XT, Phi, M, T, Psi, Tri, L, link, residuals)
+    def singular_for_row_5(XT, Phi, M, T, Psi, Tri, L, link):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
         J[L[:, 0] == marker] = 0.0
         return J
 
@@ -344,6 +344,84 @@ def test_batch_rows_are_independent(restricted, link, monkeypatch):
     for row, tol in ((3, 1e-10), (5, 1e-9)):
         assert rel_err(batch.Beta[row], near.Beta[row]) < tol
         assert batch.LL[row] == pytest.approx(near.LL[row], rel=1e-12)
+
+
+def test_infinite_newton_step_is_a_rejected_step(link, monkeypatch):
+    # Row 2's Newton step is infinite in every coefficient, so its trial
+    # linear predictors and means are NaN.  The link's argument check lets
+    # NaN through (model._check_open_unit), the NaN log-likelihood rejects
+    # every scale, and the row ends MAX_ITERATIONS without an exception,
+    # while every other row keeps its bits.
+    X = design_matrix(38, 4, 5)
+    beta = np.array([0.5, 1.0, -1.0, 0.8])
+    mu = link.g_inv(X @ beta)
+    Y = np.vstack([gen_beta_sample(mu, 30.0, np.random.default_rng(b)) for b in range(6)])
+    Beta0, Phi0 = np.tile(beta, (len(Y), 1)), np.full(len(Y), 30.0)
+    opts = FitOptions()
+    plain = _fisher_scoring_batch(Y, X, np.zeros(38), link, Beta0, Phi0, opts)
+    observed, solve = fit_module._rows_observed_information, fit_module._solve
+    marker = np.log(Y[2, 0])
+    marked = []  # row 2's mask among the rows of the last J, until its solve
+
+    def marking(XT, Phi, M, T, Psi, Tri, L, link):
+        marked[:] = [L[:, 0] == marker]
+        return observed(XT, Phi, M, T, Psi, Tri, L, link)
+
+    def infinite(K, U):
+        Z, singular = solve(K, U)
+        if marked:
+            hit = marked.pop()
+            Z[hit, :-1] = np.where(U[hit, :-1] >= 0.0, np.inf, -np.inf)
+            Z[hit, -1] = 0.0
+        return Z, singular
+
+    monkeypatch.setattr(fit_module, "_rows_observed_information", marking)
+    monkeypatch.setattr(fit_module, "_solve", infinite)
+    batch = _fisher_scoring_batch(Y, X, np.zeros(38), link, Beta0, Phi0, opts)
+    assert batch.status[2] == ScoringStatus.MAX_ITERATIONS
+    assert batch.iterations[2] == opts.max_iterations
+    assert np.array_equal(batch.Beta[2], Beta0[2])  # no step was accepted
+    others = np.arange(len(Y)) != 2
+    assert (batch.status[others] == ScoringStatus.CONVERGED).all()
+    for got, want in zip(batch, plain):
+        assert np.array_equal(got[others], want[others])
+
+
+def test_converged_row_with_singular_information_fails(food_reduced, link, monkeypatch):
+    # A row that converges but whose expected information at the optimum
+    # cannot be inverted fails with SingularInformationError; the other
+    # rows keep their results.
+    noise = np.random.default_rng(2).normal(0.0, 0.02, (3, food_reduced.n))
+    Y = np.clip(food_reduced.y + noise, 0.01, 0.99)
+    opts = FitOptions()
+    (reference, failed), = fit_module._fit_rows(food_reduced, Y, link, [None], opts)
+    assert not failed and len(reference) == 3
+    final_phi = reference[1].theta_hat.phi
+    expected = fit_module._rows_information
+
+    def singular_at_row_1(XT, Phi, M, T, Tri):
+        K = expected(XT, Phi, M, T, Tri)
+        K[Phi == final_phi] = 0.0  # row 1's information where it converges
+        return K
+
+    core, fits = fit_module._fisher_scoring_batch, []
+
+    def recording(*args, **kwargs):
+        fits.append(core(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(fit_module, "_rows_information", singular_at_row_1)
+    monkeypatch.setattr(fit_module, "_fisher_scoring_batch", recording)
+    (results, failed), = fit_module._fit_rows(food_reduced, Y, link, [None], opts)
+    assert fits[0].ok.all() and not fits[0].K[1].any()
+    assert list(failed) == [1] and isinstance(failed[1], SingularInformationError)
+    assert sorted(results) == [0, 2]
+    for i in (0, 2):
+        for name in ("loglik", "K", "K_inv", "std_errors", "iterations"):
+            assert np.array_equal(getattr(results[i], name), getattr(reference[i], name))
+        assert np.array_equal(
+            results[i].theta_hat.as_array(), reference[i].theta_hat.as_array()
+        )
 
 
 def test_fit_information_is_the_expected_one(food_full, link):

@@ -101,8 +101,8 @@ def _make_row_singular(monkeypatch, Y, row):
     # it, on the same design's rows, reads and clears it
     marked = []
 
-    def observed_marked(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
-        J = observed(XT, Phi, M, T, Psi, Tri, L, link, residuals)
+    def observed_marked(XT, Phi, M, T, Psi, Tri, L, link):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
         hit = L[:, 0] == marker
         J[hit] = 0.0
         marked[:] = Phi[hit]
@@ -324,10 +324,10 @@ def test_shared_start_equals_tiled_start(
 
 
 def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
-    # The core forms the residuals once per iteration, for the score, and
-    # hands them, sliced to the rows that stay after the convergence test,
-    # to the observed information.  Both must equal what the functions
-    # give from the state alone, bit for bit.
+    # The core scores every active row, then builds the observed
+    # information only for the rows that stay after the convergence test.
+    # Both must equal what the functions give from the state alone, bit
+    # for bit.
     X, n = food_reduced.X, food_reduced.n
     Y = _perturbed(food_reduced, 16, 5)
     start = starting_values(food_reduced, link)
@@ -338,15 +338,15 @@ def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
     score, observed = fit_module._rows_score, fit_module._rows_observed_information
     calls = {"score": [], "J": []}
 
-    def recording_score(XT, Phi, M, T, Psi, L, residuals=None):
-        U = score(XT, Phi, M, T, Psi, L, residuals)
-        calls["score"].append((residuals, U, score(XT, Phi, M, T, Psi, L)))
+    def recording_score(XT, Phi, M, T, Psi, L):
+        U = score(XT, Phi, M, T, Psi, L)
+        calls["score"].append((U, score(XT, Phi, M, T, Psi, L)))
         return U
 
-    def recording_J(XT, Phi, M, T, Psi, Tri, L, link, residuals=None):
-        J = observed(XT, Phi, M, T, Psi, Tri, L, link, residuals)
+    def recording_J(XT, Phi, M, T, Psi, Tri, L, link):
+        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
         own = observed(XT, Phi, M, T, Psi, Tri, L, link)
-        calls["J"].append((residuals, J, own))
+        calls["J"].append((J, own))
         return J
 
     monkeypatch.setattr(fit_module, "_rows_score", recording_score)
@@ -357,12 +357,11 @@ def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
     assert fit.ok.all() and len(set(fit.iterations.tolist())) > 1
     for name in ("score", "J"):
         assert calls[name]
-        for residuals, got, own in calls[name]:
-            assert residuals is not None
+        for got, own in calls[name]:
             assert np.array_equal(got, own)
     # some J ran on fewer rows than the score before it, after rows retired
-    J_rows = [len(J) for _, J, _ in calls["J"]]
-    score_rows = [len(U) for _, U, _ in calls["score"]]
+    J_rows = [len(J) for J, _ in calls["J"]]
+    score_rows = [len(U) for U, _ in calls["score"]]
     assert any(j < u for j, u in zip(J_rows, score_rows))
 
 

@@ -232,6 +232,55 @@ class TestBootstrapBartlett:
         assert failures == 1
         assert math.isfinite(lr_boot) and lr_boot > 0.0
 
+    def test_non_nested_resample_fails(self, food_five, link, monkeypatch):
+        # A resample whose full fit ends below its restricted one by more
+        # than round-off is not nested.  As lr_statistic fails such a test,
+        # the bootstrap counts it as a failed resample, not as an LR of 0.
+        restriction = Restriction((4,), (0.0,))
+        opts = BootstrapOptions(B=20, seed=3, max_failure_fraction=0.10)
+        core = inference._fisher_scoring_batch
+        calls = []
+
+        def recording(Y, X, *args, **kwargs):
+            calls.append(core(Y, X, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(inference, "_fisher_scoring_batch", recording)
+        _, reference, failures = _boot(food_five, link, restriction, opts)
+        rest, full = calls
+        assert failures == 0 and rest.ok.all() and full.ok.all()
+        lr = 2.0 * (full.LL - rest.LL)
+        assert reference == float(np.mean(np.maximum(lr, 0.0)))
+
+        def lowered(Y, X, *args, **kwargs):
+            fit = core(Y, X, *args, **kwargs)
+            if kwargs.get("keep_K") is False and X.shape[1] == food_five.p:
+                fit.LL[0] = rest.LL[0] - 1.0  # resample 0's full fit
+            return fit
+
+        monkeypatch.setattr(inference, "_fisher_scoring_batch", lowered)
+        _, mean, failures = _boot(food_five, link, restriction, opts)
+        assert failures == 1
+        assert mean == float(np.mean(np.maximum(lr[1:], 0.0)))
+
+    def test_zero_resample_mean_fails(self, food_five, link, monkeypatch):
+        # Every resample's full fit ends at its restricted log-likelihood:
+        # each LR is 0, so the mean cannot rescale LR.
+        core = inference._fisher_scoring_batch
+        calls = []
+
+        def tied(Y, X, *args, **kwargs):
+            fit = core(Y, X, *args, **kwargs)
+            if calls:
+                fit.LL[:] = calls[0].LL[calls[0].ok]
+            calls.append(fit)
+            return fit
+
+        monkeypatch.setattr(inference, "_fisher_scoring_batch", tied)
+        with pytest.raises(BootstrapFailureError, match="not positive"):
+            _boot(food_five, link, Restriction((4,), (0.0,)), BootstrapOptions(B=10))
+        assert len(calls) == 2 and calls[1].ok.all()
+
     def test_mean_stabilizes_in_b(self, food_reduced, link):
         restriction = Restriction((3,), (0.0,))
         _, mean_small, _ = _boot(
@@ -490,6 +539,39 @@ def _tested_designs(draw):
     data, _, link = random_instance(rng, n=n, p=p)
     restriction = Restriction(tuple(range(p - q + 1, p + 1)), (0.0,) * q)
     return data, link, restriction, rng
+
+
+class TestTestRows:
+    """Failure branches of the batched test path: a failed row leaves
+    every other row's report as it was."""
+
+    restriction = Restriction((4, 5), (0.0, 0.0))
+
+    def run(self, data, link):
+        """(reports, failed) of _test_rows on data.y and three responses
+        near it, with every statistic."""
+        noise = np.random.default_rng(8).normal(0.0, 0.02, (3, data.n))
+        Y = np.vstack([data.y, np.clip(data.y + noise, 0.01, 0.99)])
+        boot = [BootstrapOptions(B=20, seed=i) for i in range(len(Y))]
+        return inference._test_rows(
+            data, Y, link, self.restriction, tuple(inference._METHODS), boot, FitOptions()
+        )
+
+    def test_non_nested_row_fails_alone(self, food_five, link, monkeypatch):
+        reference, failed = self.run(food_five, link)
+        assert not failed and len(reference) == 4
+        fit_rows = inference._fit_rows
+
+        def non_nested(*args):
+            (full, full_failed), (rest, rest_failed) = fit_rows(*args)
+            # row 2's restricted fit beats its full fit by 1
+            rest[2] = dataclasses.replace(rest[2], loglik=full[2].loglik + 1.0)
+            return [(full, full_failed), (rest, rest_failed)]
+
+        monkeypatch.setattr(inference, "_fit_rows", non_nested)
+        reports, failed = self.run(food_five, link)
+        assert list(failed) == [2] and isinstance(failed[2], NestingError)
+        assert reports == {i: reference[i] for i in (0, 1, 3)}
 
 
 def _lr_and_c(data, link, restriction):

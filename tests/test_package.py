@@ -50,6 +50,38 @@ def test_integer_rule_has_one_home():
     assert _type_checks({"bool"}) == [("specfun", "_integer"), ("specfun", "_real")]
 
 
+def _open_unit_rules():
+    """(module, function) of every `(a > 0) & (a < 1)` in the package."""
+    found = []
+
+    def bound(node, op, value):
+        return (
+            isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], op)
+            and getattr(node.comparators[0], "value", None) == value
+        )
+
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.BitAnd)
+                    and bound(node.left, ast.Gt, 0)
+                    and bound(node.right, ast.Lt, 1)
+                ):
+                    found.append((path.stem, func.name))
+    return found
+
+
+def test_open_interval_rule_has_one_home():
+    # model._in_unit_interval is the one "strictly inside (0, 1)" rule of
+    # responses, means, draws and the CLI's response check.
+    assert _open_unit_rules() == [("model", "_in_unit_interval")]
+
+
 # "# noqa: F401" followed by a reason, on the line of the imported name
 _KEPT_IMPORT = re.compile(r"#\s*noqa:\s*F401\s+\S")
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import betabart.cumulants as cumulants
 import betabart.inference as inference
 import betabart.simulate as simulate
+from betabart.cumulants import NonFiniteCumulantError
 from betabart.fit import Restriction
 from betabart.inference import run_test
 from betabart.model import Dataset, logit_link
@@ -417,6 +419,54 @@ class TestBlocks:
         assert result.failures == 1
         assert result.archive_reps == tuple(j for j in reference.archive_reps if j != 70)
         keep = np.array(reference.archive_reps) != 70
+        for m in config.methods:
+            assert np.array_equal(
+                result.statistic_archive[m], reference.statistic_archive[m][keep]
+            )
+
+    def test_all_void_block_skips_the_test_battery(self, monkeypatch):
+        def void(mu, phi, states):
+            return np.full((len(states), len(mu)), np.nan)
+
+        def unreachable(*args):
+            raise AssertionError("a block with no draw ran the test battery")
+
+        monkeypatch.setattr(simulate, "_beta_rows", void)
+        monkeypatch.setattr(simulate, "_test_rows", unreachable)
+        outcomes = simulate._replication_block(self.config(), range(3, 10))
+        assert outcomes == dict.fromkeys(range(3, 10))
+
+    def test_bartlett_failure_fails_only_its_replication(self, monkeypatch):
+        # Row 3 of the first block's Bartlett pass gets an infinite order-4
+        # tensor: _test_rows reports it failed and skips it, with no warning
+        # from its epsilon, and its replication fails; every other
+        # replication keeps its values.
+        config = self.config()
+        reference = size_study(config)
+        assert reference.failures == 0
+        dense_rows, test_rows = cumulants._dense_rows, simulate._test_rows
+        passes, seen = [], []
+
+        def poisoned(*args):
+            dense = dense_rows(*args)
+            if not passes:
+                dense[3][3] = np.inf
+            passes.append(args)
+            return dense
+
+        def recording(*args):
+            seen.append(test_rows(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(cumulants, "_dense_rows", poisoned)
+        monkeypatch.setattr(simulate, "_test_rows", recording)
+        result = size_study(config)
+        reports, failed = seen[0]
+        assert list(failed) == [3] and isinstance(failed[3], NonFiniteCumulantError)
+        assert sorted(reports) == [i for i in range(simulate._BLOCK) if i != 3]
+        assert result.failures == 1
+        keep = np.array(reference.archive_reps) != 3
+        assert result.archive_reps == tuple(j for j in reference.archive_reps if j != 3)
         for m in config.methods:
             assert np.array_equal(
                 result.statistic_archive[m], reference.statistic_archive[m][keep]
