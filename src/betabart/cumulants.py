@@ -45,7 +45,6 @@ from .model import (
     ParamVector,
     _means,
     _theta_rows,
-    obs_state,
 )
 from .specfun import _gamma_series, _integer, _sequence
 
@@ -348,15 +347,18 @@ def loglik_derivative_tensors(
     derivative tensors over the full parameter vector, each symmetric in
     all indices.  U4 is None unless order >= 4, and requires a link with a
     fourth derivative.  These are the raw, response-dependent derivatives;
-    their expectations are the cumulant tensors.
+    their expectations are the cumulant tensors.  One model pass at theta
+    gives the per-observation quantities and the residuals y* - mu*.
     """
     if _integer(order, "order", 2) > 4:
         raise ValueError("order must be 2, 3, or 4")
-    q = obs_quantities(theta, data, link)
+    _, _, L, (M, _, Psi, _, _, _) = _theta_rows(theta, data, link)
+    q = _obs_rows(M[0], theta.phi, link)
     if order == 4 and q.t3 is None:
         raise ValueError("fourth-order tensors need a link with a fourth derivative")
-    state = obs_state(theta, data, link)
-    tables = _derivative_tables(q, theta.phi, state.ystar - state.mustar)[: order - 1]
+    n = data.n
+    resid = (L[0, :n] - L[0, n:]) - (Psi[0, :n] - Psi[0, n : 2 * n])
+    tables = _derivative_tables(q, theta.phi, resid)[: order - 1]
     XX = _outer_rows(data.X)
     return tuple(_tensor(data.X, XX, T) for T in tables) + (None,) * (4 - order)
 

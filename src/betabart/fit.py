@@ -332,7 +332,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     a row is bit for bit the same whichever rows share its batch, on
     whatever designs and in whatever order, a batch of one included, and
     whether its start is shared or its own, because all arithmetic is
-    row-local (see model._rows_state).
+    row-local (see model._eta_state).
     """
     if isinstance(X, np.ndarray):
         X, offset = [X], [offset]
@@ -374,7 +374,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         return Eta
 
     def state(Beta, Phi, L, at=None):
-        """_rows_state of the active rows, or of those at (sorted positions
+        """_eta_state of the active rows, or of those at (sorted positions
         among them), at (Beta, Phi)."""
         parts = spans if at is None else blocks(np.searchsorted(at, bounds).tolist())
         # no reference is kept here, so _eta_state frees Eta once it is used

@@ -74,8 +74,8 @@ class BootstrapFailureError(RuntimeError):
     """Too many resample fits failed, or the resample mean degenerated."""
 
 
-# The numerical failures of one test: a study counts each as a failed
-# replication, and the CLI maps each to its numerical-failure exit code.
+# The numerical failures of one test, read only by cli.main, which maps each
+# to exit code 4; a study counts the rows that _test_rows reports as failed.
 _TEST_FAILURES = (FitError, BootstrapFailureError, NestingError)
 
 

@@ -267,36 +267,25 @@ def logit_link() -> LinkFunction:
     )
 
 
-def _rows_state(Beta, Phi, XT, offset, link, L):
-    """The model at one parameter point per row.
+def _eta_state(Eta, Phi, link, L, repeats=None):
+    """The model at the linear predictors Eta, one row per parameter point.
 
-    Row b evaluates (Beta[b], Phi[b]) on responses L[b] = (log y, log(1 - y))
-    with transposed design XT and a fixed offset on the linear predictor.
+    Row b evaluates Phi[b] at Eta[b] on responses L[b] = (log y, log(1 - y)).
     Returns (M, T, Psi, Tri, LL, clamped): M holds (mu, 1 - mu, 1) with mu
     clamped to [MU_CLAMP, 1 - MU_CLAMP], T = 1/g'(mu), Psi and Tri are
     digamma and trigamma of (a, b, phi) = M phi from one special-function
-    pass, LL is the log-likelihood and clamped flags clamped means.
+    pass, LL is the log-likelihood and clamped flags clamped means.  Rows
+    on different designs share this one pass.  With repeats, point i
+    serves the next repeats[i] rows of L: the model is evaluated once per
+    point and its state repeated over those rows, and only the
+    log-likelihood, which reads y, is formed per row.
 
     Here and in _rows_residuals, _rows_score and _rows_information each row
-    is computed on its own: special functions act per element, and every
-    sum over observations is a 2-operand einsum or a per-row matmul, whose
-    reduction order does not depend on the number of rows (a BLAS product
-    of whole batches does not keep that promise).
-    """
-    Eta = np.einsum("bj,jn->bn", Beta, XT)
-    Eta += offset
-    return _eta_state(Eta, Phi, link, L)
-
-
-def _eta_state(Eta, Phi, link, L, repeats=None):
-    """_rows_state at the linear predictors Eta, one row per parameter point.
-
-    Everything past the linear predictor is the same whatever design gave
-    Eta, so rows on different designs share this one pass.  With repeats,
-    point i serves the next repeats[i] rows of L: the model is evaluated
-    once per point and its state repeated over those rows, and only the
-    log-likelihood, which reads y, is formed per row.  All of it is
-    row-local, so each row gets the bits of its own evaluation.
+    is computed on its own, so it gets the bits of its own evaluation:
+    special functions act per element, and Eta (on the contiguous transpose
+    of the design) and every sum over observations are 2-operand einsums or
+    per-row matmuls, whose reduction order does not depend on the number
+    of rows (a BLAS product of whole batches does not keep that promise).
     """
     n = Eta.shape[1]
     M, clamped = _means(Eta, link)
@@ -333,7 +322,7 @@ def _means(Eta, link):
 
 
 def _rows_residuals(XT, T, Psi, L):
-    """(D, R, XR) at _rows_state output: D = (log y - psi(a), log(1 - y) -
+    """(D, R, XR) at _eta_state output: D = (log y - psi(a), log(1 - y) -
     psi(b)), the residuals R = y* - mu*, the difference of D's halves, and
     XR = X' (T R), one row each per parameter point."""
     n = T.shape[1]
@@ -343,7 +332,7 @@ def _rows_residuals(XT, T, Psi, L):
 
 
 def _rows_score(XT, Phi, M, T, Psi, L):
-    """Score vectors (rows, k) at _rows_state output.
+    """Score vectors (rows, k) at _eta_state output.
 
     With D, R and XR of _rows_residuals, the beta block is phi X' T R and
     the phi component is sum (mu, 1 - mu) D + n psi(phi).
@@ -356,7 +345,7 @@ def _rows_score(XT, Phi, M, T, Psi, L):
 
 
 def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None, XR=None):
-    """Expected information matrices (rows, k, k) at _rows_state output.
+    """Expected information matrices (rows, k, k) at _eta_state output.
 
     K_bb = X' diag(w) X with w = phi^2 [psi'(a) + psi'(b)] T^2, K_bphi =
     phi X' T [psi'(a) mu - psi'(b) (1 - mu)], and K_phiphi sums
@@ -386,7 +375,7 @@ def _rows_information(XT, Phi, M, T, Tri, R=None, G2=None, XR=None):
 
 
 def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link):
-    """Observed information matrices J = -d^2 l (rows, k, k) at _rows_state output.
+    """Observed information matrices J = -d^2 l (rows, k, k) at _eta_state output.
 
     In eta terms J differs from K in two blocks, through the residuals
     r = y* - mu* of _rows_residuals: J_bb adds X' diag(phi r g''(mu) T^3) X
@@ -400,7 +389,7 @@ def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link):
 
 
 def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):
-    """(XT, Phi, L, _rows_state output) for the single point theta.
+    """(XT, Phi, L, _eta_state output) for the single point theta.
 
     XT is laid out as the scoring core lays it out, so that the values
     match the core's bit for bit (einsum and matmul reduce a strided
@@ -411,7 +400,8 @@ def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):
     XT = np.ascontiguousarray(data.X.T)
     Phi = np.array([theta.phi])
     L = np.concatenate((np.log(data.y), np.log1p(-data.y)))[None]
-    return XT, Phi, L, _rows_state(theta.beta[None], Phi, XT, 0.0, link, L)
+    Eta = np.einsum("bj,jn->bn", theta.beta[None], XT)
+    return XT, Phi, L, _eta_state(Eta, Phi, link, L)
 
 
 def obs_state(theta: ParamVector, data: Dataset, link: LinkFunction) -> ObsState:

@@ -17,6 +17,7 @@ from betabart.cumulants import NonFiniteCumulantError
 from betabart.fit import NonConvergenceError, Restriction, fit_mle
 from betabart.inference import BootstrapOptions, NestingError, run_test
 from betabart.model import Dataset, logit_link
+from betabart.simulate import SimConfig
 from conftest import food_dataset
 
 
@@ -67,6 +68,20 @@ def test_readme_library_snippet(food_reduced, link):
     assert np.array_equal(result.theta_hat.beta, fit_mle(food_reduced, link).theta_hat.beta)
     assert list(report.statistics) == ["lr", "b3", "boot"]
     assert list(report.p_values) == ["lr", "b3", "boot"]
+
+
+def test_readme_study_configs_load(tmp_path):
+    # Both README study configs, the desk-scale study and the full-scale
+    # cell, load as valid SimConfigs; no study is run.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block[: block.index("```")] for block in readme.split("```json\n")[1:]]
+    assert len(blocks) == 2
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"study{i}.json"
+        path.write_text(text)
+        config = cli._load_sim_config(str(path))
+        assert isinstance(config, SimConfig)
+        assert config.reps == json.loads(text)["reps"]
 
 
 def test_back_to_back_calls_match_a_fresh_parser(capsys):
@@ -437,6 +452,19 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("fit", "--covariates", "income,,persons"), "empty covariate term"),
+            (("fit", "--covariates", "nosuch"), "unknown column 'nosuch'"),
+            (("test", "--null", "income,,persons"), "empty entry in --null"),
+        ],
+    )
+    def test_message_names_the_fault(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("terms", ["y,income", "income*y", "y^2"])
     def test_response_is_not_a_covariate(self, capsys, terms):
         code, out, err = run_cli(capsys, "fit", "--covariates", terms)
@@ -464,6 +492,26 @@ class TestDataErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--data", "/nonexistent/file.csv")
         assert code == 3 and "error:" in err
+
+    def test_blank_line_is_skipped(self, capsys, tmp_path):
+        lines = Path(food_data_path()).read_text().splitlines(keepends=True)
+        path = self.write(tmp_path, "".join(lines[:10] + ["\n"] + lines[10:]))
+        bundled = run_cli(capsys, "fit", "--format", "json")
+        assert bundled[0] == 0
+        assert run_cli(capsys, "fit", "--data", path, "--format", "json") == bundled
+
+    def test_data_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,income\n0.5,\xff\n0.4,2.0\n")
+        code, _, err = run_cli(capsys, "fit", "--data", str(path))
+        assert code == 3 and err.startswith("error:")
+        assert f"{path}: not valid UTF-8 text" in err
+
+    def test_one_column_has_no_covariate_terms(self, capsys, tmp_path):
+        path = self.write(tmp_path, "y\n0.5\n0.4\n0.6\n")
+        code, out, err = run_cli(capsys, "fit", "--data", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no covariate terms given" in err
 
     def test_boundary_response_with_line_number(self, capsys, tmp_path):
         path = self.write(
@@ -719,6 +767,12 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 2 and err.startswith("error:")
         assert f"{path}: not valid UTF-8 text" in err
+
+    def test_config_that_is_not_an_object(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, [self.config_document()])
+        code, _, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and err.startswith("error:")
+        assert f"{path}: config must be a JSON object" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "/nonexistent/study.json")

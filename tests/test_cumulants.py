@@ -24,7 +24,13 @@ from betabart.cumulants import (
     loglik_derivative_tensors,
     obs_quantities,
 )
-from betabart.fit import FitError, Restriction, SingularInformationError, fit_restricted
+from betabart.fit import (
+    FitError,
+    Restriction,
+    SingularInformationError,
+    fit_mle,
+    fit_restricted,
+)
 from betabart.model import (
     Dataset,
     ParamVector,
@@ -218,6 +224,39 @@ class TestDerivativeTensors:
         data, theta, link = small_instance
         with pytest.raises(ValueError):
             loglik_derivative_tensors(theta, data, link, order=5)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_one_pass_equals_the_two_pass_tables(self, order, food_full, link):
+        # The tensors read the residuals y* - mu* off the model pass that
+        # gives the per-observation quantities; the same tables built from
+        # obs_quantities and obs_state, two passes at the point, give the
+        # same bits.
+        rng = np.random.default_rng(2023)
+        cases = [(food_full, fit_mle(food_full, link).theta_hat, link)]
+        cases += [random_instance(rng) for _ in range(3)]
+        for data, theta, link in cases:
+            q = obs_quantities(theta, data, link)
+            state = obs_state(theta, data, link)
+            resid = state.ystar - state.mustar
+            tables = cumulants._derivative_tables(q, theta.phi, resid)
+            XX = cumulants._outer_rows(data.X)
+            got = loglik_derivative_tensors(theta, data, link, order)
+            for U, table in zip(got, tables[: order - 1]):
+                assert np.array_equal(U, cumulants._tensor(data.X, XX, table))
+            assert all(U is None for U in got[order - 1 :])
+
+
+@pytest.mark.parametrize("width", ["short", "long"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [obs_state, score, obs_quantities, loglik_derivative_tensors, cumulant_tensors],
+    ids=lambda f: f.__name__,
+)
+def test_parameter_dimension_must_match_the_design(evaluate, width, small_instance):
+    data, theta, link = small_instance
+    beta = theta.beta[:-1] if width == "short" else np.append(theta.beta, 0.5)
+    with pytest.raises(ValueError, match="parameter dimension does not match"):
+        evaluate(ParamVector(beta, theta.phi), data, link)
 
 
 class TestCumulantFactorTensors:

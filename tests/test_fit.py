@@ -21,9 +21,9 @@ from betabart.fit import (
 from betabart.model import (
     Dataset,
     ParamVector,
+    _eta_state,
     _rows_observed_information,
     _rows_score,
-    _rows_state,
     fisher_information,
     log_likelihood,
     score,
@@ -275,7 +275,8 @@ def _newton_ascent(Y, X, offset, link, Beta, Phi):
     """U . J^-1 U per row at (Beta, Phi): positive when the Newton step ascends."""
     XT = np.ascontiguousarray(X.T)
     L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
-    M, T, Psi, Tri, _, _ = _rows_state(Beta, Phi, XT, offset, link, L)
+    Eta = np.einsum("bj,jn->bn", Beta, XT) + offset
+    M, T, Psi, Tri, _, _ = _eta_state(Eta, Phi, link, L)
     U = _rows_score(XT, Phi, M, T, Psi, L)
     J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)
     return np.einsum("bk,bk->b", U, np.linalg.solve(J, U[:, :, None])[:, :, 0])

@@ -323,12 +323,14 @@ def test_shared_start_equals_tiled_start(
         assert shared.ok.all()
 
 
-def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
+def test_information_is_built_only_for_rows_still_iterating(
+    food_reduced, link, monkeypatch
+):
     # The core scores every active row, then builds the observed
-    # information only for the rows that stay after the convergence test.
-    # Both must equal what the functions give from the state alone, bit
-    # for bit.
-    X, n = food_reduced.X, food_reduced.n
+    # information only for the rows that stay after the convergence test:
+    # once a row has retired, some J runs on fewer rows than the score
+    # before it.
+    X = food_reduced.X
     Y = _perturbed(food_reduced, 16, 5)
     start = starting_values(food_reduced, link)
     # rows that converge at different iterations, on two designs
@@ -336,18 +338,15 @@ def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
     Beta0[len(Y) // 2 :, 0] = 0.0
     Phi0 = np.full(len(Y), start.phi)
     score, observed = fit_module._rows_score, fit_module._rows_observed_information
-    calls = {"score": [], "J": []}
+    rows = {"score": [], "J": []}
 
     def recording_score(XT, Phi, M, T, Psi, L):
-        U = score(XT, Phi, M, T, Psi, L)
-        calls["score"].append((U, score(XT, Phi, M, T, Psi, L)))
-        return U
+        rows["score"].append(len(Phi))
+        return score(XT, Phi, M, T, Psi, L)
 
     def recording_J(XT, Phi, M, T, Psi, Tri, L, link):
-        J = observed(XT, Phi, M, T, Psi, Tri, L, link)
-        own = observed(XT, Phi, M, T, Psi, Tri, L, link)
-        calls["J"].append((J, own))
-        return J
+        rows["J"].append(len(Phi))
+        return observed(XT, Phi, M, T, Psi, Tri, L, link)
 
     monkeypatch.setattr(fit_module, "_rows_score", recording_score)
     monkeypatch.setattr(fit_module, "_rows_observed_information", recording_J)
@@ -355,14 +354,7 @@ def test_core_reuses_the_score_residuals(food_reduced, link, monkeypatch):
         Y, [X, X[:, :2]], [0.0, 0.1 * X[:, 2]], link, Beta0, Phi0, FitOptions()
     )
     assert fit.ok.all() and len(set(fit.iterations.tolist())) > 1
-    for name in ("score", "J"):
-        assert calls[name]
-        for got, own in calls[name]:
-            assert np.array_equal(got, own)
-    # some J ran on fewer rows than the score before it, after rows retired
-    J_rows = [len(J) for J, _ in calls["J"]]
-    score_rows = [len(U) for U, _ in calls["score"]]
-    assert any(j < u for j, u in zip(J_rows, score_rows))
+    assert any(j < u for j, u in zip(rows["J"], rows["score"]))
 
 
 @pytest.mark.parametrize("caller", ["_replication_block", "run_test"])

@@ -13,9 +13,9 @@ from betabart.model import (
     Dataset,
     ParamVector,
     _beta_rows,
+    _eta_state,
     _rows_information,
     _rows_observed_information,
-    _rows_state,
     fisher_information,
     log_likelihood,
     logit_link,
@@ -128,6 +128,18 @@ class TestLogitLink:
     def test_deriv1_positive(self, link):
         mu = np.linspace(0.001, 0.999, 50)
         assert np.all(link.deriv1(mu) > 0.0)
+
+    @pytest.mark.parametrize("name", ["g", "deriv1", "deriv2", "deriv3", "deriv4"])
+    def test_endpoints_raise_and_nan_passes(self, link, name):
+        # A NaN trial mean must reach the scoring core's step rejection, so
+        # only the interval's endpoints are refused.
+        f = getattr(link, name)
+        for edge in (0.0, 1.0):
+            with pytest.raises(ValueError, match="strictly inside"):
+                f(edge)
+        assert np.isnan(f(np.nan))
+        out = f(np.array([0.25, np.nan]))
+        assert np.isfinite(out[0]) and np.isnan(out[1])
 
 
 def test_obs_state_fields(link):
@@ -244,10 +256,11 @@ def test_beta_rows_are_gen_beta_sample_per_state(rows):
 
 
 def _one_row(beta, phi, X, offset, link, L):
-    """(XT, Phi, _rows_state output) for one point on the design X."""
+    """(XT, Phi, _eta_state output) for one point on the design X."""
     XT = np.ascontiguousarray(X.T)
     Phi = np.array([phi])
-    return XT, Phi, _rows_state(np.asarray(beta)[None], Phi, XT, offset, link, L)
+    Eta = np.einsum("bj,jn->bn", np.asarray(beta)[None], XT) + offset
+    return XT, Phi, _eta_state(Eta, Phi, link, L)
 
 
 def _observed(beta, phi, X, offset, link, y):

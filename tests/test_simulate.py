@@ -104,6 +104,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             small_config(**overrides)
 
+    def test_restriction_must_leave_a_free_coefficient(self):
+        every = Restriction((1, 2, 3), (0.8, 0.0, 1.0))
+        with pytest.raises(ValueError, match="at least one free coefficient"):
+            small_config(restriction=every)
+
     def test_reps_up_to_2_to_the_32(self):
         assert small_config(reps=2**32).reps == 2**32
 
