@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -86,15 +85,14 @@ class ObsQuantities:
 
     mustar_phi[j] is the j-th phi-derivative of mustar = psi(mu phi)
     - psi((1-mu) phi); the *_mu / *_phi fields are the corresponding
-    partial derivatives of each base quantity.  t3 and b_mu need the
-    fourth link derivative and are None when the link lacks one.
+    partial derivatives of each base quantity.
     """
 
     mu: np.ndarray
     t: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
-    t3: Optional[np.ndarray]
+    t3: np.ndarray
     omega: np.ndarray
     m: np.ndarray
     a: np.ndarray
@@ -114,7 +112,7 @@ class ObsQuantities:
     m_mu: np.ndarray
     m_phi: np.ndarray
     a_mu: np.ndarray
-    b_mu: Optional[np.ndarray]
+    b_mu: np.ndarray
     c_mu: np.ndarray
     c_phi: np.ndarray
     s_mu: np.ndarray
@@ -163,7 +161,7 @@ def obs_quantities(
     theta: ParamVector, data: Dataset, link: LinkFunction
 ) -> ObsQuantities:
     """Evaluate every per-observation quantity at theta."""
-    _, _, _, (M, _, _, _, _, _) = _theta_rows(theta, data, link)
+    _, _, _, _, (M, _, _, _, _, _) = _theta_rows(theta, data, link)
     return _obs_rows(M[0], theta.phi, link)
 
 
@@ -185,14 +183,11 @@ def _obs_rows(M, phi, link) -> ObsQuantities:
     g1 = np.asarray(link.deriv1(mu), dtype=float)
     g2 = np.asarray(link.deriv2(mu), dtype=float)
     g3 = np.asarray(link.deriv3(mu), dtype=float)
+    g4 = np.asarray(link.deriv4(mu), dtype=float)
     t = 1.0 / g1
     t1 = -g2 / g1**2
     t2 = (2.0 * g2**2 - g3 * g1) / g1**3
-    if link.deriv4 is not None:
-        g4 = np.asarray(link.deriv4(mu), dtype=float)
-        t3 = (6.0 * g1 * g2 * g3 - g4 * g1**2 - 6.0 * g2**3) / g1**4
-    else:
-        t3 = None
+    t3 = (6.0 * g1 * g2 * g3 - g4 * g1**2 - 6.0 * g2**3) / g1**4
 
     omega = p1a + p1b
     m = p2a - p2b
@@ -214,7 +209,7 @@ def _obs_rows(M, phi, link) -> ObsQuantities:
     m_mu = phi * (p3a + p3b)
     m_phi = mu * p3a - one_m * p3b
     a_mu = 3.0 * t * (t2 * t + 2.0 * t1**2)
-    b_mu = t1**3 + t * (t3 * t + 4.0 * t2 * t1) if t3 is not None else None
+    b_mu = t1**3 + t * (t3 * t + 4.0 * t2 * t1)
     c_mu = phi * (omega + phi * omega_phi)
     c_phi = z
     s_mu = 3.0 * mustar_phi2 + phi * mustar_phi3
@@ -345,17 +340,15 @@ def loglik_derivative_tensors(
 
     Returns (U2, U3, U4): the observed second, third and fourth partial
     derivative tensors over the full parameter vector, each symmetric in
-    all indices.  U4 is None unless order >= 4, and requires a link with a
-    fourth derivative.  These are the raw, response-dependent derivatives;
-    their expectations are the cumulant tensors.  One model pass at theta
-    gives the per-observation quantities and the residuals y* - mu*.
+    all indices.  U4 is None unless order >= 4.  These are the raw,
+    response-dependent derivatives; their expectations are the cumulant
+    tensors.  One model pass at theta gives the per-observation quantities
+    and the residuals y* - mu*.
     """
     if _integer(order, "order", 2) > 4:
         raise ValueError("order must be 2, 3, or 4")
-    _, _, L, (M, _, Psi, _, _, _) = _theta_rows(theta, data, link)
+    _, _, L, _, (M, _, Psi, _, _, _) = _theta_rows(theta, data, link)
     q = _obs_rows(M[0], theta.phi, link)
-    if order == 4 and q.t3 is None:
-        raise ValueError("fourth-order tensors need a link with a fourth derivative")
     n = data.n
     resid = (L[0, :n] - L[0, n:]) - (Psi[0, :n] - Psi[0, n : 2 * n])
     tables = _derivative_tables(q, theta.phi, resid)[: order - 1]
@@ -367,8 +360,7 @@ def _derivative_tables(q, phi, resid):
     """Tables of (U2, U3, U4) at the residuals resid = ystar - mustar.
 
     The residual enters linearly, so resid = 0 gives their expectations,
-    the cumulant tensors kappa_rs, kappa_rst and kappa_rstu.  U4 holds the
-    resid * b_mu term only for a link with a fourth derivative.
+    the cumulant tensors kappa_rs, kappa_rst and kappa_rstu.
     """
     t, t1 = q.t, q.t1
     U2 = _sym(
@@ -388,7 +380,7 @@ def _derivative_tables(q, phi, resid):
         * (
             phi**2 * (q.m * dt3_dmu + q.m_mu * t**3)
             + phi * ((q.a_mu + q.b) * q.omega + phi * q.m * q.a)
-            - (0.0 if q.b_mu is None else resid * q.b_mu)
+            - resid * q.b_mu
         )
         * t,
         -phi

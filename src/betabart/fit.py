@@ -68,12 +68,9 @@ class NonConvergenceError(FitError):
     is empty when lr_statistic raises this for a fit that did not converge.
     """
 
-    def __init__(self, trace, message: str | None = None):
+    def __init__(self, trace, message: str):
         self.trace = list(trace)
-        super().__init__(
-            message
-            or f"scoring did not converge within {len(self.trace) - 1} iterations"
-        )
+        super().__init__(message)
 
 
 class SingularInformationError(FitError):

@@ -290,7 +290,9 @@ def _bootstrap_mean(
     p = X.shape[1]
     free_cols, fixed_cols, offset = restriction.split(X)
     beta_t, phi_t = theta_tilde.beta[free_cols], theta_tilde.phi
-    XT = np.ascontiguousarray(X.T)  # obs_state's layout, so mu is the fit's bit for bit
+    # the contiguous X' of the scoring core and of _theta_rows, so mu is the
+    # fit's bit for bit
+    XT = np.ascontiguousarray(X.T)
     M = _means(np.einsum("bj,jn->bn", theta_tilde.beta[None], XT), link)[0]
     states = _pcg64_states(opts.seed, (np.arange(opts.B, dtype=np.uint64),))
     Y = _beta_rows(M[0, : len(X)], phi_t, states)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -143,12 +143,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Link g and its derivatives.
+    """Link g, its inverse and its first four derivatives, all required.
 
     g maps the mean in (0, 1) to the real line and must be strictly
-    increasing.  Estimation needs deriv1; the analytic corrections need
-    deriv2 and deriv3; deriv4 is optional and only consumed by the
-    fourth-order log-likelihood derivative tensors.
+    increasing.  Estimation needs deriv1; the analytic corrections read
+    the link through t = 1/g' and its mu-derivatives, so deriv2..deriv4.
     """
 
     name: str
@@ -157,7 +156,7 @@ class LinkFunction:
     deriv1: Callable
     deriv2: Callable
     deriv3: Callable
-    deriv4: Optional[Callable] = None
+    deriv4: Callable
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ class ObsState:
 
     ystar is the observed logit-scale response log(y / (1 - y)); mustar is
     its expectation under the model, psi(mu phi) - psi((1 - mu) phi).
-    dmu_deta = 1 / g'(mu).
+    eta is the linear predictor that gave mu; dmu_deta = 1 / g'(mu).
     """
 
     eta: np.ndarray
@@ -208,14 +207,19 @@ class ObsState:
     clamped: bool
 
 
-def _check_open_unit(mu):
-    """mu as an array, refused unless inside (0, 1); NaN passes, unlike
-    _in_unit_interval, so that a NaN trial point rejects a scoring step
-    instead of raising a ValueError, which a Monte Carlo block propagates."""
-    arr = np.asarray(mu, dtype=float)
-    if (arr <= 0.0).any() or (arr >= 1.0).any():
-        raise ValueError("argument must lie strictly inside (0, 1)")
-    return arr
+def _on_open_unit(formula):
+    """formula behind the link's domain check: mu is refused unless inside
+    (0, 1).  NaN passes, unlike _in_unit_interval, so that a NaN trial
+    point rejects a scoring step instead of raising a ValueError, which a
+    Monte Carlo block propagates."""
+
+    def checked(mu):
+        mu = np.asarray(mu, dtype=float)
+        if (mu <= 0.0).any() or (mu >= 1.0).any():
+            raise ValueError("argument must lie strictly inside (0, 1)")
+        return formula(mu)
+
+    return checked
 
 
 def _expit(eta):
@@ -233,37 +237,17 @@ def _expit(eta):
 
 def logit_link() -> LinkFunction:
     """Logit link with derivatives up to fourth order."""
-
-    def g(mu):
-        mu = _check_open_unit(mu)
-        return np.log(mu / (1.0 - mu))
-
-    def deriv1(mu):
-        mu = _check_open_unit(mu)
-        return 1.0 / (mu * (1.0 - mu))
-
-    def deriv2(mu):
-        mu = _check_open_unit(mu)
-        return (2.0 * mu - 1.0) / (mu * (1.0 - mu)) ** 2
-
-    def deriv3(mu):
-        mu = _check_open_unit(mu)
-        return 2.0 * (1.0 - 4.0 * mu + 6.0 * mu**2 - 3.0 * mu**3) / (
-            mu**3 * (1.0 - mu) ** 4
-        )
-
-    def deriv4(mu):
-        mu = _check_open_unit(mu)
-        return 6.0 / (1.0 - mu) ** 4 - 6.0 / mu**4
-
     return LinkFunction(
-        name="logit",
-        g=g,
-        g_inv=_expit,
-        deriv1=deriv1,
-        deriv2=deriv2,
-        deriv3=deriv3,
-        deriv4=deriv4,
+        "logit",
+        _on_open_unit(lambda mu: np.log(mu / (1.0 - mu))),
+        _expit,
+        _on_open_unit(lambda mu: 1.0 / (mu * (1.0 - mu))),
+        _on_open_unit(lambda mu: (2.0 * mu - 1.0) / (mu * (1.0 - mu)) ** 2),
+        _on_open_unit(
+            lambda mu: 2.0 * (1.0 - 4.0 * mu + 6.0 * mu**2 - 3.0 * mu**3)
+            / (mu**3 * (1.0 - mu) ** 4)
+        ),
+        _on_open_unit(lambda mu: 6.0 / (1.0 - mu) ** 4 - 6.0 / mu**4),
     )
 
 
@@ -389,7 +373,7 @@ def _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link):
 
 
 def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):
-    """(XT, Phi, L, _eta_state output) for the single point theta.
+    """(XT, Phi, L, Eta, _eta_state output) for the single point theta.
 
     XT is laid out as the scoring core lays it out, so that the values
     match the core's bit for bit (einsum and matmul reduce a strided
@@ -401,15 +385,15 @@ def _theta_rows(theta: ParamVector, data: Dataset, link: LinkFunction):
     Phi = np.array([theta.phi])
     L = np.concatenate((np.log(data.y), np.log1p(-data.y)))[None]
     Eta = np.einsum("bj,jn->bn", theta.beta[None], XT)
-    return XT, Phi, L, _eta_state(Eta, Phi, link, L)
+    return XT, Phi, L, Eta, _eta_state(Eta, Phi, link, L)
 
 
 def obs_state(theta: ParamVector, data: Dataset, link: LinkFunction) -> ObsState:
     """Evaluate the per-observation state at theta."""
-    _, _, L, (M, T, Psi, _, _, clamped) = _theta_rows(theta, data, link)
+    _, _, L, Eta, (M, T, Psi, _, _, clamped) = _theta_rows(theta, data, link)
     n = data.n
     return ObsState(
-        eta=data.X @ theta.beta,
+        eta=Eta[0],
         mu=M[0, :n],
         dmu_deta=T[0],
         ystar=L[0, :n] - L[0, n:],
@@ -420,7 +404,7 @@ def obs_state(theta: ParamVector, data: Dataset, link: LinkFunction) -> ObsState
 
 def log_likelihood(theta: ParamVector, data: Dataset, link: LinkFunction) -> float:
     """Log-likelihood at theta."""
-    return float(_theta_rows(theta, data, link)[3][4][0])
+    return float(_theta_rows(theta, data, link)[4][4][0])
 
 
 def score(theta: ParamVector, data: Dataset, link: LinkFunction) -> np.ndarray:
@@ -428,7 +412,7 @@ def score(theta: ParamVector, data: Dataset, link: LinkFunction) -> np.ndarray:
 
     The blocks are written out on _rows_score.
     """
-    XT, Phi, L, (M, T, Psi, _, _, _) = _theta_rows(theta, data, link)
+    XT, Phi, L, _, (M, T, Psi, _, _, _) = _theta_rows(theta, data, link)
     return _rows_score(XT, Phi, M, T, Psi, L)[0]
 
 
@@ -439,5 +423,5 @@ def fisher_information(
 
     The blocks are written out on _rows_information.
     """
-    XT, Phi, _, (M, T, _, Tri, _, _) = _theta_rows(theta, data, link)
+    XT, Phi, _, _, (M, T, _, Tri, _, _) = _theta_rows(theta, data, link)
     return _rows_information(XT, Phi, M, T, Tri)[0]

@@ -5,7 +5,6 @@ finite differences ladder each analytic level against the one below it,
 and the matrix-form epsilon is checked against brute-force index sums.
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -147,16 +146,6 @@ class TestObsQuantities:
         assert np.allclose(q.omega, math.pi**2 / 3.0, rtol=1e-13)
         assert np.allclose(q.m, 0.0, atol=1e-13)
         assert np.allclose(q.mustar_phi, 0.0, atol=1e-13)
-
-    def test_fourth_derivative_fields_need_deriv4(self, small_instance):
-        data, theta, link = small_instance
-        trimmed = dataclasses.replace(link, deriv4=None)
-        q = obs_quantities(theta, data, trimmed)
-        assert q.t3 is None and q.b_mu is None
-        with pytest.raises(ValueError, match="fourth derivative"):
-            loglik_derivative_tensors(theta, data, trimmed, order=4)
-        U2, U3, U4 = loglik_derivative_tensors(theta, data, trimmed, order=3)
-        assert U2 is not None and U3 is not None and U4 is None
 
 
 def _theta_shift(theta, i, delta):

@@ -350,7 +350,7 @@ def test_batch_rows_are_independent(restricted, link, monkeypatch):
 def test_infinite_newton_step_is_a_rejected_step(link, monkeypatch):
     # Row 2's Newton step is infinite in every coefficient, so its trial
     # linear predictors and means are NaN.  The link's argument check lets
-    # NaN through (model._check_open_unit), the NaN log-likelihood rejects
+    # NaN through (model._on_open_unit), the NaN log-likelihood rejects
     # every scale, and the row ends MAX_ITERATIONS without an exception,
     # while every other row keeps its bits.
     X = design_matrix(38, 4, 5)

@@ -11,9 +11,11 @@ from betabart.fit import Restriction, fit_mle, fit_restricted
 from betabart.model import (
     MU_CLAMP,
     Dataset,
+    LinkFunction,
     ParamVector,
     _beta_rows,
     _eta_state,
+    _means,
     _rows_information,
     _rows_observed_information,
     fisher_information,
@@ -141,6 +143,14 @@ class TestLogitLink:
         out = f(np.array([0.25, np.nan]))
         assert np.isfinite(out[0]) and np.isnan(out[1])
 
+    def test_every_derivative_is_required(self, link):
+        # The corrections read the link through t = 1/g' and its three
+        # mu-derivatives, so a link without deriv4 cannot be built.
+        with pytest.raises(TypeError):
+            LinkFunction(
+                "logit", link.g, link.g_inv, link.deriv1, link.deriv2, link.deriv3
+            )
+
 
 def test_obs_state_fields(link):
     rng = np.random.default_rng(5)
@@ -151,6 +161,16 @@ def test_obs_state_fields(link):
     assert np.allclose(state.ystar, np.log(data.y / (1.0 - data.y)), rtol=1e-14)
     assert np.allclose(state.dmu_deta, 1.0 / link.deriv1(state.mu), rtol=1e-13)
     assert not state.clamped
+
+
+def test_obs_state_eta_gives_its_mu(link):
+    # eta is the predictor the state's means came from, bit for bit
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        data, theta, _ = random_instance(rng)
+        state = obs_state(theta, data, link)
+        mu = _means(state.eta[None], link)[0][0, : data.n]
+        assert np.array_equal(mu, state.mu)
 
 
 def test_log_likelihood_matches_scipy(link):

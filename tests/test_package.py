@@ -118,3 +118,60 @@ def test_every_import_is_used():
     # a name kept for another reader, such as a tracer, says why.
     unused = {path.name: _unused_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+# Private names kept without a reader in src/, each with its reason.
+_UNREAD_KEPT = {
+    # the dense-table oracle of test_cumulants.py and test_acceptance.py
+    # (ROADMAP, Parked)
+    "cumulants._cumulant_factor_tensors",
+}
+
+
+def _private_definitions(tree):
+    """(name, node) of every module-level private function, class and
+    constant, dunders aside."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [
+        (name, node)
+        for name, node in found
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def _reads(node):
+    """Every name node reads: Name loads, attributes and from-imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unread_private_names(src):
+    """module.name of every private definition under src that no code in
+    src reads outside the definition itself."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    reads = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, definition in _private_definitions(tree)
+        if not any(name in names for node, names in reads if node is not definition)
+    ]
+
+
+def test_every_private_name_is_read():
+    # Dead private code: a helper, class or constant that nothing in the
+    # package reads any more is deleted, not kept for a later caller.
+    assert set(_unread_private_names(SRC)) == _UNREAD_KEPT
