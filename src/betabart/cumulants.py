@@ -16,23 +16,34 @@ t', t'', t''' its mu-derivatives, psi^(m) the polygamma functions, and
 resid = ystar - mustar the logit-scale residual.
 
 Cost.  Each tensor is one table of per-observation factors f, and each
-block a moment sum sum_i f_i x_i^(tensor j), j <= 4 (Cordeiro 1993,
-"General matrix formulae for computing Bartlett corrections"): one matrix
-product against the row-wise outer products x_i x_i', O(n p^4) flops in
-BLAS.  A permuted tensor is the same factors under permuted patterns, so
-the core builds the four tensors epsilon_matrix reads in its layout, with
-no permutes, and only one of order 4, A = T4/4 - D31 + D22.  Both the
-full and the nuisance sets are sliced from them; epsilon_matrix is a short
-chain of matrix products, O(k^4).  Every product is stacked over a leading
-row axis, one row per parameter point, and a Monte Carlo block passes its
-64 replications at once: at n = 200, k = 13 that peaks at about 50 MiB of
-array memory (tracemalloc), A's 64 k^4 doubles (14 MiB), its moment
-product (24 MiB) and the per-observation factors.
+block a moment sum sum_i f_i x_i^(tensor j) (Cordeiro 1993, "General
+matrix formulae for computing Bartlett corrections"): one matrix product
+against the row-wise outer products x_i x_i', in BLAS.  A permuted tensor
+is the same factors under permuted patterns, so the Bartlett pass builds
+K and the order-3 tensors P and Q in the layout epsilon reads, with no
+permutes, at O(n p^3).  The order-4 tensor A = T4/4 - D31 + D22 enters
+epsilon only through L[t,u] = sum_rs A_turs B_sr, B = K^-1, so the pass
+never builds it: _order4_L contracts A's 16 per-observation factors with
+four pair forms of B and takes L as an order-2 moment, O(n k^2) per
+subset, where the dense A costs O(n p^4) flops and k^4 doubles per row.
+This L is also the more accurate one: on the food data's full design
+(cond K about 3e11) its rounding error in epsilon is 2.6e-14 relative,
+against 2.7e-13 through the dense A.  cumulant_tensors still builds the
+dense A from the same factors, for the two epsilon routes that read it,
+epsilon_matrix and epsilon_lawley_direct.  Both the full and the nuisance
+sets are sliced from the one pass, and the order-3 part of epsilon is a
+short chain of matrix products, O(k^4).  Every product is stacked over a
+leading row axis, one row per parameter point, and a Monte Carlo block
+passes its 64 replications at once: at n = 200, k = 13 that peaks at
+about 26 MiB of array memory (tracemalloc), most of it the order-3
+moment's weighted outer products (14 MiB) and the per-observation
+factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -63,6 +74,11 @@ __all__ = [
 # epsilon_lawley_direct enumerates six nested indices; past this size the
 # matrix route is the only sensible one.
 _DIRECT_SUM_MAX = 8
+
+# The 16 axis patterns of an order-4 tensor, in the order of the factor
+# axis of _dense_rows' F: pattern 8t + 4u + 2r + s, with b = 0 and p = 1,
+# so that F.reshape(..., 4, 4, n) pairs the pattern of tu with that of rs.
+_PATTERNS4 = ["".join(axes) for axes in product("bp", repeat=4)]
 
 
 @dataclass(frozen=True)
@@ -326,11 +342,18 @@ def _sym(*factors):
 
 def _permuted(table, source, target):
     """Table of einsum(f"{source}->{target}", T), one pattern per key."""
-    return {
-        "".join(pattern[source.index(axis)] for axis in target): f
-        for key, f in table.items()
+    pairs = _permutation(tuple(table), source, target)
+    return {pattern: table[key] for pattern, key in pairs}
+
+
+@cache
+def _permutation(keys, source, target):
+    """(target pattern, source key) pairs of _permuted, built once per table."""
+    return tuple(
+        ("".join(pattern[source.index(axis)] for axis in target), key)
+        for key in keys
         for pattern in key.split()
-    }
+    )
 
 
 def loglik_derivative_tensors(
@@ -480,13 +503,17 @@ def _cumulant_factor_tensors(q: ObsQuantities, X: np.ndarray, phi):
 
 
 def _dense_rows(X, link, Beta, Phi):
-    """Dense (K2, P, Q, A) at each row's (Beta[i], Phi[i]), row axis first.
+    """Dense (K2, P, Q) at each row's (Beta[i], Phi[i]), row axis first, and
+    the factors F of the order-4 tensor A.
 
     Only the means are taken from the model (model._means), at linear
     predictors formed as the scoring core forms them, so mu is the fit's
-    bit for bit; _obs_rows makes the one special-function pass.  P, Q and
-    A are in the layout of CumulantTensors, from permuted tables;
-    P is T3 itself, whose table is fully symmetric.
+    bit for bit; _obs_rows makes the one special-function pass.  P and Q
+    are in the layout of CumulantTensors, from permuted tables; P is T3
+    itself, whose table is fully symmetric.  F is (rows, 16, n): the
+    per-observation factors of A = T4/4 - D31 + D22 in the "turs" layout,
+    one per pattern of _PATTERNS4.  _order4_L contracts them without
+    building A; cumulant_tensors builds the dense A from them.
     """
     if Beta.shape[1] != X.shape[1]:
         raise ValueError("parameter dimension does not match design matrix")
@@ -497,35 +524,37 @@ def _dense_rows(X, link, Beta, Phi):
     T4 = _permuted(T4, "rstu", "turs")
     D31 = _permuted(D31, "rstu", "turs")
     D22 = _permuted(D22, "rtsu", "turs")
-    A = {pattern: 0.25 * T4[pattern] - D31[pattern] + D22[pattern] for pattern in T4}
+    F = np.stack([0.25 * T4[pat] - D31[pat] + D22[pat] for pat in _PATTERNS4], axis=1)
     XX = _outer_rows(X)
-    return tuple(_tensor(X, XX, T) for T in (K2, T3, _permuted(D1, "sur", "urs"), A))
+    return (*(_tensor(X, XX, T) for T in (K2, T3, _permuted(D1, "sur", "urs"))), F)
 
 
 def _subset_tensors(dense, positions):
-    """Slice the dense row-stacked (K2, P, Q, A) to sorted, distinct positions.
+    """Slice the dense row-stacked (K2, P, Q) to sorted, distinct positions.
 
-    Returns (tensors, failed): CumulantTensors whose fields keep the row
-    axis, and a dict mapping each failed row to its error, a singular
-    information or else a non-finite tensor.  No row raises, and a failed
-    row's fields are left as they came out.  The full set's P, Q and A are
+    dense is _dense_rows' (K2, P, Q, F).  Returns (K, K_inv, P, Q, failed):
+    the subset's tensors, which keep the row axis, and a dict mapping each
+    failed row to its error, a singular information or else a non-finite
+    K, P, Q or order-4 factor F (named A).  No row raises, and a failed
+    row's tensors are left as they came out.  The full set's P and Q are
     the dense tensors themselves; nothing here writes them.
     """
+    K2, P, Q, F = dense
     idx = np.array(positions, dtype=int)
-    full = idx.size == dense[0].shape[-1]  # every position: no slicing, no copy
-    K2, P, Q, A = dense if full else (
-        T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in dense
-    )
+    if idx.size != K2.shape[-1]:  # every position: no slicing, no copy
+        K2, P, Q = (
+            T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in (K2, P, Q)
+        )
     K = -K2
     K_inv, singular = _inverse_rows(K)
     bad = np.nonzero(singular)[0] if singular is not None else ()
     failed = {int(i): _singular_error(K[i]) for i in bad}
-    for name, T in (("K", K), ("P", P), ("Q", Q), ("A", A)):
+    for name, T in (("K", K), ("P", P), ("Q", Q), ("A", F)):
         for i in np.nonzero(~np.isfinite(T).all(axis=tuple(range(1, T.ndim))))[0]:
             failed.setdefault(
                 int(i), NonFiniteCumulantError(f"cumulant tensor {name} is not finite")
             )
-    return CumulantTensors(positions, K, K_inv, P, Q, A), failed
+    return K, K_inv, P, Q, failed
 
 
 def cumulant_tensors(
@@ -549,26 +578,44 @@ def cumulant_tensors(
             raise ValueError("subset positions must be distinct")
         if positions[-1] > p:
             raise ValueError(f"subset positions must lie in 0..{p}")
-    dense = _dense_rows(data.X, link, theta.beta[None], np.array([theta.phi]))
-    tensors, failed = _subset_tensors(dense, positions)
+    X = data.X
+    dense = _dense_rows(X, link, theta.beta[None], np.array([theta.phi]))
+    K, K_inv, P, Q, failed = _subset_tensors(dense, positions)
     if failed:
         raise failed[0]
-    t = tensors
-    return CumulantTensors(positions, t.K[0], t.K_inv[0], t.P[0], t.Q[0], t.A[0])
+    idx = np.array(positions)
+    A = _tensor(X, _outer_rows(X), dict(zip(_PATTERNS4, dense[3][0])))
+    A = A[np.ix_(*(idx,) * 4)]
+    if not np.isfinite(A).all():  # finite factors, but an x_i^4 overflowed
+        raise NonFiniteCumulantError("cumulant tensor A is not finite")
+    return CumulantTensors(positions, K[0], K_inv[0], P[0], Q[0], A)
 
 
 def epsilon_matrix(tensors: CumulantTensors):
     """Order-1/n term of E(LR) via the trace identities.
 
-    Builds L[r,s] = tr(K^-1 A^(rs)), the three M matrices, the three N
-    matrices, and returns tr[K^-1 (L - M - N)] with M = -M1/6 + M2 - M3
-    and N = -N1/4 + N2 - N3.  With G_P[r] = K^-1 P^(r) and G_Q likewise,
-    M1[r,s] = tr(G_P[r] G_P[s]), M3 the same in G_Q, and
-    M2[r,s] = tr(G_P[r] K^-1 Q^(s)'), so every term is a matrix product.
-    Tensors with a leading row axis give one epsilon per row, each from
-    its own stacked products; tensors without one give a float.
+    Builds L[r,s] = tr(K^-1 A^(rs)) from the dense A and returns
+    _epsilon(L, ...).  Tensors with a leading row axis give one epsilon per
+    row, each from its own stacked products; tensors without one give a
+    float.
     """
-    B, P, Q = tensors.K_inv, tensors.P, tensors.Q
+    B = tensors.K_inv
+    k, lead = B.shape[-1], B.shape[:-2]
+    A = tensors.A.reshape(*lead, k * k, k * k)
+    L = (A @ B.swapaxes(-1, -2).reshape(*lead, k * k, 1)).reshape(B.shape)
+    eps = _epsilon(L, B, tensors.P, tensors.Q)
+    return float(eps) if eps.ndim == 0 else eps
+
+
+def _epsilon(L, B, P, Q):
+    """tr[B (L - M - N)], epsilon from L and the order-3 tensors, per row.
+
+    B is K^-1, and P and Q are in the layout of CumulantTensors, with or
+    without a leading row axis.  M = -M1/6 + M2 - M3 and
+    N = -N1/4 + N2 - N3.  With G_P[r] = B P^(r) and G_Q likewise,
+    M1[r,s] = tr(G_P[r] G_P[s]), M3 the same in G_Q, and
+    M2[r,s] = tr(G_P[r] B Q^(s)'), so every term is a matrix product.
+    """
     k, lead = B.shape[-1], B.shape[:-2]
     Bt = B.swapaxes(-1, -2)
 
@@ -576,8 +623,6 @@ def epsilon_matrix(tensors: CumulantTensors):
         """[r, s] -> sum over a, b of F[r, a, b] H[s, a, b]."""
         return F.reshape(*lead, k, k * k) @ H.reshape(*lead, k, k * k).swapaxes(-1, -2)
 
-    A = tensors.A.reshape(*lead, k * k, k * k)
-    L = (A @ Bt.reshape(*lead, k * k, 1)).reshape(B.shape)
     G_P = B[..., None, :, :] @ P
     G_Q = B[..., None, :, :] @ Q
     M1 = frobenius(G_P, G_P.swapaxes(-1, -2))
@@ -588,8 +633,29 @@ def epsilon_matrix(tensors: CumulantTensors):
     ut, vt = u.swapaxes(-1, -2), v.swapaxes(-1, -2)
     M = -M1 / 6.0 + M2 - M3
     N = -(u @ ut) / 4.0 + u @ vt - v @ vt
-    eps = np.sum(Bt * (L - M - N), axis=(-2, -1))
-    return float(eps) if eps.ndim == 0 else eps
+    return np.sum(Bt * (L - M - N), axis=(-2, -1))
+
+
+def _order4_L(X, F, B, positions):
+    """L[t, u] = sum over r, s of A_turs B_sr, per row, without A.
+
+    F is _dense_rows' order-4 factors and B the stacked K^-1 of a subset
+    whose last position is the precision p and whose others index the
+    coefficient columns Xs of X.  A_turs sums f_i x_i(t) x_i(u) x_i(r)
+    x_i(s) over the observations, f_i the factor of the pattern of turs and
+    x_i(p) = 1.  So L is the order-2 moment of the weights
+    g_i(tu) = sum over the patterns of rs of f_i w_i(rs), with w_i the
+    four pair forms of B: x_i' B_bb x_i for "bb", B_pb x_i for "bp",
+    B_bp' x_i for "pb" and B_pp for "pp".  O(n |S|^2) per row.
+    """
+    Xs = X[:, list(positions[:-1])]
+    w = np.empty((len(B), 4, X.shape[0]))
+    w[:, 0] = np.sum((Xs @ B[:, :-1, :-1]) * Xs, axis=-1)
+    w[:, 1] = B[:, -1, :-1] @ Xs.T
+    w[:, 2] = B[:, :-1, -1] @ Xs.T
+    w[:, 3] = B[:, -1:, -1]
+    g = np.einsum("rabn,rbn->arn", F.reshape(len(F), 4, 4, -1), w)
+    return _tensor(Xs, None, dict(zip(("bb", "bp", "pb", "pp"), g)))
 
 
 def epsilon_lawley_direct(tensors: CumulantTensors) -> float:
@@ -640,17 +706,18 @@ def _bartlett_rows(X, link, free, Beta, Phi):
     """(eps_full, eps_nuis, failed) at each row's (Beta[i], Phi[i]): the
     batched core behind bartlett_factor and the Monte Carlo blocks.
 
-    One dense pass gives both terms: the full-set one over all k
-    positions, the nuisance one over the free coefficient positions plus
-    the precision.  failed is as in _subset_tensors; a failed row's
-    epsilons are NaN, whatever its tensors held, and the floating-point
-    warnings they raise on the way are silenced.
+    One dense pass of the order-2 and order-3 tensors and the order-4
+    factors gives both terms: the full-set one over all k positions, the
+    nuisance one over the free coefficient positions plus the precision.
+    Each is _epsilon of the L of _order4_L; no order-4 tensor is built.
+    failed is as in _subset_tensors, the full set's error first; a failed
+    row's epsilons are NaN, whatever its tensors held, and the
+    floating-point warnings they raise on the way are silenced.
 
     Unlike the scoring core, this pass is not bit for bit independent of
     how rows are grouped: a row's epsilons in a block can differ from a
     one-row call's in the last bits, by up to about 3e-15 relative (seen
-    at 64 rows, n = 200, p = 12; C-ordering the dense tensors alone does
-    not remove it).  tests/test_simulate.py's
+    at 64 rows, n = 200, p = 12).  tests/test_simulate.py's
     test_block_values_match_one_row_tests checks a study's block values
     against one-row run_test calls to 1e-12.
     """
@@ -659,8 +726,11 @@ def _bartlett_rows(X, link, free, Beta, Phi):
     subsets = (tuple(range(p + 1)), (*free.tolist(), p))
     sets = [_subset_tensors(dense, positions) for positions in subsets]
     with np.errstate(invalid="ignore", over="ignore"):
-        eps = np.array([epsilon_matrix(tensors) for tensors, _ in sets])
-    failed = {**sets[1][1], **sets[0][1]}
+        eps = np.array([
+            _epsilon(_order4_L(X, dense[3], B, positions), B, P, Q)
+            for positions, (_, B, P, Q, _) in zip(subsets, sets)
+        ])
+    failed = {**sets[1][-1], **sets[0][-1]}
     eps[:, list(failed)] = np.nan
     return eps[0], eps[1], failed
 

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betabart.cumulants as cumulants
 from betabart.cumulants import (
@@ -407,28 +409,36 @@ class TestBartlettRows:
         assert np.array_equal(eps_nuis[rest], ref_nuis[rest])
 
     def test_full_set_failure_leaves_dense_intact(self):
-        # The full set's P, Q and A are the dense tensors themselves.
-        # A row that fails there must leave the dense tensors, which the
-        # nuisance set slices next, as they were, and move no other row's
-        # epsilon.
+        # The full set's P and Q are the dense tensors themselves.  A row
+        # that fails there must leave the dense K2, P, Q and the order-4
+        # factors, which the nuisance set reads next, as they were, and
+        # move no other row's epsilon.
         data, link, restriction, Beta, Phi = self._rows()
         dense = cumulants._dense_rows(data.X, link, Beta, Phi)
         full = tuple(range(data.p + 1))
-        eps_ref = epsilon_matrix(cumulants._subset_tensors(dense, full)[0])
+
+        def epsilons(tensors):
+            _, B, P, Q = tensors
+            L = cumulants._order4_L(data.X, dense[3], B, full)
+            return cumulants._epsilon(L, B, P, Q)
+
+        eps_ref = epsilons(cumulants._subset_tensors(dense, full)[:4])
         dense[0][4] = 0.0  # row 4's information is singular
         saved = [T.copy() for T in dense]
-        tensors, failed = cumulants._subset_tensors(dense, full)
+        *tensors, failed = cumulants._subset_tensors(dense, full)
         assert list(failed) == [4]
         assert isinstance(failed[4], SingularInformationError)
         for T, before in zip(dense, saved):
             assert np.array_equal(T, before)
         rest = np.arange(12) != 4
-        assert np.array_equal(epsilon_matrix(tensors)[rest], eps_ref[rest])
+        assert np.array_equal(epsilons(tensors)[rest], eps_ref[rest])
 
     def test_batched_pass_memory(self):
-        # One 64-row block at n = 200, k = 13: the dense order-4 A takes
-        # 14 MiB and its moment product 24 MiB, a peak near 50 MiB in all;
-        # a second dense order-4 tensor would cross the bound.  tracemalloc
+        # One 64-row block at n = 200, k = 13.  No dense order-4 tensor is
+        # built: the order-4 term is contracted per observation, and the
+        # block peaked at 25.8 MiB, most of it the order-3 moment's
+        # weighted outer products (14 MiB).  A dense A (14 MiB) and its
+        # moment product (24 MiB) would cross the bound.  tracemalloc
         # counts every numpy array, so the peak is deterministic.
         rng = np.random.default_rng(6)
         data, theta, link = random_instance(rng, n=200, p=12, phi=50.0)
@@ -441,7 +451,79 @@ class TestBartlettRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 32 * 2**20
+
+
+@st.composite
+def _bartlett_batches(draw):
+    """A random_instance design with p from 1 to 12, a batch of 1 or 12
+    evaluation points and a restriction of any size, all of beta included
+    (the precision-only nuisance set)."""
+    p = draw(st.integers(1, 12))
+    rows = draw(st.sampled_from([1, 12]))
+    fixed = draw(st.lists(st.integers(1, p), min_size=1, max_size=p, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data, theta, link = random_instance(rng, n=p + int(rng.integers(15, 41)), p=p)
+    Beta = theta.beta + rng.uniform(-0.3, 0.3, (rows, p))
+    Phi = rng.uniform(5.0, 100.0, rows)
+    return data, link, Restriction(tuple(sorted(fixed)), (0.0,) * len(fixed)), Beta, Phi
+
+
+class TestOrder4Contraction:
+    """_bartlett_rows contracts the order-4 factors per observation and
+    never builds A; both epsilon routes that read the dense A of
+    cumulant_tensors are its oracles."""
+
+    @staticmethod
+    def _compare(data, link, restriction, Beta, Phi, direct_rows=0):
+        p = data.p
+        free = restriction.split(data.X)[0]
+        eps_full, eps_nuis, failed = _bartlett_rows(data.X, link, free, Beta, Phi)
+        assert failed == {}
+        for i in range(len(Phi)):
+            theta = ParamVector(Beta[i], Phi[i])
+            for subset, got in ((None, eps_full[i]), ([*free, p], eps_nuis[i])):
+                tensors = cumulant_tensors(theta, data, link, subset=subset)
+                assert got == pytest.approx(epsilon_matrix(tensors), rel=1e-13)
+                if i < direct_rows and len(tensors.subset) <= 8:
+                    want = epsilon_lawley_direct(tensors)
+                    assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("rows", [1, 12])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_both_dense_routes(self, p, rows):
+        # every p from 1 to 12; at p = 1, 4, 7 and 10 the restriction fixes
+        # all of beta and the nuisance set is the precision alone
+        rng = np.random.default_rng(100 * rows + p)
+        data, theta, link = random_instance(rng, n=p + 20, p=p)
+        q = p if p % 3 == 1 else int(rng.integers(1, p))
+        restriction = Restriction(tuple(range(p - q + 1, p + 1)), (0.0,) * q)
+        Beta = theta.beta + rng.uniform(-0.3, 0.3, (rows, p))
+        Phi = rng.uniform(5.0, 100.0, rows)
+        self._compare(data, link, restriction, Beta, Phi, direct_rows=1)
+
+    @settings(max_examples=25)
+    @given(_bartlett_batches())
+    def test_matches_epsilon_matrix(self, batch):
+        self._compare(*batch)
+
+    def test_no_order4_array(self):
+        # At n = 20, k = 13 the pass's whole traced peak stays below the
+        # size of one array with k^4 entries per row (it measured half of
+        # it), so no such array is ever allocated.
+        rng = np.random.default_rng(8)
+        data, theta, link = random_instance(rng, n=20, p=12)
+        free = Restriction((10, 11, 12), (0.0,) * 3).split(data.X)[0]
+        k, rows = data.p + 1, 16
+        Beta = np.tile(theta.beta, (rows, 1))
+        Phi = np.full(rows, theta.phi)
+        tracemalloc.start()
+        try:
+            _bartlett_rows(data.X, link, free, Beta, Phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * k**4 * 8
 
 
 class TestBartlettFactor:
@@ -480,13 +562,20 @@ class TestBartlettFactor:
         assert np.array_equal(seen[0], obs_state(theta, food_full, link).mu)
 
     @pytest.mark.parametrize(
-        "tensor, error", [(0, SingularInformationError), (3, NonFiniteCumulantError)]
+        "tensor, error, message",
+        [
+            (0, SingularInformationError, "singular"),
+            (3, NonFiniteCumulantError, "cumulant tensor A is not finite"),
+        ],
     )
-    def test_failed_row_raises(self, monkeypatch, food_five, link, tensor, error):
-        # A singular information (K2 zeroed) or an infinite order-4 tensor
-        # A fails the one row, and bartlett_factor raises that row's error;
-        # the infinities, which make inf - inf in the epsilon products,
-        # raise no warning on the way.
+    def test_failed_row_raises(
+        self, monkeypatch, food_five, link, tensor, error, message
+    ):
+        # A singular information (K2 zeroed) or one infinite order-4 factor
+        # (the per-observation factors that stand in for the order-4 tensor
+        # A) fails the one row, and bartlett_factor raises that row's error;
+        # the infinity, which makes inf - inf in the order-4 contraction,
+        # raises no warning on the way.
         restriction = Restriction((4, 5), (0.0, 0.0))
         theta = fit_restricted(food_five, link, restriction).theta_hat
         dense_rows = cumulants._dense_rows
@@ -496,11 +585,11 @@ class TestBartlettFactor:
             if tensor == 0:
                 dense[0][0] = 0.0
             else:
-                dense[3][0] = np.inf
+                dense[3][0, 5, 7] = np.inf
             return dense
 
         monkeypatch.setattr(cumulants, "_dense_rows", spoiled)
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             bartlett_factor(food_five, link, restriction, theta)
 
     def test_restriction_index_out_of_range(self, food_reduced, link):

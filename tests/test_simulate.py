@@ -442,9 +442,9 @@ class TestBlocks:
         assert outcomes == dict.fromkeys(range(3, 10))
 
     def test_bartlett_failure_fails_only_its_replication(self, monkeypatch):
-        # Row 3 of the first block's Bartlett pass gets an infinite order-4
-        # tensor: _test_rows reports it failed and skips it, with no warning
-        # from its epsilon, and its replication fails; every other
+        # Row 3 of the first block's Bartlett pass gets one infinite
+        # order-4 factor: _test_rows reports it failed and skips it, with no
+        # warning from its epsilon, and its replication fails; every other
         # replication keeps its values.
         config = self.config()
         reference = size_study(config)
@@ -455,7 +455,7 @@ class TestBlocks:
         def poisoned(*args):
             dense = dense_rows(*args)
             if not passes:
-                dense[3][3] = np.inf
+                dense[3][3, 5, 7] = np.inf
             passes.append(args)
             return dense
 
