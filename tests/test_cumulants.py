@@ -562,15 +562,9 @@ class TestBartlettFactor:
         assert np.array_equal(seen[0], obs_state(theta, food_full, link).mu)
 
     @pytest.mark.parametrize(
-        "tensor, error, message",
-        [
-            (0, SingularInformationError, "singular"),
-            (3, NonFiniteCumulantError, "cumulant tensor A is not finite"),
-        ],
+        "tensor, error", [(0, SingularInformationError), (3, NonFiniteCumulantError)]
     )
-    def test_failed_row_raises(
-        self, monkeypatch, food_five, link, tensor, error, message
-    ):
+    def test_failed_row_raises(self, monkeypatch, food_five, link, tensor, error):
         # A singular information (K2 zeroed) or one infinite order-4 factor
         # (the per-observation factors that stand in for the order-4 tensor
         # A) fails the one row, and bartlett_factor raises that row's error;
@@ -589,8 +583,24 @@ class TestBartlettFactor:
             return dense
 
         monkeypatch.setattr(cumulants, "_dense_rows", spoiled)
+        message = "singular" if tensor == 0 else "cumulant tensor A is not finite"
         with pytest.raises(error, match=message):
             bartlett_factor(food_five, link, restriction, theta)
+
+    def test_dense_order4_overflow_is_no_failure(self, link):
+        # The design of test_non_finite_tensor_is_a_fit_error: x^4 overflows,
+        # so cumulant_tensors cannot return A.  The Bartlett pass never forms
+        # x^4, and its factor is the one of the design scaled back by 1e90.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 12)
+        y = rng.uniform(0.2, 0.8, 12)
+        restriction = Restriction((2,), (0.0,))
+        huge = Dataset(y, np.column_stack([np.ones(12), x * 1e90]))
+        tame = Dataset(y, np.column_stack([np.ones(12), x]))
+        got = bartlett_factor(huge, link, restriction, ParamVector([0.2, 1e-90], 10.0))
+        want = bartlett_factor(tame, link, restriction, ParamVector([0.2, 1.0], 10.0))
+        assert got.eps_full == pytest.approx(want.eps_full, rel=1e-12)
+        assert got.eps_nuis == pytest.approx(want.eps_nuis, rel=1e-12)
 
     def test_restriction_index_out_of_range(self, food_reduced, link):
         theta = ParamVector([0.0, 0.0, 0.0], 10.0)
