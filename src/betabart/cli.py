@@ -165,7 +165,7 @@ def _parse_null(spec: str, coef_names: list[str]) -> Restriction:
         entry = entry.strip()
         if not entry:
             raise CLIConfigError("empty entry in --null")
-        name, _, raw_value = entry.partition("=")
+        name, equals, raw_value = entry.partition("=")
         name = name.strip()
         if name in coef_names:
             index = coef_names.index(name) + 1
@@ -177,7 +177,7 @@ def _parse_null(spec: str, coef_names: list[str]) -> Restriction:
                 raise CLIConfigError(f"unknown coefficient {name!r} in --null")
         if index in pairs:
             raise CLIConfigError(f"coefficient {name!r} restricted twice")
-        if raw_value:
+        if equals:
             try:
                 pairs[index] = float(raw_value)
             except ValueError:
@@ -349,9 +349,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     data, link, coef_names, model = _load_model(args)
     methods = tuple(token.strip() for token in args.methods.split(","))
     restriction = _parse_null(args.null, coef_names)
-    boot_opts = None
-    if "boot" in methods:
-        boot_opts = BootstrapOptions(B=args.boot_B, seed=args.seed)
+    boot_opts = BootstrapOptions(B=args.boot_B, seed=args.seed)
     report = run_test(data, link, restriction, methods=methods, boot_opts=boot_opts)
     full = report.full_fit
     document = {
@@ -360,8 +358,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         "estimates": _estimates(coef_names, full),
         "tests": _tests_block(report),
         "meta": {
-            "seed": args.seed if boot_opts is not None else None,
-            "B": args.boot_B if boot_opts is not None else None,
+            "seed": args.seed if "boot" in methods else None,
+            "B": args.boot_B if "boot" in methods else None,
             "iterations": full.iterations,
             "version": __version__,
         },

@@ -309,18 +309,16 @@ def _tensor(X, XX, table):
 
     A table maps space-separated axis patterns to a per-observation factor
     f, all of one shape, (n,) or (rows, n); the tensor takes f's leading
-    shape.  A pattern has one letter per axis: "b" spans the coefficient
-    positions 0..p-1 and "p" is the precision position p.  Each key's block
-    is the moment sum of f over as many x_i as a pattern has "b"s; that sum
-    is symmetric in its axes, so one block serves every pattern of the key.
+    shape as its first axes.  A pattern has one letter per axis: "b" spans
+    the coefficient positions 0..p-1 and "p" is the precision position p.
+    Each key's block is the moment sum of f over as many x_i as a pattern
+    has "b"s; that sum is symmetric in its axes, so one block serves every
+    pattern of the key.
     """
     p = X.shape[1]
     order = len(next(iter(table)).split()[0])
     lead = np.shape(next(iter(table.values())))[:-1]
-    # rows innermost in memory, the layout of the np.ix_ slices of
-    # _subset_tensors, so that every subset's tensors share one layout
-    T = np.zeros((p + 1,) * order + lead)
-    T = np.moveaxis(T, range(order, T.ndim), range(len(lead)))
+    T = np.zeros(lead + (p + 1,) * order)
     for patterns, f in table.items():
         patterns = patterns.split()
         block = _moment(f, X, XX, patterns[0].count("b"))
@@ -536,15 +534,12 @@ def _subset_tensors(dense, positions):
     the subset's tensors, which keep the row axis, and a dict mapping each
     failed row to its error, a singular information or else a non-finite
     K, P, Q or order-4 factor F (named A).  No row raises, and a failed
-    row's tensors are left as they came out.  The full set's P and Q are
-    the dense tensors themselves; nothing here writes them.
+    row's tensors are left as they came out.  Every subset, the full set
+    included, is one np.ix_ slice, so all subsets' tensors share a layout.
     """
     K2, P, Q, F = dense
     idx = np.array(positions, dtype=int)
-    if idx.size != K2.shape[-1]:  # every position: no slicing, no copy
-        K2, P, Q = (
-            T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in (K2, P, Q)
-        )
+    K2, P, Q = (T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in (K2, P, Q))
     K = -K2
     K_inv, singular = _inverse_rows(K)
     bad = np.nonzero(singular)[0] if singular is not None else ()

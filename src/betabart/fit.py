@@ -407,8 +407,11 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         ]
 
     def retire(mask, status, iterations, K=()):
-        """Write the masked rows to out and drop them from the state; K
-        holds their expected information, one stack per design in order."""
+        """Write the masked rows to out and drop them from the state, or do
+        nothing if the mask is empty; K holds their expected information,
+        one stack per design in order."""
+        if not mask.any():
+            return
         at = s.rows[mask]
         for name in ("Beta", "Phi", "LL", "clamped"):
             getattr(out, name)[at] = getattr(s, name)[mask]
@@ -420,9 +423,6 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
                 out.K[at[: len(Kd)], -k:, -k:] = Kd
                 at = at[len(Kd) :]
         keep = np.flatnonzero(~mask)
-        if not keep.size:  # the loop ends: no state is read again
-            s.rows = keep
-            return
         bounds[:] = np.searchsorted(keep, bounds).tolist()
         spans[:] = blocks(bounds)
         s.put(slice(None), **{name: value[keep] for name, value in vars(s).items()})
@@ -443,8 +443,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             Beta=Beta_t, Phi=Phi_t, M=M, T=T, Psi=Psi, Tri=Tri, LL=LL, slack=slack,
         )
 
-    if not np.isfinite(s.LL).all():
-        retire(~np.isfinite(s.LL), ScoringStatus.NON_FINITE, 0)
+    retire(~np.isfinite(s.LL), ScoringStatus.NON_FINITE, 0)
     min_scale = 0.5**opts.step_halving_max
     # stalled marks the rows that found no acceptable step on the last
     # pass; False when every row took a step
@@ -469,21 +468,18 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             # iteration cap would give it.
             stuck = stalled & ~small
             done = conv | stuck
-            if done.any():
-                if conv.any():
-                    K = [
-                        _rows_information(XT, Phi[c], M[c], T[c], Tri[c])
-                        for XT, rows, Phi, M, T, _, Tri, _ in parts
-                        if keep_K and (c := conv[rows]).any()
-                    ]
-                    retire(conv, ScoringStatus.CONVERGED, iteration, K)
-                if stuck.any():
-                    retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
-                if not len(s.rows):
-                    break
-                scores = [u[~done[rows]] for (_, rows, *_), u in zip(parts, scores)]
-                scores = [u for u in scores if len(u)]
-                parts = views()
+            K = [
+                _rows_information(XT, Phi[c], M[c], T[c], Tri[c])
+                for XT, rows, Phi, M, T, _, Tri, _ in parts
+                if keep_K and (c := conv[rows]).any()
+            ]
+            retire(conv, ScoringStatus.CONVERGED, iteration, K)
+            retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
+            if not len(s.rows):
+                break
+            scores = [u[~done[rows]] for (_, rows, *_), u in zip(parts, scores)]
+            scores = [u for u in scores if len(u)]
+            parts = views()
         # A row whose J is singular (zero step) or whose Newton step is not
         # an ascent direction takes the scoring step K^-1 U instead.  Step
         # holds each row's beta step in its design's columns, the last
@@ -546,12 +542,8 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         # Rows with no acceptable step stay put; the gradient criterion
         # decides their fate on the next pass.
         s.settled[stalled] = True
-    if len(s.rows):
-        retire(
-            np.ones(len(s.rows), dtype=bool),
-            ScoringStatus.MAX_ITERATIONS,
-            opts.max_iterations,
-        )
+    last = np.ones(len(s.rows), dtype=bool)
+    retire(last, ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
     return out
 
 

@@ -210,27 +210,20 @@ def _spawn_state(seed: int, key, count: int) -> list:
     """SeedSequence(seed, spawn_key=key).generate_state(count, np.uint64)
     by numpy's mixing, for key words that are ints or uint64 arrays.
 
-    The entropy is the seed's 32-bit words, zero-padded to the pool size
-    of four, then the key's: seed words are hashed once, on ints, and an
-    array word is mixed in vectorised, as is every output word that
-    follows it.  numpy spreads a key entry of 2**32 or more over two
-    words, so such an entry is an error.
+    The pool after the seed's w 32-bit words is SeedSequence(seed).pool;
+    building it took four hashes per pool word and four per seed word past
+    the fourth, so the hash constant has stepped 4 max(4, w) times.  The
+    key's words are mixed in from there, an array word vectorised, as is
+    every output word that follows it.  numpy spreads a key entry of 2**32
+    or more over two words, so such an entry is an error.
     """
     for word in key:
         if np.max(word, initial=0) > _MASK32:
             raise ValueError("spawn key entries must be below 2**32")
-    size = max(4, (seed.bit_length() + 31) // 32)
-    words = [seed >> 32 * i & _MASK32 for i in range(size)]
-    pool, const = [], _INIT_A
-    for word in words[:4]:
-        word, const = _hashmix(word, const)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for word in (*words[4:], *key):
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    steps = 4 * max(4, (seed.bit_length() + 31) // 32)
+    const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+    for word in key:
         for dst in range(4):
             mixed, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], mixed)

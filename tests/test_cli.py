@@ -445,6 +445,8 @@ class TestConfigErrors:
             ("fit", "--covariates", "income^3"),
             ("fit", "--covariates", "a*b*c"),
             ("fit", "--response", "nosuchcolumn"),
+            ("test", "--null", "persons", "--methods", "lr", "--boot-B", "0"),
+            ("test", "--null", "persons", "--methods", "lr", "--seed", "-3"),
         ],
     )
     def test_exit_code_2(self, capsys, argv):
@@ -458,6 +460,7 @@ class TestConfigErrors:
             (("fit", "--covariates", "income,,persons"), "empty covariate term"),
             (("fit", "--covariates", "nosuch"), "unknown column 'nosuch'"),
             (("test", "--null", "income,,persons"), "empty entry in --null"),
+            (("test", "--null", "persons="), "bad value '' for 'persons' in --null"),
         ],
     )
     def test_message_names_the_fault(self, capsys, argv, message):

@@ -292,8 +292,11 @@ class TestBootstrapBartlett:
         assert abs(mean_small - mean_large) < 0.5
 
 
-# One-word, two-word and multi-word seeds, beyond the four-word pool too.
-_STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 2**200 + 12345)
+# One-word, two-word and multi-word seeds: 2**128 - 1 is the widest that fits
+# the four-word pool, and the wider ones run past it.
+_STREAM_SEEDS = (
+    0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128 + 5, 2**160, 2**200 + 12345
+)
 
 
 class TestResampleStreams:
