@@ -542,8 +542,7 @@ def _subset_tensors(dense, positions):
     K2, P, Q = (T[(slice(None), *np.ix_(*(idx,) * (T.ndim - 1)))] for T in (K2, P, Q))
     K = -K2
     K_inv, singular = _inverse_rows(K)
-    bad = np.nonzero(singular)[0] if singular is not None else ()
-    failed = {int(i): _singular_error(K[i]) for i in bad}
+    failed = {int(i): _singular_error(K[i]) for i in np.flatnonzero(singular)}
     for name, T in (("K", K), ("P", P), ("Q", Q), ("A", F)):
         for i in np.nonzero(~np.isfinite(T).all(axis=tuple(range(1, T.ndim))))[0]:
             failed.setdefault(

@@ -241,10 +241,7 @@ class _BatchFit(NamedTuple):
         return self.status == ScoringStatus.CONVERGED
 
     def part(self, rows, p):
-        """The rows (a slice) of a design of p columns, without padding."""
-        K = self.K
-        if K is not None:
-            K = np.ascontiguousarray(K[rows, -p - 1 :, -p - 1 :])
+        """The rows (a slice) of a design of p columns, unpadded, K included."""
         return _BatchFit(
             self.Beta[rows, -p:],
             self.Phi[rows],
@@ -252,7 +249,7 @@ class _BatchFit(NamedTuple):
             self.status[rows],
             self.iterations[rows],
             self.clamped[rows],
-            K,
+            np.ascontiguousarray(self.K[rows, -p - 1 :, -p - 1 :]),
         )
 
 
@@ -270,12 +267,12 @@ class _Active:
 
 def _solve(K, U):
     """Solve K[i] Z[i] = U[i] for each matrix in the stacks K and U; also
-    returns the singular rows' mask, or None.  A singular row's Z is zero."""
+    returns the boolean mask of the singular rows, whose Z is zero."""
+    singular = np.zeros(len(U), dtype=bool)
     try:
-        return np.linalg.solve(K, U), None
+        return np.linalg.solve(K, U), singular
     except np.linalg.LinAlgError:
         Z = np.zeros(U.shape)
-        singular = np.zeros(len(U), dtype=bool)
         for i in range(len(U)):
             try:
                 Z[i] = np.linalg.solve(K[i], U[i])
@@ -285,7 +282,7 @@ def _solve(K, U):
 
 
 def _inverse_rows(K):
-    """Inverse of each matrix of the stack K, and the singular rows' mask or None."""
+    """Inverse of each matrix of the stack K, and _solve's singular-row mask."""
     return _solve(K, np.broadcast_to(np.eye(K.shape[-1]), K.shape))
 
 
@@ -347,19 +344,19 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         clamped=np.empty(B, dtype=bool),
         K=np.zeros((B, P + 1, P + 1)) if keep_K else None,
     )
-    # the active rows of design d are bounds[d]:bounds[d + 1]
-    bounds = [d * (B // len(designs)) for d in range(len(designs) + 1)]
+    N = B // len(designs)  # row i is on design i // N
 
-    def blocks(bounds):
-        """(XT, offset, rows) of each design with rows, rows being its
-        slice bounds[d]:bounds[d + 1]."""
+    def blocks(rows):
+        """(XT, offset, part) of each design with rows among the sorted row
+        numbers rows, part being the slice of rows on that design."""
+        ends = np.searchsorted(rows, np.arange(len(designs) + 1) * N).tolist()
         return [
             (XT, off, slice(lo, hi))
-            for (XT, off), lo, hi in zip(designs, bounds, bounds[1:])
+            for (XT, off), lo, hi in zip(designs, ends, ends[1:])
             if lo < hi
         ]
 
-    spans = blocks(bounds)  # of the active rows; changes only when rows retire
+    spans = blocks(np.arange(B))  # of the active rows; changes only when rows retire
 
     def predictor(Beta, parts):
         """Linear predictors at Beta of the rows of parts, blocks() output."""
@@ -373,7 +370,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     def state(Beta, Phi, L, at=None):
         """_eta_state of the active rows, or of those at (sorted positions
         among them), at (Beta, Phi)."""
-        parts = spans if at is None else blocks(np.searchsorted(at, bounds).tolist())
+        parts = spans if at is None else blocks(s.rows[at])
         # no reference is kept here, so _eta_state frees Eta once it is used
         return _eta_state(predictor(Beta, parts), Phi, link, L)
 
@@ -385,9 +382,9 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
     if np.ndim(Beta0) == 1 and np.ndim(Phi0) == 0:
         # Every row of a design starts at one point: the model is evaluated
         # there once per design and its state repeated over the design's rows.
-        one = blocks(range(len(designs) + 1))
+        one = blocks(np.arange(len(designs)) * N)
         Eta = predictor(np.zeros((len(one), P)) + Beta0, one)
-        start = _eta_state(Eta, np.zeros(len(one)) + Phi0, link, s.L, B // len(designs))
+        start = _eta_state(Eta, np.zeros(len(one)) + Phi0, link, s.L, N)
     else:
         start = state(s.Beta, s.Phi, s.L)
     s.M, s.T, s.Psi, s.Tri, s.LL, s.clamped = start
@@ -406,10 +403,10 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             for XT, _, rows in spans
         ]
 
-    def retire(mask, status, iterations, K=()):
-        """Write the masked rows to out and drop them from the state, or do
-        nothing if the mask is empty; K holds their expected information,
-        one stack per design in order."""
+    def retire(mask, status, iterations):
+        """Write the masked rows to out, with keep_K the expected information of
+        the CONVERGED and SINGULAR ones at their state, one _rows_information call
+        per design, and drop them from the state; an empty mask does nothing."""
         if not mask.any():
             return
         at = s.rows[mask]
@@ -417,15 +414,15 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             getattr(out, name)[at] = getattr(s, name)[mask]
         out.status[at] = status
         out.iterations[at] = iterations
-        if keep_K:
-            for Kd in K:
-                k = Kd.shape[-1]
-                out.K[at[: len(Kd)], -k:, -k:] = Kd
-                at = at[len(Kd) :]
+        if keep_K and status in (ScoringStatus.CONVERGED, ScoringStatus.SINGULAR):
+            live = np.flatnonzero(mask)
+            for XT, _, rows in blocks(at):
+                i, k = live[rows], len(XT) + 1
+                K = _rows_information(XT, s.Phi[i], s.M[i], s.T[i], s.Tri[i])
+                out.K[at[rows], -k:, -k:] = K
         keep = np.flatnonzero(~mask)
-        bounds[:] = np.searchsorted(keep, bounds).tolist()
-        spans[:] = blocks(bounds)
         s.put(slice(None), **{name: value[keep] for name, value in vars(s).items()})
+        spans[:] = blocks(s.rows)
 
     def accept(at, good, Beta_t, Phi_t, trial):
         """Move the rows at[good] to their trial point; at=None moves every row."""
@@ -457,9 +454,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         ]
         done = s.settled
         if done.any():
-            small = np.empty(len(done))
-            for (_, _, rows), u in zip(spans, scores):
-                np.abs(u).max(axis=1, out=small[rows])
+            small = np.concatenate([np.abs(u).max(axis=1) for u in scores])
             small = small <= opts.gradient_tolerance
             conv = done & small
             # A row that found no acceptable step on the last pass is where
@@ -468,12 +463,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
             # iteration cap would give it.
             stuck = stalled & ~small
             done = conv | stuck
-            K = [
-                _rows_information(XT, Phi[c], M[c], T[c], Tri[c])
-                for XT, rows, Phi, M, T, _, Tri, _ in parts
-                if keep_K and (c := conv[rows]).any()
-            ]
-            retire(conv, ScoringStatus.CONVERGED, iteration, K)
+            retire(conv, ScoringStatus.CONVERGED, iteration)
             retire(stuck[~conv], ScoringStatus.MAX_ITERATIONS, opts.max_iterations)
             if not len(s.rows):
                 break
@@ -485,7 +475,7 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
         # holds each row's beta step in its design's columns, the last
         # before P, and the phi step at column P.
         Step = np.zeros((len(s.rows), P + 1))
-        singular, K = None, []
+        singular = np.zeros(len(s.rows), dtype=bool)
         for (XT, rows, Phi, M, T, Psi, Tri, L), u in zip(parts, scores):
             J = _rows_observed_information(XT, Phi, M, T, Psi, Tri, L, link)
             step = _solve(J, u[:, :, None])[0][:, :, 0]
@@ -496,20 +486,15 @@ def _fisher_scoring_batch(Y, X, offset, link, Beta0, Phi0, opts, keep_K=True):
                 )
                 step_K, bad = _solve(K_f, u[fallback, :, None])
                 step[fallback] = step_K[:, :, 0]
-                if bad is not None:
-                    if singular is None:
-                        singular = np.zeros(len(s.rows), dtype=bool)
-                    singular[rows][fallback[bad]] = True
-                    K.append(K_f[bad])
+                singular[rows][fallback[bad]] = True
             Step[rows, P - len(XT) :] = step
         # Freed before the trial evaluations; the views would also keep the
         # replaced state arrays alive after an accept.
         del parts, scores, J, u, Phi, M, T, Psi, Tri, L
-        if singular is not None:
-            retire(singular, ScoringStatus.SINGULAR, iteration, K)
-            if not len(s.rows):
-                break
-            Step = Step[~singular]
+        retire(singular, ScoringStatus.SINGULAR, iteration)
+        if not len(s.rows):
+            break
+        Step = Step[~singular]
         # The full step is tried on every row at once, with no index
         # bookkeeping; only the rows it fails go on to be halved.
         Phi_t = s.Phi + Step[:, P]
@@ -622,8 +607,7 @@ def _results(fit, p, free, fixed, values, opts):
     ok = fit.ok
     K_inv = np.zeros_like(fit.K)
     K_inv[ok], singular = _inverse_rows(fit.K[ok])
-    if singular is not None:
-        ok[np.nonzero(ok)[0][singular]] = False
+    ok[ok] = ~singular
 
     # every row's embedded estimates, standard errors and mask at once;
     # only the objects are built per row

@@ -174,10 +174,11 @@ def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
     x = eps_diff_over_q and c = 1 + x.  When c <= 0 the division form is
     meaningless and lr_b1 is returned as NaN.
     """
+    lr = _real(lr, "lr")
     if lr < 0.0:
         raise ValueError("lr must be nonnegative")
     q = _integer(q, "q", 1)
-    x = float(eps_diff_over_q)
+    x = _real(eps_diff_over_q, "eps_diff_over_q")
     return tuple(_METHODS[name][1](lr, q, x) for name in ("b1", "b2", "b3"))
 
 

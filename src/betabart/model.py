@@ -61,10 +61,12 @@ def _beta_shapes(mu, phi):
 
 def _gamma_ratio(G):
     """Beta draws from gamma variates G (..., 2n) at _beta_shapes: g1 / (g1
-    + g2) over G's two halves, clamped away from the interval endpoints."""
+    + g2) over G's two halves, clamped away from the interval endpoints.
+    Where both variates underflow the draw is NaN, with no warning."""
     n = G.shape[-1] // 2
     Y = G[..., :n] + G[..., n:]
-    np.divide(G[..., :n], Y, out=Y)
+    with np.errstate(invalid="ignore"):
+        np.divide(G[..., :n], Y, out=Y)
     return np.clip(Y, MU_CLAMP, 1.0 - MU_CLAMP, out=Y)
 
 

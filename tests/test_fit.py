@@ -388,6 +388,29 @@ def test_infinite_newton_step_is_a_rejected_step(link, monkeypatch):
         assert np.array_equal(got[others], want[others])
 
 
+def test_solve_masks_exactly_the_singular_rows():
+    # _solve and _inverse_rows return a boolean mask over the stack: all
+    # False when no matrix is singular, True exactly at the singular ones,
+    # whose solution is zero; every other row is solved on its own.
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(5, 3, 3))
+    K = A @ A.transpose(0, 2, 1) + 3.0 * np.eye(3)
+    U = rng.normal(size=(5, 3, 1))
+    for Z, singular in (fit_module._solve(K, U), fit_module._inverse_rows(K)):
+        assert singular.dtype == bool and singular.shape == (5,)
+        assert not singular.any()
+    K[1] = 0.0
+    K[3, 2] = 0.0
+    expect = np.array([False, True, False, True, False])
+    Z, singular = fit_module._solve(K, U)
+    K_inv, singular_inv = fit_module._inverse_rows(K)
+    assert np.array_equal(singular, expect) and np.array_equal(singular_inv, expect)
+    assert not Z[expect].any() and not K_inv[expect].any()
+    for i in np.flatnonzero(~expect):
+        assert np.array_equal(Z[i], np.linalg.solve(K[i], U[i]))
+        assert np.array_equal(K_inv[i], np.linalg.inv(K[i]))
+
+
 def test_converged_row_with_singular_information_fails(food_reduced, link, monkeypatch):
     # A row that converges but whose expected information at the optimum
     # cannot be inverted fails with SingularInformationError; the other

@@ -1,5 +1,7 @@
 """Several hypotheses fitted in one scoring loop, and rows that cannot move."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from betabart.fit import (
     starting_values,
 )
 from betabart.inference import BootstrapOptions, run_test
-from betabart.model import MU_CLAMP, Dataset, ParamVector, logit_link
+from betabart.model import (
+    MU_CLAMP,
+    Dataset,
+    ParamVector,
+    _eta_state,
+    _rows_information,
+    logit_link,
+)
 from betabart.simulate import SimConfig, design_matrix, gen_beta_sample
 
 _FIELDS = (
@@ -92,26 +101,28 @@ def grouped_problems(draw):
 
 
 def _make_row_singular(monkeypatch, Y, row):
-    """Zero J and the fallback K of every fit of response row, so that each
-    of its fits ends SINGULAR at its first iteration."""
+    """Zero J and K of every fit of response row, so that each of its fits
+    ends SINGULAR at its first iteration with a zero K."""
     marker = np.log(Y[row, 0])
     observed = fit_module._rows_observed_information
     expected = fit_module._rows_information
-    # phi of the marked rows at the last J; the fallback K that follows
-    # it, on the same design's rows, reads and clears it
-    marked = []
+    # per design, phi of the marked rows at its last J, once for each of the
+    # two K calls that follow on its rows: the fallback K and then retire's
+    # K of the SINGULAR rows; each reads one copy and the second clears it
+    marked = {}
 
     def observed_marked(XT, Phi, M, T, Psi, Tri, L, link):
         J = observed(XT, Phi, M, T, Psi, Tri, L, link)
         hit = L[:, 0] == marker
         J[hit] = 0.0
-        marked[:] = Phi[hit]
+        if hit.any():
+            marked[id(XT)] = [Phi[hit]] * 2
         return J
 
     def expected_marked(XT, Phi, M, T, Tri):
         K = expected(XT, Phi, M, T, Tri)
-        K[np.isin(Phi, marked)] = 0.0
-        marked.clear()
+        if marked.get(id(XT)):
+            K[np.isin(Phi, marked[id(XT)].pop())] = 0.0
         return K
 
     monkeypatch.setattr(fit_module, "_rows_observed_information", observed_marked)
@@ -254,6 +265,81 @@ def test_stuck_rows_retire_at_once(food_reduced, link, monkeypatch, designs):
     assert fit.iterations[optimum] == 2
     assert np.array_equal(fit.Beta[optimum], fitted.theta_hat.beta)
     assert np.array_equal(fit.K[optimum], fitted.K)
+
+
+def _information(Y, X, offset, link, Beta, Phi):
+    """The expected information of each row at (Beta, Phi), evaluated from
+    the linear predictor on, as the scoring core evaluates it."""
+    XT = np.ascontiguousarray(X.T)
+    L = np.concatenate((np.log(Y), np.log1p(-Y)), axis=1)
+    Eta = np.einsum("bj,jn->bn", Beta, XT) + offset
+    M, T, _, Tri, _, _ = _eta_state(Eta, Phi, link, L)
+    return _rows_information(XT, Phi, M, T, Tri)
+
+
+@pytest.mark.parametrize("designs", [1, 2])
+def test_singular_row_keeps_its_information(food_reduced, link, designs):
+    # A row whose J and K cannot be factorised retires SINGULAR with K the
+    # expected information at the iterate where it stopped, here its start:
+    # a zero design column makes both matrices exactly singular there.  On
+    # two designs the singular rows go last, on a design of two columns,
+    # and their K fills the trailing 3-square block.
+    X, n = food_reduced.X, food_reduced.n
+    start = starting_values(food_reduced, link)
+    Y = _perturbed(food_reduced, 2, 3)
+    Beta0, Phi0 = np.tile(start.beta, (2, 1)), np.full(2, start.phi)
+    zeroed, offset = X.copy(), np.zeros(n)
+    zeroed[:, 1] = 0.0
+    args = (zeroed, offset)
+    singular, k = [0, 1], 4
+    if designs == 2:
+        zeroed, offset = zeroed[:, 1:], 0.1 * X[:, 0]
+        Y, Phi0 = np.vstack([Y, Y]), np.r_[Phi0, Phi0]
+        Beta0 = np.vstack([Beta0, np.c_[np.zeros(2), Beta0[:, 1:]]])
+        args = ([X, zeroed], [np.zeros(n), offset])
+        singular, k = [2, 3], 3
+    fit = _fisher_scoring_batch(Y, *args, link, Beta0, Phi0, FitOptions())
+    assert (fit.status[singular] == ScoringStatus.SINGULAR).all()
+    assert (fit.iterations[singular] == 1).all()
+    assert np.array_equal(fit.Beta[singular], Beta0[singular])
+    assert np.array_equal(fit.Phi[singular], Phi0[singular])
+    K = fit.K[singular]
+    want = _information(
+        Y[singular], zeroed, offset, link, Beta0[singular, 4 - k :], Phi0[singular]
+    )
+    assert np.array_equal(K[:, -k:, -k:], want)
+    assert not K[:, : 4 - k].any() and not K[:, :, : 4 - k].any()
+    if designs == 2:
+        alone = _fisher_scoring_batch(
+            Y[:2], X, np.zeros(n), link, Beta0[:2], Phi0[:2], FitOptions()
+        )
+        assert alone.ok.all()
+        for got, ref in zip(fit, alone):
+            assert np.array_equal(got[:2], ref)
+
+
+@pytest.mark.parametrize("designs", [1, 2])
+def test_marked_singular_row_has_zero_information(link, monkeypatch, designs):
+    # _make_row_singular's row keeps the zero K its fallback solve saw, so
+    # its error's condition estimate is infinite; the other rows converge.
+    data, Y, restrictions = _problem(5, 3)
+    _make_row_singular(monkeypatch, Y, 1)
+    core, fits = fit_module._fisher_scoring_batch, []
+
+    def recording(*args, **kwargs):
+        fits.append(core(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(fit_module, "_fisher_scoring_batch", recording)
+    pairs = _fit_rows(data, Y, link, restrictions[:designs], FitOptions())
+    (fit,) = fits
+    marked = np.arange(len(fit.status)) % 3 == 1
+    assert (fit.status[marked] == ScoringStatus.SINGULAR).all()
+    assert not fit.K[marked].any()
+    assert (fit.status[~marked] == ScoringStatus.CONVERGED).all()
+    for results, failed in pairs:
+        assert sorted(results) == [0, 2] and list(failed) == [1]
+        assert failed[1].condition == math.inf
 
 
 @pytest.mark.parametrize("designs", [1, 2])

@@ -15,7 +15,7 @@ import pytest
 
 from betabart.cumulants import cumulant_tensors
 from betabart.fit import FitOptions, Restriction
-from betabart.inference import BootstrapOptions
+from betabart.inference import BootstrapOptions, bartlett_corrected
 from betabart.model import Dataset, ParamVector, gen_beta_sample, logit_link
 from betabart.simulate import SimConfig, design_matrix
 from betabart.specfun import chisq_sf, polygamma
@@ -123,6 +123,16 @@ NUMBERS = {
         0.125,
         False,
         lambda v: BootstrapOptions(max_failure_fraction=v).max_failure_fraction,
+    ),
+    # b3 = lr (1 - x): lr itself at x = 0, and 1 - x at lr = 1
+    "bartlett_corrected.lr": (
+        "lr", 2.0, False, lambda v: bartlett_corrected(v, 0.0, 1)[2]
+    ),
+    "bartlett_corrected.eps_diff_over_q": (
+        "eps_diff_over_q",
+        0.5,
+        False,
+        lambda v: 1.0 - bartlett_corrected(1.0, v, 1)[2],
     ),
 }
 

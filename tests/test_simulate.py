@@ -441,6 +441,18 @@ class TestBlocks:
         outcomes = simulate._replication_block(self.config(), range(3, 10))
         assert outcomes == dict.fromkeys(range(3, 10))
 
+    def test_underflowed_draws_void_their_replications_without_warning(self):
+        # At phi_true = 1e-300 both gamma variates of every response
+        # underflow to zero, so every draw is NaN and voids its replication;
+        # the 0 / 0 behind it warns nothing (an error under the test
+        # settings), through the real drawer.
+        phi = 1e-300
+        config = small_config(reps=7, methods=("lr", "b1", "b2", "b3"), phi_true=phi)
+        mu = logit_link().g_inv(design_matrix(20, 3, 4) @ np.array(config.beta_true))
+        assert np.isnan(gen_beta_sample(mu, phi, np.random.default_rng(0))).all()
+        outcomes = simulate._replication_block(config, range(3, 10))
+        assert outcomes == dict.fromkeys(range(3, 10))
+
     def test_bartlett_failure_fails_only_its_replication(self, monkeypatch):
         # Row 3 of the first block's Bartlett pass gets one infinite
         # order-4 factor: _test_rows reports it failed and skips it, with no
