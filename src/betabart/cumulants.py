@@ -504,18 +504,19 @@ def _dense_rows(X, link, Beta, Phi):
     """Dense (K2, P, Q) at each row's (Beta[i], Phi[i]), row axis first, and
     the factors F of the order-4 tensor A.
 
-    Only the means are taken from the model (model._means), at linear
-    predictors formed as the scoring core forms them, so mu is the fit's
-    bit for bit; _obs_rows makes the one special-function pass.  P and Q
-    are in the layout of CumulantTensors, from permuted tables; P is T3
-    itself, whose table is fully symmetric.  F is (rows, 16, n): the
-    per-observation factors of A = T4/4 - D31 + D22 in the "turs" layout,
-    one per pattern of _PATTERNS4.  _order4_L contracts them without
-    building A; cumulant_tensors builds the dense A from them.
+    Only the means are taken from the model (model._means), at X beta in
+    the scoring core's layout, so mu is the fit's bit for bit unless a fixed
+    value is nonzero: the fit adds it as an offset, which can move eta by an
+    ulp.  _obs_rows makes the one special-function pass.  P and Q are in the
+    layout of CumulantTensors, from permuted tables; P is T3 itself, whose
+    table is fully symmetric.  F is (rows, 16, n): the per-observation
+    factors of A = T4/4 - D31 + D22 in the "turs" layout, one per pattern of
+    _PATTERNS4.  _order4_L contracts them without building A;
+    cumulant_tensors builds the dense A from them.
     """
     if Beta.shape[1] != X.shape[1]:
         raise ValueError("parameter dimension does not match design matrix")
-    XT = np.ascontiguousarray(X.T)  # the fit's layout, so mu is the fit's bit for bit
+    XT = np.ascontiguousarray(X.T)  # the scoring core's layout (see above)
     M = _means(np.einsum("bj,jn->bn", Beta, XT), link)[0]
     q = _obs_rows(M, Phi[:, None], link)
     K2, T3, T4, D1, D31, D22 = _cumulant_tables(q, Phi[:, None])
@@ -585,20 +586,14 @@ def cumulant_tensors(
     return CumulantTensors(positions, K[0], K_inv[0], P[0], Q[0], A)
 
 
-def epsilon_matrix(tensors: CumulantTensors):
-    """Order-1/n term of E(LR) via the trace identities.
-
-    Builds L[r,s] = tr(K^-1 A^(rs)) from the dense A and returns
-    _epsilon(L, ...).  Tensors with a leading row axis give one epsilon per
-    row, each from its own stacked products; tensors without one give a
-    float.
-    """
+def epsilon_matrix(tensors: CumulantTensors) -> float:
+    """Order-1/n term of E(LR) via the trace identities, at the one point
+    of cumulant_tensors: L[r,s] = tr(K^-1 A^(rs)) from the dense A, then
+    _epsilon(L, ...)."""
     B = tensors.K_inv
-    k, lead = B.shape[-1], B.shape[:-2]
-    A = tensors.A.reshape(*lead, k * k, k * k)
-    L = (A @ B.swapaxes(-1, -2).reshape(*lead, k * k, 1)).reshape(B.shape)
-    eps = _epsilon(L, B, tensors.P, tensors.Q)
-    return float(eps) if eps.ndim == 0 else eps
+    k = len(B)
+    L = (tensors.A.reshape(k * k, k * k) @ B.T.reshape(k * k, 1)).reshape(k, k)
+    return float(_epsilon(L, B, tensors.P, tensors.Q))
 
 
 def _epsilon(L, B, P, Q):

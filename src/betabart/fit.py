@@ -125,7 +125,8 @@ class Restriction:
             )
         fixed = np.array(self.indices, dtype=int) - 1
         free = np.delete(np.arange(p), fixed)
-        return free, fixed, X[:, fixed] @ np.array(self.values, dtype=float)
+        with np.errstate(over="ignore"):  # a huge value gives an inf offset
+            return free, fixed, X[:, fixed] @ np.array(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,8 @@ def _starting_point(Y, X, offset, link):
     # Full column rank: callers check the design, and X holds some of its columns.
     Beta0 = np.array([np.linalg.lstsq(X, z, rcond=None)[0] for z in Z])
     Eta = np.array([X @ beta0 for beta0 in Beta0])
-    rss = np.array([resid @ resid for resid in Z - Eta])
+    with np.errstate(over="ignore"):  # an inf rss gives the phi start 1.0
+        rss = np.array([resid @ resid for resid in Z - Eta])
     # Guard against an exact fit: zero residual variance would send the
     # moment estimate of phi to infinity.
     resid_var = np.maximum(rss / max(X.shape[0] - X.shape[1], 1), 1e-12)
@@ -224,7 +226,8 @@ class _BatchFit(NamedTuple):
     Beta, Phi and LL are the last accepted iterate; K is the expected
     information there for CONVERGED and SINGULAR rows, zero elsewhere, or
     None when the caller asked for no K.  On designs of several widths
-    Beta and K are padded to the widest (see _fisher_scoring_batch).
+    Beta and K are padded to the widest (see _fisher_scoring_batch), and
+    _fit_rows hands _results each design's row slice of every field as is.
     clamped flags a mean clamped at the start or at an accepted iterate.
     """
 
@@ -239,18 +242,6 @@ class _BatchFit(NamedTuple):
     @property
     def ok(self) -> np.ndarray:
         return self.status == ScoringStatus.CONVERGED
-
-    def part(self, rows, p):
-        """The rows (a slice) of a design of p columns, unpadded, K included."""
-        return _BatchFit(
-            self.Beta[rows, -p:],
-            self.Phi[rows],
-            self.LL[rows],
-            self.status[rows],
-            self.iterations[rows],
-            self.clamped[rows],
-            np.ascontiguousarray(self.K[rows, -p - 1 :, -p - 1 :]),
-        )
 
 
 class _Active:
@@ -597,28 +588,31 @@ def _fit_rows(data, Y, link, restrictions, opts, start=None):
 
     pairs = []
     for g, (free, fixed, _, values, _) in enumerate(splits):
-        part = fit.part(slice(g * N, (g + 1) * N), free.size)
-        pairs.append(_results(part, p, free, fixed, values, opts))
+        rows = _BatchFit(*(v[g * N : (g + 1) * N] for v in fit))
+        pairs.append(_results(rows, free, fixed, values, opts))
     return pairs
 
 
-def _results(fit, p, free, fixed, values, opts):
-    """(results, failed) of _fit_rows from the core's rows of one design."""
+def _results(fit, free, fixed, values, opts):
+    """(results, failed) of _fit_rows from the core's padded rows of one design:
+    its coefficients are the last free.size columns of Beta, and its K the
+    trailing (free.size + 1)-square block, copied contiguous for the FitResults."""
     ok = fit.ok
-    K_inv = np.zeros_like(fit.K)
-    K_inv[ok], singular = _inverse_rows(fit.K[ok])
+    K = np.ascontiguousarray(fit.K[:, -free.size - 1 :, -free.size - 1 :])
+    K_inv = np.zeros_like(K)
+    K_inv[ok], singular = _inverse_rows(K[ok])
     ok[ok] = ~singular
 
     # every row's embedded estimates, standard errors and mask at once;
     # only the objects are built per row
-    rows, k = len(fit.status), p + 1
+    rows, p = len(fit.status), free.size + fixed.size
     free_indices = np.append(free, p)
     Beta = np.empty((rows, p))
-    Beta[:, free] = fit.Beta
+    Beta[:, free] = fit.Beta[:, -free.size :]
     Beta[:, fixed] = values
-    std_errors = np.zeros((rows, k))
+    std_errors = np.zeros((rows, p + 1))
     std_errors[:, free_indices] = np.sqrt(np.diagonal(K_inv, axis1=1, axis2=2))
-    fixed_mask = np.zeros((rows, k), dtype=bool)
+    fixed_mask = np.zeros((rows, p + 1), dtype=bool)
     fixed_mask[:, fixed] = True
     Phi, LL, iterations, clamped = (
         v.tolist() for v in (fit.Phi, fit.LL, fit.iterations, fit.clamped)
@@ -627,7 +621,7 @@ def _results(fit, p, free, fixed, values, opts):
     for i, status in enumerate(fit.status):
         if not ok[i]:
             if status in (ScoringStatus.CONVERGED, ScoringStatus.SINGULAR):
-                failed[i] = _singular_error(fit.K[i])
+                failed[i] = _singular_error(K[i])
             else:
                 failed[i] = NonConvergenceError(
                     [LL[i]],
@@ -640,7 +634,7 @@ def _results(fit, p, free, fixed, values, opts):
         results[i] = FitResult(
             theta_hat=ParamVector(Beta[i], Phi[i]),
             loglik=LL[i],
-            K=fit.K[i],
+            K=K[i],
             K_inv=K_inv[i],
             std_errors=std_errors[i],
             iterations=iterations[i],

@@ -51,12 +51,21 @@ __all__ = [
     "run_test",
 ]
 
+
+def _b2(lr, q, x):
+    """LR exp(-x); inf where that exceeds the float range, 0.0 when LR is 0."""
+    try:
+        return lr * math.exp(-x)
+    except OverflowError:
+        return math.inf if lr else 0.0
+
+
 # Each statistic, in output order: the quantity it reads beyond LR (x, the
 # Bartlett x; boot, the mean resample LR) and its value from (lr, q, that).
 _METHODS = {
     "lr": (None, lambda lr, q, _: lr),
     "b1": ("x", lambda lr, q, x: lr / (1.0 + x) if 1.0 + x > 0.0 else math.nan),
-    "b2": ("x", lambda lr, q, x: lr * math.exp(-x)),
+    "b2": ("x", _b2),
     "b3": ("x", lambda lr, q, x: lr * (1.0 - x)),
     "boot": ("boot", lambda lr, q, mean: lr * q / mean),
 }
@@ -172,7 +181,7 @@ def bartlett_corrected(lr: float, eps_diff_over_q: float, q: int):
     """The table's b1, b2 and b3: LR/c, LR exp(-x) and LR (1-x).
 
     x = eps_diff_over_q and c = 1 + x.  When c <= 0 the division form is
-    meaningless and lr_b1 is returned as NaN.
+    meaningless and b1 is NaN; b2 is inf past the float range (see _b2).
     """
     lr = _real(lr, "lr")
     if lr < 0.0:
@@ -284,8 +293,8 @@ def _bootstrap_mean(
     p = X.shape[1]
     free_cols, fixed_cols, offset = restriction.split(X)
     beta_t, phi_t = theta_tilde.beta[free_cols], theta_tilde.phi
-    # the contiguous X' of the scoring core and of _theta_rows, so mu is the
-    # fit's bit for bit
+    # the contiguous X' of the scoring core and of _theta_rows: mu is the
+    # fit's bit for bit unless a fixed value is nonzero (see _dense_rows)
     XT = np.ascontiguousarray(X.T)
     M = _means(np.einsum("bj,jn->bn", theta_tilde.beta[None], XT), link)[0]
     states = _pcg64_states(opts.seed, (np.arange(opts.B, dtype=np.uint64),))

@@ -486,6 +486,16 @@ class TestConfigErrors:
         assert __version__ in capsys.readouterr().out
 
 
+class TestHugeRestrictionValues:
+    # The fixed part of the linear predictor, or the starting point's
+    # residual sum of squares, overflows; the fit fails without a warning.
+    @pytest.mark.parametrize("null", ["persons=1e308", "persons=-1e308", "income=1e200"])
+    def test_numerical_failure(self, capsys, null):
+        code, out, err = run_cli(capsys, "test", "--null", null, "--methods", "lr")
+        assert code == 4 and out == ""
+        assert err.splitlines()[-1].startswith("error:")
+
+
 class TestDataErrors:
     def write(self, tmp_path, content):
         path = tmp_path / "bad.csv"

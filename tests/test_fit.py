@@ -29,7 +29,7 @@ from betabart.model import (
     score,
 )
 from betabart.simulate import design_matrix, gen_beta_sample
-from conftest import rel_err
+from conftest import food_dataset, rel_err
 
 
 class TestRestriction:
@@ -164,6 +164,34 @@ class TestFitRestricted:
         result = fit_restricted(food_five, link, restriction)
         assert result.K.shape == (4, 4)
         assert result.K_inv.shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "kind, indices, values",
+        [
+            ("reduced", (2,), (0.01,)),
+            ("reduced", (2, 3), (-0.01, 0.1)),
+            ("five", (4, 5), (0.0, 0.002)),
+            ("full", (1, 4), (-0.5, 0.0)),
+        ],
+    )
+    def test_restricted_information_is_the_expected_one(
+        self, link, kind, indices, values
+    ):
+        # K is the expected information on the free block at the restricted
+        # estimate, for a one-row fit and for the restricted half of a
+        # two-design call, whose rows the scoring core pads to the full width.
+        data = food_dataset(kind)
+        restriction = Restriction(indices, values)
+        noise = np.random.default_rng(3).normal(0.0, 0.02, (2, data.n))
+        Y = np.vstack([data.y, np.clip(data.y + noise, 0.01, 0.99)])
+        pairs = fit_module._fit_rows(data, Y, link, (None, restriction), FitOptions())
+        results = [fit_restricted(data, link, restriction), *pairs[1][0].values()]
+        assert len(results) == 4
+        for result in results:
+            free = result.free_indices
+            expected = fisher_information(result.theta_hat, data, link)
+            expected = expected[np.ix_(free, free)]
+            assert np.abs(result.K - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_restriction_out_of_range(self, food_five, link):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betabart.inference as inference
+import betabart.simulate as simulate
 from betabart.cumulants import bartlett_factor
 from betabart.fit import (
     FitOptions,
@@ -113,6 +114,12 @@ class TestBartlettCorrected:
         b1, b2, b3 = bartlett_corrected(4.0, -1.5, 1)
         assert math.isnan(b1)
         assert math.isfinite(b2) and math.isfinite(b3)
+
+    def test_overflowing_exponential_gives_inf(self):
+        # exp(1000) exceeds the float range: b2 is inf, or 0.0 at LR = 0
+        b1, b2, b3 = bartlett_corrected(1.0, -1000.0, 1)
+        assert math.isnan(b1) and (b2, b3) == (math.inf, 1001.0)
+        assert bartlett_corrected(0.0, -1000.0, 1)[1] == 0.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -379,6 +386,19 @@ class TestResampleStreams:
         assert got[1] > 0
 
 
+def _x_at_minus_1000(monkeypatch):
+    """Patch the Bartlett pass so that every row's x is -1000, where
+    exp(-x) exceeds the float range."""
+    bartlett_rows = inference._bartlett_rows
+
+    def below(X, link, free, Beta, Phi):
+        eps_full, _, failed = bartlett_rows(X, link, free, Beta, Phi)
+        q = X.shape[1] - len(free)
+        return eps_full, eps_full + 1000.0 * q, failed
+
+    monkeypatch.setattr(inference, "_bartlett_rows", below)
+
+
 class TestRunTest:
     def test_all_methods(self, food_five, link):
         report = run_test(
@@ -524,6 +544,26 @@ class TestRunTest:
         assert report.p_values["lr"] == reference.p_values["lr"]
         for name in ("b2", "b3"):
             assert report.p_values[name] == chisq_sf(report.statistics[name], 2)
+
+    def test_infinite_b2_has_no_p_value(self, monkeypatch, food_five, link):
+        restriction = Restriction((4, 5), (0.0, 0.0))
+        _x_at_minus_1000(monkeypatch)
+        report = run_test(food_five, link, restriction, methods=("lr", "b2"))
+        assert report.statistics["b2"] == math.inf
+        assert list(report.p_values) == ["lr"]
+
+    def test_infinite_b2_fails_its_replication(self, monkeypatch):
+        config = SimConfig(
+            n=20,
+            p=3,
+            phi_true=40.0,
+            beta_true=(0.8, 0.0, 1.0),
+            restriction=Restriction((2,), (0.0,)),
+            reps=1,
+            methods=("lr", "b2"),
+        )
+        _x_at_minus_1000(monkeypatch)
+        assert simulate._replication_block(config, range(1)) == {0: None}
 
     def test_report_is_frozen(self, food_five, link):
         report = run_test(food_five, link, Restriction((4,), (0.0,)), methods=("lr",))
