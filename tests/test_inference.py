@@ -562,6 +562,7 @@ class TestRunTest:
             reps=1,
             methods=("lr", "b2"),
         )
+        assert simulate._replication_block(config, range(1))[0] is not None
         _x_at_minus_1000(monkeypatch)
         assert simulate._replication_block(config, range(1)) == {0: None}
 
